@@ -2,7 +2,8 @@
 
 Runs the same batch stream through every variant, writes one CSV per variant
 plus a JSON summary with 90% bootstrap intervals on the pairwise mean-cosine
-differences, and prints the ordering table.
+differences, and prints the ordering table. The weights never change, so the
+exact gradient of each batch is computed once and shared by every variant.
 """
 
 import argparse
@@ -13,8 +14,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sbp.analysis import (bootstrap_mean_diff, grad_similarity_experiment,
-                          write_csv, write_json)
+from sbp.analysis import (bootstrap_mean_diff, exact_reference,
+                          grad_similarity_experiment, write_csv, write_json)
 from sbp.data import make_blobs
 from sbp.masks import build_schedule, make_mask_plan
 from sbp.models import build_model, tiny_vit_spec
@@ -29,7 +30,7 @@ VARIANTS = [
 ]
 
 
-def run_variant(model, batches, schedule_kind, sampler, mode, keep_ratio,
+def run_variant(model, batches, exact, schedule_kind, sampler, mode, keep_ratio,
                 plan_seed, head_seed):
     n_layers = len(model.sbp_layers())
     sharing = "shared" if schedule_kind == "uniform" else "independent"
@@ -40,7 +41,7 @@ def run_variant(model, batches, schedule_kind, sampler, mode, keep_ratio,
                               plan_seed + step * 13)
 
     return grad_similarity_experiment(model, batches, plan_fn, mode=mode,
-                                      head_seed=head_seed)
+                                      head_seed=head_seed, exact=exact)
 
 
 def main():
@@ -65,11 +66,12 @@ def main():
     data = make_blobs(args.batches * args.batch_size, grid=(8, 8), channels=3,
                       noise=0.5, seed=args.data_seed)
     batches = list(data.batches(args.batch_size))
+    exact = [exact_reference(model, x, labels) for x, labels in batches]
 
     cosines = {}
     summary = {"variants": {}, "pairwise": {}}
     for name, schedule, sampler, mode in VARIANTS:
-        reports = run_variant(model, batches, schedule, sampler, mode,
+        reports = run_variant(model, batches, exact, schedule, sampler, mode,
                               args.keep_ratio, args.plan_seed, args.head_seed)
         rows = []
         for i, r in enumerate(reports):

@@ -5,7 +5,17 @@ while the forward pass stays untouched; kept-index caching is what buys the
 activation-memory savings, and the masked gradients are exactly what a full
 backward would produce after zeroing upstream activation gradients at dropped
 indices.
+
+BLAS is pinned to one thread here, before any submodule loads numpy, so
+results are byte-identical whatever the CLI's --threads; an explicit setting
+in the environment wins.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .errors import (
     ConfigurationError,

@@ -76,22 +76,31 @@ def _per_node_blocks(store: GradientStore) -> dict:
             for nid, keys in sorted(by_node.items())}
 
 
+def exact_reference(model: Model, x: Array, labels: Array) -> GradientStore:
+    """Exact (no-SBP) gradient of one batch at the model's current weights.
+
+    Only the gradient is returned, so the exact tape is freed on return. At
+    fixed weights one reference serves every SBP variant run on that batch.
+    """
+    return backward(forward(model, x, labels, plan=None))
+
+
 def grad_similarity_experiment(model: Model, batches, plan_fn, mode: str = "qkv",
-                               head_seed: int = 0) -> list[GradReport]:
+                               head_seed: int = 0, exact=None) -> list[GradReport]:
     """Fixed-weight comparison of SBP gradients against exact ones.
 
     `batches` yields (x, labels); `plan_fn(step)` returns the MaskPlan for that
     step (resampling is the caller's policy). Weights are never updated.
+    `exact`, if given, holds `exact_reference` of each batch in order, so
+    callers comparing several variants compute it once; otherwise it is
+    computed here.
     """
     kinds = {node.node_id: node.kind for node in model.nodes if node.params()}
     reports = []
-    empty = True
     for step, (x, labels) in enumerate(batches):
-        empty = False
-        tape_sbp = forward(model, x, labels, plan=plan_fn(step), mode=mode,
-                           step=step, head_seed=head_seed)
-        g_sbp = backward(tape_sbp)
-        g_full = backward(forward(model, x, labels, plan=None))
+        g_full = exact_reference(model, x, labels) if exact is None else exact[step]
+        g_sbp = backward(forward(model, x, labels, plan=plan_fn(step), mode=mode,
+                                 step=step, head_seed=head_seed))
         blocks_sbp = _per_node_blocks(g_sbp)
         blocks_full = _per_node_blocks(g_full)
         reports.append(GradReport(
@@ -106,8 +115,11 @@ def grad_similarity_experiment(model: Model, batches, plan_fn, mode: str = "qkv"
                          for nid in blocks_sbp},
             node_kinds=kinds,
         ))
-    if empty:
+    if not reports:
         raise ConfigurationError("empty batch stream")
+    if exact is not None and len(exact) != len(reports):
+        raise ConfigurationError(
+            f"{len(exact)} exact references for {len(reports)} batches")
     return reports
 
 

@@ -1,20 +1,14 @@
 """Command-line front end: train / gradsim / memreport / chaindemo / gendata.
 
-BLAS threading is pinned to one thread before numpy loads so results are
-byte-identical regardless of --threads; worker threads only spread independent
-work items and results are merged in index order.
+BLAS threading is pinned to one thread when the `sbp` package loads, before
+numpy, so results are byte-identical regardless of --threads; worker threads
+only spread independent work items and results are merged in index order.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure. stdout
 carries only the report path; diagnostics go to stderr.
 """
 
 from __future__ import annotations
-
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
-             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 import argparse
 import hashlib
@@ -145,6 +139,10 @@ def cmd_train(args):
 
 
 def _variant_tokens(cfg):
+    """(name, schedule, sampler, mode) per gradsim variant, all checked up front."""
+    from .config import SAMPLERS, SBP_MODES, SCHEDULES
+    from .errors import ConfigurationError
+
     tokens = [t.strip() for t in cfg.gradsim.variants.split(",") if t.strip()]
     if not tokens:
         return [("base", cfg.sbp.schedule, cfg.sbp.sampler, cfg.sbp.mode)]
@@ -152,19 +150,28 @@ def _variant_tokens(cfg):
     for tok in tokens:
         parts = tok.split("-")
         if len(parts) != 3:
-            from .errors import ConfigurationError
             raise ConfigurationError(
                 f"variant {tok!r} must be schedule-sampler-mode, e.g. uniform-grid-qkv")
-        out.append((tok, *parts))
+        schedule, sampler, mode = parts
+        for what, value, allowed in (("schedule", schedule, SCHEDULES),
+                                     ("sampler", sampler, SAMPLERS),
+                                     ("mode", mode, SBP_MODES)):
+            if value not in allowed:
+                raise ConfigurationError(f"variant {tok!r}: unknown {what} {value!r}")
+        if mode == "head" and cfg.model.kind != "vit":
+            raise ConfigurationError(
+                f"variant {tok!r}: head drop mode needs an attention model")
+        out.append((tok, schedule, sampler, mode))
     return out
 
 
 def cmd_gradsim(args):
     import numpy as np
-    from .analysis import (bootstrap_mean_diff, grad_similarity_experiment,
-                           write_csv, write_json)
+    from .analysis import (bootstrap_mean_diff, exact_reference,
+                           grad_similarity_experiment, write_csv, write_json)
 
     cfg, cfg_hash = _load_config(args.config, args.seed)
+    variants = _variant_tokens(cfg)
     out = _outdir(args)
     model = _build_model(cfg)
     dataset = _load_dataset(cfg)
@@ -172,18 +179,25 @@ def cmd_gradsim(args):
     batches = list(dataset.batches(cfg.train.batch_size))
     batches = [batches[i % len(batches)] for i in range(n_batches)]
 
+    def compare(step):
+        """Every variant's report on one batch, against one shared exact pass."""
+        exact = [exact_reference(model, *batches[step])]
+        reports = []
+        for _name, schedule, sampler, mode in variants:
+            reports.append(grad_similarity_experiment(
+                model, [batches[step]],
+                lambda _s: _make_plan(model, cfg, step, schedule_kind=schedule,
+                                      sampler=sampler, mode=mode),
+                mode=mode, head_seed=cfg.train.seed, exact=exact)[0])
+        return reports
+
+    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+        per_batch = list(pool.map(compare, range(len(batches))))
+
     summary = {"config_hash": cfg_hash, "variants": {}}
     variant_means = {}
-    for name, schedule, sampler, mode in _variant_tokens(cfg):
-        def one(step, schedule=schedule, sampler=sampler, mode=mode):
-            return grad_similarity_experiment(
-                model, [batches[step]],
-                lambda _s, step=step: _make_plan(model, cfg, step, schedule_kind=schedule,
-                                                 sampler=sampler, mode=mode),
-                mode=mode, head_seed=cfg.train.seed)[0]
-
-        with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-            reports = list(pool.map(one, range(len(batches))))
+    for v, (name, *_) in enumerate(variants):
+        reports = [row[v] for row in per_batch]
         rows = []
         for i, r in enumerate(reports):
             for nid in sorted(r.per_node):

@@ -7,6 +7,10 @@ from fractions import Fraction
 
 from .errors import ConfigurationError
 
+SBP_MODES = ("qkv", "query_only", "head")
+SAMPLERS = ("grid", "random")
+SCHEDULES = ("uniform", "increasing", "decreasing")
+
 
 @dataclass
 class ModelConfig:
@@ -121,13 +125,13 @@ def parse_config(text: str) -> TrainConfig:
 def validate_config(cfg: TrainConfig):
     if cfg.model.kind not in ("mlp", "vit", "conv"):
         raise ConfigurationError(f"unknown model kind {cfg.model.kind!r}")
-    if cfg.sbp.mode not in ("qkv", "query_only", "head"):
+    if cfg.sbp.mode not in SBP_MODES:
         raise ConfigurationError(f"unknown sbp mode {cfg.sbp.mode!r}")
-    if cfg.sbp.sampler not in ("grid", "random"):
+    if cfg.sbp.sampler not in SAMPLERS:
         raise ConfigurationError(f"unknown sampler {cfg.sbp.sampler!r}")
     if cfg.sbp.sharing not in ("shared", "independent"):
         raise ConfigurationError(f"unknown sharing {cfg.sbp.sharing!r}")
-    if cfg.sbp.schedule not in ("uniform", "increasing", "decreasing"):
+    if cfg.sbp.schedule not in SCHEDULES:
         raise ConfigurationError(f"unknown schedule {cfg.sbp.schedule!r}")
     if not (0 < cfg.sbp.keep_ratio <= 1):
         raise ConfigurationError("sbp.keep_ratio must be in (0, 1]")

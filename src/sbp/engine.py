@@ -75,11 +75,8 @@ def _loss_and_grad(kind: str, logits: Array, labels: Array):
     raise ConfigurationError(f"unknown loss {kind!r}")
 
 
-def head_keep_for(node, step: int, seed: int):
+def head_keep_for(node, ratio, step: int, seed: int):
     """Deterministic per-node, per-step head subset for head-drop mode."""
-    ratio = getattr(node, "_head_ratio", None)
-    if ratio is None:
-        return None
     mix = (seed * 1000003 + step * 7919 + zlib.crc32(node.node_id.encode())) % (2 ** 31)
     return sample_head_keep(node.heads, ratio, mix)
 
@@ -96,8 +93,7 @@ def forward(model: Model, x: Array, labels: Array, plan: MaskPlan | None = None,
         if node.sbp_enabled and getattr(node, "mask_group", None) in masks:
             mask = masks[node.mask_group]
             if mode == "head" and node.kind == "block":
-                node._head_ratio = mask.keep_ratio
-                head_keep = head_keep_for(node, step, head_seed)
+                head_keep = head_keep_for(node, mask.keep_ratio, step, head_seed)
         node_mode = mode if node.kind == "block" else None
         h, rec = node.forward(h, mask=mask, mode=node_mode if mask is not None else None,
                               head_keep=head_keep)

@@ -12,6 +12,7 @@ from sbp.analysis import (
     bootstrap_mean_diff,
     chain_rule_report,
     cosine_similarity,
+    exact_reference,
     grad_similarity_experiment,
     l2_norm_trace,
     mhsa_memory_ratio,
@@ -220,6 +221,44 @@ class TestGradSimilarity:
         model, _, plan = self.make()
         with pytest.raises(ConfigurationError):
             grad_similarity_experiment(model, [], lambda step: plan)
+
+    @pytest.mark.parametrize("mode", ["qkv", "query_only", "head"])
+    def test_shared_exact_reference_matches_inline(self, mode):
+        model, batches, plan = self.make()
+        refs = [exact_reference(model, x, labels) for x, labels in batches]
+        inline = grad_similarity_experiment(model, batches, lambda step: plan, mode=mode,
+                                            head_seed=4)
+        shared = grad_similarity_experiment(model, batches, lambda step: plan, mode=mode,
+                                            head_seed=4, exact=refs)
+        assert shared == inline
+
+    def test_reference_count_must_match_batches(self):
+        model, batches, plan = self.make()
+        refs = [exact_reference(model, x, labels) for x, labels in batches]
+        with pytest.raises(ConfigurationError):
+            grad_similarity_experiment(model, batches[:2], lambda step: plan, exact=refs)
+
+    def test_cli_gradsim_runs_one_exact_pass_per_batch(self, tmp_path, monkeypatch):
+        import sbp.analysis
+        from sbp.cli import main
+
+        exact_calls = []
+
+        def counting_forward(*args, **kwargs):
+            if kwargs.get("plan") is None:
+                exact_calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(sbp.analysis, "forward", counting_forward)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.kind = vit\nmodel.grid = 4x4\nmodel.in_channels = 2\n"
+                       "model.embed = 8\nmodel.heads = 2\nmodel.depth = 2\n"
+                       "train.batch_size = 4\ndata.count = 12\n"
+                       "gradsim.variants = uniform-grid-qkv,uniform-grid-head\n"
+                       "gradsim.batches = 3\n")
+        assert main(["gradsim", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--threads", "2"]) == 0
+        assert len(exact_calls) == 3
 
 
 class TestTrajectoryTools:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,38 @@ class TestGradsim:
             blobs.append((out / "gradsim_base.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("base, token, why", [
+        (VIT_CONFIG, "uniform-grid-bogus", "unknown mode 'bogus'"),
+        (VIT_CONFIG, "uniform-lattice-qkv", "unknown sampler 'lattice'"),
+        (VIT_CONFIG, "steep-grid-qkv", "unknown schedule 'steep'"),
+        (BASE_CONFIG, "uniform-grid-head", "needs an attention model"),
+    ], ids=["mode", "sampler", "schedule", "head-without-attention"])
+    def test_bad_variant_fails_before_any_pass(self, tmp_path, capsys, base, token, why):
+        cfg = write_config(tmp_path, base + f"gradsim.variants = uniform-grid-qkv,{token}\n")
+        assert run(["gradsim", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_CONFIG
+        assert why in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/gradsim_*"))
+
+    def test_concurrent_head_variants_match_across_threads(self, tmp_path):
+        # Variants with different keep schedules run at once on one shared
+        # model; a short switch interval makes interleaving likely.
+        text = VIT_CONFIG + ("gradsim.variants = uniform-grid-head,increasing-grid-head\n"
+                             "gradsim.batches = 3\n")
+        cfg = write_config(tmp_path, text)
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 4):
+                out = tmp_path / f"t{threads}"
+                assert run(["gradsim", "--config", cfg, "--out", out,
+                            "--threads", threads]) == EXIT_OK
+                outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestMemreport:
     def test_estimate_matches_tape(self, tmp_path):
@@ -242,3 +278,43 @@ class TestGendata:
         cfg = write_config(tmp_path, BASE_CONFIG + f"data.path = {data_path}\n")
         assert run(["train", "--config", cfg,
                     "--out", tmp_path / "out"]) == EXIT_CONFIG
+
+
+# Run in a fresh interpreter with the BLAS variables unset: importing the CLI
+# must pin every OpenBLAS that numpy and scipy load, and each library is asked
+# for its own thread count, since the variables only say what was requested.
+BLAS_PROBE = """
+import ctypes
+import json
+import sbp.cli
+with open("/proc/self/maps") as f:
+    paths = sorted({line.split()[-1] for line in f
+                    if "openblas" in line.lower() and "/" in line})
+counts = []
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads",
+                 "scipy_openblas_get_num_threads64_"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.argtypes = []
+            get.restype = ctypes.c_int
+            counts.append(get())
+print(json.dumps(counts))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_importing_cli_pins_blas_to_one_thread():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
+                        "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts, "no OpenBLAS library was loaded"
+    assert all(c == 1 for c in counts), counts

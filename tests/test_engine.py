@@ -259,21 +259,29 @@ class TestSgdStep:
 
 
 class TestHeadKeepFor:
-    def test_deterministic_and_node_dependent(self):
-        class N:
-            def __init__(self, nid):
-                self.node_id = nid
-                self.heads = 8
-                self._head_ratio = 0.5
+    class N:
+        def __init__(self, nid="block0"):
+            self.node_id = nid
+            self.heads = 8
 
-        a, b = N("block0"), N("block1")
-        assert head_keep_for(a, 3, 7) == head_keep_for(a, 3, 7)
-        picks = {head_keep_for(N(f"blk{i}"), 0, 0) for i in range(10)}
+    def test_deterministic_and_node_dependent(self):
+        a = self.N("block0")
+        assert head_keep_for(a, 0.5, 3, 7) == head_keep_for(a, 0.5, 3, 7)
+        picks = {head_keep_for(self.N(f"blk{i}"), 0.5, 0, 0) for i in range(10)}
         assert len(picks) > 1
 
-    def test_none_without_ratio(self):
-        class N:
-            node_id = "x"
-            heads = 4
+    def test_ratio_sets_kept_head_count(self):
+        node = self.N()
+        assert len(head_keep_for(node, 0.5, 0, 0)) == 4
+        assert len(head_keep_for(node, 0.25, 0, 0)) == 2
+        assert head_keep_for(node, 1.0, 0, 0) == tuple(range(8))
 
-        assert head_keep_for(N(), 0, 0) is None
+    def test_head_forward_leaves_nodes_unchanged(self):
+        spec = tiny_vit_spec(grid=(4, 4), in_channels=2, embed=8, heads=2,
+                             depth=2, sbp_fraction=1.0)
+        model = build_model(spec, seed=0)
+        before = [sorted(vars(node)) for node in model.nodes]
+        plan = make_mask_plan(model, build_schedule("uniform", 0.5, 2), "grid", "shared", 0)
+        x, labels = small_batch(np.random.Generator(np.random.PCG64(2)), grid=(4, 4))
+        forward(model, x, labels, plan=plan, mode="head")
+        assert [sorted(vars(node)) for node in model.nodes] == before
