@@ -24,7 +24,7 @@ from .errors import (
     NumericError,
     SbpError,
 )
-from .tensor_core import Shape, as_tensor, gather_rows, matmul, scatter_rows_add
+from .tensor_core import Shape, as_tensor, gather_rows, matmul
 from .masks import (
     IndexMask,
     KeepRatioSchedule,
@@ -58,12 +58,13 @@ from .layers import (
     linear_backward_sbp,
     linear_forward,
     mhsa_backward_full,
+    mhsa_backward_kept,
     mhsa_backward_sbp,
     mhsa_forward,
     mse_loss,
+    restrict_mhsa_cache,
     sample_head_keep,
     softmax_xent_loss,
-    zero_dropped_rows,
 )
 from .models import (
     Model,

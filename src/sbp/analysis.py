@@ -86,19 +86,21 @@ def exact_reference(model: Model, x: Array, labels: Array) -> GradientStore:
 
 
 def grad_similarity_experiment(model: Model, batches, plan_fn, mode: str = "qkv",
-                               head_seed: int = 0, exact=None) -> list[GradReport]:
+                               head_seed: int = 0, exact=None, start: int = 0
+                               ) -> list[GradReport]:
     """Fixed-weight comparison of SBP gradients against exact ones.
 
-    `batches` yields (x, labels); `plan_fn(step)` returns the MaskPlan for that
-    step (resampling is the caller's policy). Weights are never updated.
+    `batches` yields (x, labels), numbered as steps from `start`; `plan_fn(step)`
+    returns the MaskPlan for that step (resampling is the caller's policy), and
+    head mode draws its heads per step. Weights are never updated.
     `exact`, if given, holds `exact_reference` of each batch in order, so
     callers comparing several variants compute it once; otherwise it is
     computed here.
     """
     kinds = {node.node_id: node.kind for node in model.nodes if node.params()}
     reports = []
-    for step, (x, labels) in enumerate(batches):
-        g_full = exact_reference(model, x, labels) if exact is None else exact[step]
+    for step, (x, labels) in enumerate(batches, start):
+        g_full = exact_reference(model, x, labels) if exact is None else exact[step - start]
         g_sbp = backward(forward(model, x, labels, plan=plan_fn(step), mode=mode,
                                  step=step, head_seed=head_seed))
         blocks_sbp = _per_node_blocks(g_sbp)
@@ -196,7 +198,7 @@ def activation_memory_estimate(model: Model, plan: MaskPlan | None, mode: str,
     for node in model.nodes:
         full = node.estimate_cached(batch_size, None, None)
         mask = None
-        if node.sbp_enabled and getattr(node, "mask_group", None) in masks:
+        if node.sbp_enabled and node.mask_group in masks:
             mask = masks[node.mask_group]
         if mask is None or mask.is_full_keep:
             est = full

@@ -186,9 +186,9 @@ def cmd_gradsim(args):
         for _name, schedule, sampler, mode in variants:
             reports.append(grad_similarity_experiment(
                 model, [batches[step]],
-                lambda _s: _make_plan(model, cfg, step, schedule_kind=schedule,
-                                      sampler=sampler, mode=mode),
-                mode=mode, head_seed=cfg.train.seed, exact=exact)[0])
+                lambda s: _make_plan(model, cfg, s, schedule_kind=schedule,
+                                     sampler=sampler, mode=mode),
+                mode=mode, head_seed=cfg.train.seed, exact=exact, start=step)[0])
         return reports
 
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:

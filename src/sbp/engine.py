@@ -90,7 +90,7 @@ def forward(model: Model, x: Array, labels: Array, plan: MaskPlan | None = None,
     for node in model.nodes:
         mask = None
         head_keep = None
-        if node.sbp_enabled and getattr(node, "mask_group", None) in masks:
+        if node.sbp_enabled and node.mask_group in masks:
             mask = masks[node.mask_group]
             if mode == "head" and node.kind == "block":
                 head_keep = head_keep_for(node, mask.keep_ratio, step, head_seed)

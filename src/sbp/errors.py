@@ -14,7 +14,7 @@ class ConfigurationError(SbpError, ValueError):
 
 
 class ContractViolationError(SbpError, RuntimeError):
-    """A documented contract was violated (duplicate scatter index, stale cache, ...)."""
+    """A documented contract was violated (cache from another layer, mismatched gradient keys, ...)."""
 
 
 class NumericError(SbpError, ArithmeticError):

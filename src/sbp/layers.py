@@ -3,7 +3,10 @@
 Each masked (SBP) backward is elementwise-equivalent to running the full
 backward after zeroing the upstream activation gradient at dropped indices;
 the masked implementations additionally honor the memory contract where one
-is declared: they read only kept-index activations.
+is declared: they read only kept-index activations. For attention the contract
+holds by construction: `restrict_mhsa_cache` keeps only what a drop mode's
+backward reads, and `mhsa_backward_kept` computes that backward from the
+restricted cache alone, never rebuilding a full-shaped one.
 
 Token masks address the flat spatial/token grid of a single sample; batched
 inputs share one mask across the batch.
@@ -23,19 +26,6 @@ from .tensor_core import Array, as_tensor, gather_rows, matmul
 
 LN_EPS = 1e-6
 DROP_MODES = ("query_only", "qkv", "head")
-
-
-def expand_keep_rows(keep: np.ndarray, batch: int, n: int) -> np.ndarray:
-    """Token keep-indices -> row indices of the (batch * n, C) flattening."""
-    keep = np.asarray(keep, dtype=np.int64)
-    return (np.arange(batch, dtype=np.int64)[:, None] * n + keep[None, :]).reshape(-1)
-
-
-def zero_dropped_rows(upstream: Array, mask: IndexMask) -> Array:
-    """Upstream with rows at dropped indices set to zero (the oracle's first step)."""
-    out = np.array(upstream, dtype=np.float64)
-    out[mask.drop_array()] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +217,14 @@ class MhsaCache:
     q: Array        # B x h x N x d
     k: Array
     v: Array
-    m: Array        # B x h x N x N (pre-softmax logits)
+    m: Array | None  # B x h x N x N (pre-softmax logits); None if restricted for
+                     # query_only or head, which never read it
     s: Array        # B x h x N x N (attention weights)
     a: Array        # B x h x N x d (per-head attention output)
 
-    @property
-    def shape(self):
-        return self.x.shape
-
     def element_count(self) -> int:
-        return sum(t.size for t in (self.x, self.q, self.k, self.v, self.m, self.s, self.a))
+        return sum(t.size for t in (self.x, self.q, self.k, self.v, self.m, self.s, self.a)
+                   if t is not None)
 
 
 def _split_heads(t: Array, heads: int, dim_head: int) -> Array:
@@ -323,15 +311,113 @@ def sample_head_keep(heads: int, keep_ratio, rng_seed: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in rng.choice(heads, size=n_keep, replace=False)))
 
 
+def restrict_mhsa_cache(cache: MhsaCache, keep, mode: str,
+                        head_keep: tuple[int, ...] | None) -> MhsaCache:
+    """The part of a full cache that `mode`'s masked backward reads.
+
+    qkv: kept token rows of X/Q/K/V/A and the kept x kept block of S (and of M).
+    query_only: kept query rows of Q; everything else whole; no M.
+    head: Q/K/V/S of the kept heads only; X and A whole (dW_o stays exact); no M.
+    """
+    if mode == "qkv":
+        def rows(t):
+            return np.ascontiguousarray(t[:, :, keep, :])
+
+        def block(t):
+            return np.ascontiguousarray(t[:, :, keep, :][:, :, :, keep])
+
+        return MhsaCache(np.ascontiguousarray(cache.x[:, keep, :]), rows(cache.q),
+                         rows(cache.k), rows(cache.v), block(cache.m), block(cache.s),
+                         rows(cache.a))
+    if mode == "query_only":
+        return MhsaCache(cache.x, np.ascontiguousarray(cache.q[:, :, keep, :]),
+                         cache.k, cache.v, None, cache.s, cache.a)
+    if mode == "head":
+        hk = np.asarray(sorted(head_keep or ()), dtype=np.int64)
+        q, k, v, s = (np.ascontiguousarray(t[:, hk, :, :])
+                      for t in (cache.q, cache.k, cache.v, cache.s))
+        return MhsaCache(cache.x, q, k, v, None, s, cache.a)
+    raise ConfigurationError(f"unknown drop mode {mode!r}")
+
+
+def mhsa_backward_kept(layer: MhsaLayer, restricted: MhsaCache, upstream: Array,
+                       keep, mode: str, head_keep: tuple[int, ...] | None) -> MhsaGrads:
+    """Masked attention backward straight from `restrict_mhsa_cache`'s output.
+
+    `upstream` and the returned dX are full B x N x C; `keep` holds the kept
+    token indices (unused in head mode, where `head_keep` lists the surviving
+    heads).
+    """
+    h, d = layer.heads, layer.dim_head
+    scale = 1.0 / math.sqrt(d)
+    b, n, c = upstream.shape
+    if mode == "head":
+        hk = np.asarray(sorted(head_keep or ()), dtype=np.int64)
+        if hk.size == h:
+            return mhsa_backward_full(layer, restricted, upstream)
+    # qkv works on the kept token rows throughout, the other modes on all rows.
+    up = upstream[:, keep, :] if mode == "qkv" else upstream
+    rows = up.shape[1]
+    dw_o = _merge_heads(restricted.a).reshape(b * rows, h * d).T @ up.reshape(b * rows, c)
+    da = _split_heads(up @ layer.w_o.T, h, d)
+
+    if mode == "qkv":
+        s_kk = restricted.s
+        ds_kk = da @ restricted.v.transpose(0, 1, 3, 2)
+        # Row sums of ds * s run over ALL keys: <dA_q, A_q> recovers them from
+        # the cached per-head outputs without touching dropped columns of S.
+        rowsum = (da * restricted.a).sum(axis=-1, keepdims=True)
+        dm_kk = s_kk * (ds_kk - rowsum)
+        dq = dm_kk @ restricted.k * scale
+        dk = dm_kk.transpose(0, 1, 3, 2) @ restricted.q * scale
+        dv = s_kk.transpose(0, 1, 3, 2) @ da
+    elif mode == "query_only":
+        # Value path is untouched: exact dV and dW_V.
+        dv = restricted.s.transpose(0, 1, 3, 2) @ da
+        da_k = da[:, :, keep, :]
+        s_k = restricted.s[:, :, keep, :]
+        a_k = restricted.a[:, :, keep, :]
+        ds_k = da_k @ restricted.v.transpose(0, 1, 3, 2)
+        rowsum = (da_k * a_k).sum(axis=-1, keepdims=True)  # == sum(ds * s) over keys
+        dm_k = s_k * (ds_k - rowsum)
+        dk = dm_k.transpose(0, 1, 3, 2) @ restricted.q * scale
+        dq = np.zeros((b, h, n, d))
+        dq[:, :, keep, :] = dm_k @ restricted.k * scale    # kept query rows
+    elif mode == "head":
+        dq = np.zeros((b, h, n, d))
+        dk = np.zeros((b, h, n, d))
+        dv = np.zeros((b, h, n, d))
+        if hk.size:
+            da_h = da[:, hk, :, :]
+            s_h = restricted.s
+            dv[:, hk, :, :] = s_h.transpose(0, 1, 3, 2) @ da_h
+            ds_h = da_h @ restricted.v.transpose(0, 1, 3, 2)
+            dm_h = s_h * (ds_h - (da_h * restricted.a[:, hk, :, :]).sum(axis=-1, keepdims=True))
+            dq[:, hk, :, :] = dm_h @ restricted.k * scale
+            dk[:, hk, :, :] = dm_h.transpose(0, 1, 3, 2) @ restricted.q * scale
+    else:
+        raise ConfigurationError(f"unknown drop mode {mode!r}")
+
+    x2 = restricted.x.reshape(b * rows, c)
+    dq_f = _merge_heads(dq).reshape(b * rows, h * d)
+    dk_f = _merge_heads(dk).reshape(b * rows, h * d)
+    dv_f = _merge_heads(dv).reshape(b * rows, h * d)
+    dx = (dq_f @ layer.w_q.T + dk_f @ layer.w_k.T + dv_f @ layer.w_v.T).reshape(b, rows, c)
+    if mode == "qkv":  # dropped token rows get no input gradient
+        dx_k, dx = dx, np.zeros((b, n, c))
+        dx[:, keep, :] = dx_k
+    return MhsaGrads(x2.T @ dq_f, x2.T @ dk_f, x2.T @ dv_f, dw_o, dx)
+
+
 def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
                       mask: IndexMask, mode: str | None = None,
                       head_keep: tuple[int, ...] | None = None) -> MhsaGrads:
-    """Masked attention backward.
+    """Masked attention backward from a full cache: restrict it, then run
+    `mhsa_backward_kept`, the same code the transformer block runs.
 
     query_only: zero dM rows at dropped queries; dV and dW_V stay exact.
     qkv: zero dM rows and columns at dropped tokens plus dV/dA rows, so every
-         weight gradient is a kept-subset estimate; reads only kept rows of
-         Q/K/V/X/A and the kept x kept block of S.
+         weight gradient is a kept-subset estimate.
     head: zero the whole gradient of dropped heads (head_keep lists survivors).
     """
     mode = mode or layer.drop_mode
@@ -339,106 +425,19 @@ def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
         raise ConfigurationError(f"unknown drop mode {mode!r}")
     upstream = as_tensor(upstream)
     _check_cache(layer, cache, upstream)
-    b, n, c = cache.x.shape
+    n = cache.x.shape[1]
     if mode != "head" and mask.total != n:
         raise DimensionError(f"mask domain {mask.total} != token count {n}")
     if mode != "head" and mask.is_full_keep:
         return mhsa_backward_full(layer, cache, upstream)
-
-    h, d = layer.heads, layer.dim_head
-    scale = 1.0 / math.sqrt(d)
-
-    if mode == "query_only":
-        keep = mask.keep_array()
-        x2 = cache.x.reshape(b * n, c)
-        a_c = _merge_heads(cache.a)
-        dw_o = a_c.reshape(b * n, h * d).T @ upstream.reshape(b * n, c)
-        da = _split_heads(upstream @ layer.w_o.T, h, d)
-        # Value path is untouched: exact dV and dW_V.
-        dv = cache.s.transpose(0, 1, 3, 2) @ da
-        da_k = da[:, :, keep, :]
-        s_k = cache.s[:, :, keep, :]
-        a_k = cache.a[:, :, keep, :]
-        ds_k = da_k @ cache.v.transpose(0, 1, 3, 2)
-        rowsum = (da_k * a_k).sum(axis=-1, keepdims=True)  # == sum(ds * s) over keys
-        dm_k = s_k * (ds_k - rowsum)
-        dq_k = dm_k @ cache.k * scale                      # kept query rows
-        dk = dm_k.transpose(0, 1, 3, 2) @ cache.q[:, :, keep, :] * scale
-        dq = np.zeros_like(cache.q)
-        dq[:, :, keep, :] = dq_k
-        dq_f = _merge_heads(dq).reshape(b * n, h * d)
-        dk_f = _merge_heads(dk).reshape(b * n, h * d)
-        dv_f = _merge_heads(dv).reshape(b * n, h * d)
-        dw_q = x2.T @ dq_f
-        dw_k = x2.T @ dk_f
-        dw_v = x2.T @ dv_f
-        dx = (dq_f @ layer.w_q.T + dk_f @ layer.w_k.T + dv_f @ layer.w_v.T).reshape(b, n, c)
-        return MhsaGrads(dw_q, dw_k, dw_v, dw_o, dx)
-
-    if mode == "qkv":
-        keep = mask.keep_array()
-        nk = keep.size
-        x_k = cache.x[:, keep, :]
-        up_k = upstream[:, keep, :]
-        a_k = cache.a[:, :, keep, :]
-        a_ck = _merge_heads(a_k)
-        dw_o = a_ck.reshape(b * nk, h * d).T @ up_k.reshape(b * nk, c)
-        da_k = _split_heads(up_k @ layer.w_o.T, h, d)      # kept token rows of dA
-        s_kk = cache.s[:, :, keep, :][:, :, :, keep]
-        v_k = cache.v[:, :, keep, :]
-        k_k = cache.k[:, :, keep, :]
-        q_k = cache.q[:, :, keep, :]
-        ds_kk = da_k @ v_k.transpose(0, 1, 3, 2)
-        # Row sums of ds * s run over ALL keys: <dA_q, A_q> recovers them from
-        # the cached per-head outputs without touching dropped columns of S.
-        rowsum = (da_k * a_k).sum(axis=-1, keepdims=True)
-        dm_kk = s_kk * (ds_kk - rowsum)
-        dq_k = dm_kk @ k_k * scale
-        dk_k = dm_kk.transpose(0, 1, 3, 2) @ q_k * scale
-        dv_k = s_kk.transpose(0, 1, 3, 2) @ da_k
-        x2_k = x_k.reshape(b * nk, c)
-        dq_f = _merge_heads(dq_k).reshape(b * nk, h * d)
-        dk_f = _merge_heads(dk_k).reshape(b * nk, h * d)
-        dv_f = _merge_heads(dv_k).reshape(b * nk, h * d)
-        dw_q = x2_k.T @ dq_f
-        dw_k = x2_k.T @ dk_f
-        dw_v = x2_k.T @ dv_f
-        dx = np.zeros((b, n, c))
-        dx[:, keep, :] = (dq_f @ layer.w_q.T + dk_f @ layer.w_k.T
-                          + dv_f @ layer.w_v.T).reshape(b, nk, c)
-        return MhsaGrads(dw_q, dw_k, dw_v, dw_o, dx)
-
-    # mode == "head"
-    if head_keep is None:
-        raise ConfigurationError("head mode needs head_keep (the surviving head indices)")
-    hk = np.asarray(sorted(head_keep), dtype=np.int64)
-    if hk.size and (hk.min() < 0 or hk.max() >= h):
-        raise ConfigurationError("head index out of range")
-    if hk.size == h:
-        return mhsa_backward_full(layer, cache, upstream)
-    x2 = cache.x.reshape(b * n, c)
-    a_c = _merge_heads(cache.a)
-    dw_o = a_c.reshape(b * n, h * d).T @ upstream.reshape(b * n, c)
-    da = _split_heads(upstream @ layer.w_o.T, h, d)
-    dq = np.zeros_like(cache.q)
-    dk = np.zeros_like(cache.k)
-    dv = np.zeros_like(cache.v)
-    if hk.size:
-        da_h = da[:, hk, :, :]
-        s_h = cache.s[:, hk, :, :]
-        dv[:, hk, :, :] = s_h.transpose(0, 1, 3, 2) @ da_h
-        ds_h = da_h @ cache.v[:, hk, :, :].transpose(0, 1, 3, 2)
-        dm_h = s_h * (ds_h - (da_h * cache.a[:, hk, :, :]).sum(axis=-1, keepdims=True))
-        dq[:, hk, :, :] = dm_h @ cache.k[:, hk, :, :] * scale
-        dk[:, hk, :, :] = dm_h.transpose(0, 1, 3, 2) @ cache.q[:, hk, :, :] * scale
-    dq_f = _merge_heads(dq).reshape(b * n, h * d)
-    dk_f = _merge_heads(dk).reshape(b * n, h * d)
-    dv_f = _merge_heads(dv).reshape(b * n, h * d)
-    dw_q = x2.T @ dq_f
-    dw_k = x2.T @ dk_f
-    dw_v = x2.T @ dv_f
-    dx = (dq_f @ layer.w_q.T + dk_f @ layer.w_k.T + dv_f @ layer.w_v.T).reshape(b, n, c)
-    return MhsaGrads(dw_q, dw_k, dw_v, dw_o, dx)
+    if mode == "head":
+        if head_keep is None:
+            raise ConfigurationError("head mode needs head_keep (the surviving head indices)")
+        if any(not 0 <= i < layer.heads for i in head_keep):
+            raise ConfigurationError("head index out of range")
+    keep = mask.keep_array()
+    return mhsa_backward_kept(layer, restrict_mhsa_cache(cache, keep, mode, head_keep),
+                              upstream, keep, mode, head_keep)
 
 
 # ---------------------------------------------------------------------------

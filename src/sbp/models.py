@@ -28,9 +28,9 @@ from .layers import (
     layer_norm_backward,
     layer_norm_forward,
     mhsa_backward_full,
-    mhsa_backward_sbp,
+    mhsa_backward_kept,
     mhsa_forward,
-    sample_head_keep,
+    restrict_mhsa_cache,
 )
 from .masks import IndexMask
 
@@ -52,11 +52,51 @@ def _nbytes_elems(*arrays) -> int:
     return sum(int(a.size) for a in arrays if a is not None)
 
 
+def _kept(mask: IndexMask | None):
+    """Kept token indices, or None when nothing is dropped."""
+    return None if mask is None or mask.is_full_keep else mask.keep_array()
+
+
+def _gather(t: Array, keep) -> Array:
+    """Kept token rows of a B x N x ... array (all of it when keep is None)."""
+    return t if keep is None else np.ascontiguousarray(t[:, keep, :])
+
+
+def _scatter(rows: Array, keep, n: int) -> Array:
+    """Kept token rows placed into a zero B x n x C array (rows as-is when keep is None)."""
+    if keep is None:
+        return rows
+    out = np.zeros((rows.shape[0], n, rows.shape[2]))
+    out[:, keep, :] = rows
+    return out
+
+
+def _add_rows(base: Array, keep, rows: Array) -> Array:
+    """base plus rows added at the kept token rows (at every row when keep is None)."""
+    if keep is None:
+        return base + rows
+    out = base.copy()
+    out[:, keep, :] += rows
+    return out
+
+
+def _rows_record(x: Array, mask: IndexMask | None) -> NodeRecord:
+    """Record caching the kept token rows of x, and their indices."""
+    x_k = _gather(x, _kept(mask))
+    # The recorded index array is made after x_k on purpose. Made before it,
+    # peak RSS on the train-mlp16-random benchmark workload rose from about
+    # 275 to 299 MB: a glibc heap-layout effect, the live bytes are the same.
+    keep = _kept(mask)
+    return NodeRecord((x_k, keep), None if keep is None else mask, None, None,
+                      _nbytes_elems(x_k))
+
+
 class Node:
     node_id: str
     kind: str
     sbp_enabled: bool = False
     grid: tuple[int, ...] | None = None  # mask domain, when sbp_enabled
+    mask_group: str | None = None        # plan key of the mask this node runs under
 
     def params(self) -> dict[str, Array]:
         raise NotImplementedError
@@ -143,32 +183,18 @@ class TokenLinearNode(Node):
         y = x.reshape(b * n, c) @ self.w
         if self.b is not None:
             y = y + self.b
-        y = y.reshape(b, n, -1)
-        if mask is None or mask.is_full_keep:
-            return y, NodeRecord((x, None), None, None, None, _nbytes_elems(x))
-        x_k = np.ascontiguousarray(x[:, mask.keep_array(), :])
-        return y, NodeRecord((x_k, mask.keep_array()), mask, None, None, _nbytes_elems(x_k))
+        return y.reshape(b, n, -1), _rows_record(x, mask)
 
     def backward(self, rec, dy):
-        x_cached, keep = rec.cache
+        x_k, keep = rec.cache
         b, n, _ = dy.shape
+        nk = x_k.shape[1]
         c_in = self.w.shape[0]
-        if keep is None:
-            x2 = x_cached.reshape(b * n, c_in)
-            dy2 = dy.reshape(b * n, -1)
-            grads = {"w": x2.T @ dy2}
-            if self.b is not None:
-                grads["b"] = dy2.sum(axis=0)
-            return grads, (dy2 @ self.w.T).reshape(b, n, c_in)
-        nk = keep.size
-        x2 = x_cached.reshape(b * nk, c_in)
-        dy_k = np.ascontiguousarray(dy[:, keep, :]).reshape(b * nk, -1)
-        grads = {"w": x2.T @ dy_k}
+        dy_k = _gather(dy, keep).reshape(b * nk, -1)
+        grads = {"w": x_k.reshape(b * nk, c_in).T @ dy_k}
         if self.b is not None:
             grads["b"] = dy_k.sum(axis=0)
-        dx = np.zeros((b, n, c_in))
-        dx[:, keep, :] = (dy_k @ self.w.T).reshape(b, nk, c_in)
-        return grads, dx
+        return grads, _scatter((dy_k @ self.w.T).reshape(b, nk, c_in), keep, n)
 
     def estimate_cached(self, batch, keep_count, mode):
         rows = self.n_tokens if keep_count is None else keep_count
@@ -189,19 +215,11 @@ class GeluNode(Node):
         return {}
 
     def forward(self, x, mask=None, mode=None, head_keep=None):
-        y = gelu_forward(x)
-        if mask is None or mask.is_full_keep:
-            return y, NodeRecord((x, None), None, None, None, _nbytes_elems(x))
-        x_k = np.ascontiguousarray(x[:, mask.keep_array(), :])
-        return y, NodeRecord((x_k, mask.keep_array()), mask, None, None, _nbytes_elems(x_k))
+        return gelu_forward(x), _rows_record(x, mask)
 
     def backward(self, rec, dy):
-        x_cached, keep = rec.cache
-        if keep is None:
-            return {}, gelu_backward(x_cached, dy)
-        dx = np.zeros_like(dy)
-        dx[:, keep, :] = gelu_backward(x_cached, dy[:, keep, :])
-        return {}, dx
+        x_k, keep = rec.cache
+        return {}, _scatter(gelu_backward(x_k, _gather(dy, keep)), keep, dy.shape[1])
 
     def estimate_cached(self, batch, keep_count, mode):
         rows = self.n_tokens if keep_count is None else keep_count
@@ -262,87 +280,50 @@ class TransformerBlockNode(Node):
         mo = (g.reshape(b * n, -1) @ self.w2 + self.b2).reshape(b, n, c)
         y = x2 + mo
 
-        if mask is None or mask.is_full_keep:
-            cache = {"ln1": ln1c, "mhsa": mc, "ln2": ln2c, "h2": h2, "u": u, "g": g}
-            count = (_nbytes_elems(*ln1c) + mc.element_count()
-                     + _nbytes_elems(*ln2c) + _nbytes_elems(h2, u, g))
-            return y, NodeRecord(cache, None, mode, head_keep, count)
-
-        keep = mask.keep_array()
-        # MLP branch caches kept token rows only, in every mode.
-        ln2_k = (np.ascontiguousarray(ln2c[0][:, keep, :]),
-                 np.ascontiguousarray(ln2c[1][:, keep, :]))
-        h2_k = np.ascontiguousarray(h2[:, keep, :])
-        u_k = np.ascontiguousarray(u[:, keep, :])
-        g_k = np.ascontiguousarray(g[:, keep, :])
-        # Attention-input LN can be restricted only when the attention backward
+        keep = _kept(mask)
+        # The MLP branch caches kept token rows only, in every mode. The
+        # attention-input LN can be restricted only when the attention backward
         # returns zero input-gradient at dropped rows (the qkv mode).
-        if mode == "qkv":
-            ln1_c = (np.ascontiguousarray(ln1c[0][:, keep, :]),
-                     np.ascontiguousarray(ln1c[1][:, keep, :]))
-        else:
-            ln1_c = ln1c
-        mc_r, mc_count = _restrict_mhsa_cache(mc, mask, mode, head_keep)
-        cache = {"ln1": ln1_c, "mhsa": mc_r, "ln2": ln2_k, "h2": h2_k, "u": u_k, "g": g_k}
-        count = (_nbytes_elems(*ln1_c) + mc_count
-                 + _nbytes_elems(*ln2_k) + _nbytes_elems(h2_k, u_k, g_k))
-        return y, NodeRecord(cache, mask, mode, head_keep, count)
+        ln1_keep = keep if mode == "qkv" else None
+        ln1c = tuple(_gather(t, ln1_keep) for t in ln1c)
+        ln2c = tuple(_gather(t, keep) for t in ln2c)
+        h2, u, g = (_gather(t, keep) for t in (h2, u, g))
+        if keep is not None:
+            mc = restrict_mhsa_cache(mc, keep, mode, head_keep)
+        cache = {"ln1": ln1c, "mhsa": mc, "ln2": ln2c, "h2": h2, "u": u, "g": g}
+        count = (_nbytes_elems(*ln1c) + mc.element_count()
+                 + _nbytes_elems(*ln2c) + _nbytes_elems(h2, u, g))
+        return y, NodeRecord(cache, None if keep is None else mask, mode, head_keep, count)
 
     def backward(self, rec, dy):
         cache = rec.cache
         b, n, c = dy.shape
+        keep = _kept(rec.mask)
+        dy_k = _gather(dy, keep)
+        nk = dy_k.shape[1]
         grads = {}
-        if rec.mask is None:
-            g_f = cache["g"].reshape(b * n, -1)
-            dmo = dy.reshape(b * n, c)
-            grads["w2"] = g_f.T @ dmo
-            grads["b2"] = dmo.sum(axis=0)
-            dg = (dmo @ self.w2.T).reshape(b, n, -1)
-            du = gelu_backward(cache["u"], dg)
-            du_f = du.reshape(b * n, -1)
-            grads["w1"] = cache["h2"].reshape(b * n, c).T @ du_f
-            grads["b1"] = du_f.sum(axis=0)
-            dh2 = (du_f @ self.w1.T).reshape(b, n, c)
-            grads["ln2_g"], grads["ln2_b"], dx2a = layer_norm_backward(
-                cache["ln2"], self.ln2_g, dh2)
-            dx2 = dy + dx2a
+        dmo = dy_k.reshape(b * nk, c)
+        grads["w2"] = cache["g"].reshape(b * nk, -1).T @ dmo
+        grads["b2"] = dmo.sum(axis=0)
+        dg = (dmo @ self.w2.T).reshape(b, nk, -1)
+        du_f = gelu_backward(cache["u"], dg).reshape(b * nk, -1)
+        grads["w1"] = cache["h2"].reshape(b * nk, c).T @ du_f
+        grads["b1"] = du_f.sum(axis=0)
+        dh2 = (du_f @ self.w1.T).reshape(b, nk, c)
+        grads["ln2_g"], grads["ln2_b"], dx2a = layer_norm_backward(
+            cache["ln2"], self.ln2_g, dh2)
+        dx2 = _add_rows(dy, keep, dx2a)
+        if keep is None:
             mg = mhsa_backward_full(self._mhsa(), cache["mhsa"], dx2)
         else:
-            keep = rec.mask.keep_array()
-            nk = keep.size
-            dy_k = np.ascontiguousarray(dy[:, keep, :])
-            g_f = cache["g"].reshape(b * nk, -1)
-            dmo = dy_k.reshape(b * nk, c)
-            grads["w2"] = g_f.T @ dmo
-            grads["b2"] = dmo.sum(axis=0)
-            dg = (dmo @ self.w2.T).reshape(b, nk, -1)
-            du = gelu_backward(cache["u"], dg)
-            du_f = du.reshape(b * nk, -1)
-            grads["w1"] = cache["h2"].reshape(b * nk, c).T @ du_f
-            grads["b1"] = du_f.sum(axis=0)
-            dh2_k = (du_f @ self.w1.T).reshape(b, nk, c)
-            grads["ln2_g"], grads["ln2_b"], dx2a_k = layer_norm_backward(
-                cache["ln2"], self.ln2_g, dh2_k)
-            dx2 = dy.copy()
-            dx2[:, keep, :] += dx2a_k
-            mc = _expand_mhsa_cache(cache["mhsa"], rec.mask, rec.mode,
-                                    head_keep=rec.head_keep, heads_total=self.heads)
-            mg = mhsa_backward_sbp(self._mhsa(), mc, dx2, rec.mask,
-                                   mode=rec.mode, head_keep=rec.head_keep)
+            mg = mhsa_backward_kept(self._mhsa(), cache["mhsa"], dx2, keep,
+                                    rec.mode, rec.head_keep)
         grads["w_q"], grads["w_k"], grads["w_v"], grads["w_o"] = (
             mg.dw_q, mg.dw_k, mg.dw_v, mg.dw_o)
-        if rec.mask is not None and rec.mode == "qkv":
-            keep = rec.mask.keep_array()
-            dh1_k = mg.dx[:, keep, :]
-            grads["ln1_g"], grads["ln1_b"], dxa_k = layer_norm_backward(
-                cache["ln1"], self.ln1_g, dh1_k)
-            dx = dx2.copy()
-            dx[:, keep, :] += dxa_k
-        else:
-            grads["ln1_g"], grads["ln1_b"], dxa = layer_norm_backward(
-                cache["ln1"], self.ln1_g, mg.dx)
-            dx = dx2 + dxa
-        return grads, dx
+        ln1_keep = keep if rec.mode == "qkv" else None
+        grads["ln1_g"], grads["ln1_b"], dxa = layer_norm_backward(
+            cache["ln1"], self.ln1_g, _gather(mg.dx, ln1_keep))
+        return grads, _add_rows(dx2, ln1_keep, dxa)
 
     def estimate_cached(self, batch, keep_count, mode, head_keep_count=None):
         n, c, h, d, f = self.n_tokens, self.embed, self.heads, self.dim_head, self.hidden
@@ -364,88 +345,6 @@ class TransformerBlockNode(Node):
         else:
             raise ConfigurationError(f"unknown mode {mode!r}")
         return batch * (ln1 + mhsa + mlp_side)
-
-
-def _restrict_mhsa_cache(mc, mask: IndexMask, mode: str, head_keep):
-    """Keep only what the masked attention backward will read."""
-    keep = mask.keep_array()
-    if mode == "qkv":
-        r = {
-            "x": np.ascontiguousarray(mc.x[:, keep, :]),
-            "q": np.ascontiguousarray(mc.q[:, :, keep, :]),
-            "k": np.ascontiguousarray(mc.k[:, :, keep, :]),
-            "v": np.ascontiguousarray(mc.v[:, :, keep, :]),
-            "m": np.ascontiguousarray(mc.m[:, :, keep, :][:, :, :, keep]),
-            "s": np.ascontiguousarray(mc.s[:, :, keep, :][:, :, :, keep]),
-            "a": np.ascontiguousarray(mc.a[:, :, keep, :]),
-        }
-    elif mode == "query_only":
-        r = {"x": mc.x, "q": np.ascontiguousarray(mc.q[:, :, keep, :]),
-             "k": mc.k, "v": mc.v, "s": mc.s, "a": mc.a}
-    elif mode == "head":
-        # dW_o stays exact, so the per-head outputs are kept whole; everything
-        # else survives only for the kept heads.
-        hk = np.asarray(head_keep or (), dtype=np.int64)
-        r = {"x": mc.x,
-             "q": np.ascontiguousarray(mc.q[:, hk, :, :]),
-             "k": np.ascontiguousarray(mc.k[:, hk, :, :]),
-             "v": np.ascontiguousarray(mc.v[:, hk, :, :]),
-             "s": np.ascontiguousarray(mc.s[:, hk, :, :]),
-             "a": mc.a}
-    else:
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    return r, sum(v.size for v in r.values())
-
-
-def _expand_mhsa_cache(restricted: dict, mask: IndexMask, mode: str,
-                       head_keep=None, heads_total: int | None = None):
-    """Rebuild a full-shaped cache view for mhsa_backward_sbp.
-
-    Slots the masked backward never reads are filled with NaN so any contract
-    breach surfaces immediately instead of silently reading garbage.
-    """
-    from .layers import MhsaCache
-
-    keep = mask.keep_array()
-    if mode == "query_only":
-        b, hh, n, d = restricted["k"].shape
-        q = np.full((b, hh, n, d), np.nan)
-        q[:, :, keep, :] = restricted["q"]
-        m = np.full((b, hh, n, n), np.nan)
-        return MhsaCache(restricted["x"], q, restricted["k"], restricted["v"],
-                         m, restricted["s"], restricted["a"])
-    if mode == "qkv":
-        b, hh, nk, d = restricted["q"].shape
-        n = mask.total
-        c = restricted["x"].shape[2]
-        x = np.full((b, n, c), np.nan)
-        x[:, keep, :] = restricted["x"]
-        out = {}
-        for name in ("q", "k", "v", "a"):
-            t = np.full((b, hh, n, d), np.nan)
-            t[:, :, keep, :] = restricted[name]
-            out[name] = t
-        ms = {}
-        for name in ("m", "s"):
-            t = np.full((b, hh, n, n), np.nan)
-            t[np.ix_(range(b), range(hh), keep, keep)] = restricted[name]
-            ms[name] = t
-        return MhsaCache(x, out["q"], out["k"], out["v"], ms["m"], ms["s"], out["a"])
-    if mode == "head":
-        # Restricted tensors hold kept heads only; dropped-head slots are NaN
-        # (the head-mode backward slices kept heads before reading anything).
-        hk = np.asarray(head_keep, dtype=np.int64)
-        b, _, n, d = restricted["q"].shape
-        h_total = heads_total
-        out = {}
-        for name, width in (("q", d), ("k", d), ("v", d), ("s", n)):
-            t = np.full((b, h_total, n, width), np.nan)
-            t[:, hk, :, :] = restricted[name]
-            out[name] = t
-        m = np.full((b, h_total, n, n), np.nan)
-        return MhsaCache(restricted["x"], out["q"], out["k"], out["v"], m, out["s"],
-                         restricted["a"])
-    raise ConfigurationError(f"unknown mode {mode!r}")
 
 
 class Conv2dNode(Node):
@@ -694,7 +593,4 @@ def build_model(spec: NetworkSpec, seed: int) -> Model:
             nodes.append(ClassifierNode(entry.layer_id, width, o["n_classes"], rng))
         else:
             raise ConfigurationError(f"unknown layer kind {entry.kind!r}")
-    for node in nodes:
-        if not hasattr(node, "mask_group"):
-            node.mask_group = None
     return Model(spec, nodes, spec.loss)

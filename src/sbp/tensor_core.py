@@ -1,7 +1,6 @@
-"""Dense f64 tensors plus the gather/scatter primitives the masked backward passes use.
+"""Dense f64 tensors plus the row-gather primitive the masked linear backward uses.
 
 Everything is a C-contiguous float64 ndarray. Operations return fresh arrays
-(scatter_rows_add mutates its declared destination, nothing else is written to)
 and results are checked for NaN/Inf: a non-finite value is an error here, never
 a silent state.
 """
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ContractViolationError, NumericError
+from .errors import DimensionError, NumericError
 
 Array = np.ndarray
 
@@ -75,25 +74,3 @@ def gather_rows(x: Array, idx) -> Array:
         raise IndexError(f"gather index out of range [0, {n})")
     out = np.ascontiguousarray(x[idx], dtype=np.float64)
     return _require_finite("gather_rows", out)
-
-
-def scatter_rows_add(dst: Array, idx, src: Array) -> Array:
-    """Add src row j into dst row idx[j], in place. idx must be duplicate-free.
-
-    Duplicates are rejected rather than accumulated: a duplicate index would
-    double-count a gradient contribution.
-    """
-    dst = np.asarray(dst)
-    src = np.asarray(src)
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-    if dst.ndim != 2 or src.ndim != 2:
-        raise DimensionError("scatter_rows_add expects 2-D tensors")
-    if src.shape != (idx.size, dst.shape[1]):
-        raise DimensionError(f"src shape {src.shape} does not match ({idx.size}, {dst.shape[1]})")
-    n = dst.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"scatter index out of range [0, {n})")
-    if np.unique(idx).size != idx.size:
-        raise ContractViolationError("duplicate scatter index")
-    dst[idx] += src
-    return _require_finite("scatter_rows_add", dst)

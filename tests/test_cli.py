@@ -204,6 +204,22 @@ class TestGradsim:
         assert why in capsys.readouterr().err
         assert not list(tmp_path.glob("**/gradsim_*"))
 
+    def test_head_variant_draws_heads_per_batch(self, tmp_path, monkeypatch):
+        import sbp.engine
+
+        steps = []
+
+        def recording_head_keep_for(node, ratio, step, seed):
+            steps.append(step)
+            return head_keep_for(node, ratio, step, seed)
+
+        head_keep_for = sbp.engine.head_keep_for
+        monkeypatch.setattr(sbp.engine, "head_keep_for", recording_head_keep_for)
+        cfg = write_config(tmp_path, VIT_CONFIG + ("gradsim.variants = uniform-grid-head\n"
+                                                   "gradsim.batches = 3\n"))
+        assert run(["gradsim", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_OK
+        assert sorted(set(steps)) == [0, 1, 2]
+
     def test_concurrent_head_variants_match_across_threads(self, tmp_path):
         # Variants with different keep schedules run at once on one shared
         # model; a short switch interval makes interleaving likely.

@@ -8,8 +8,10 @@ from sbp.errors import ConfigurationError, ContractViolationError, DimensionErro
 from sbp.layers import (
     MhsaLayer,
     mhsa_backward_full,
+    mhsa_backward_kept,
     mhsa_backward_sbp,
     mhsa_forward,
+    restrict_mhsa_cache,
     sample_head_keep,
 )
 from sbp.masks import IndexMask, full_keep_mask
@@ -36,6 +38,38 @@ def make_layer(rng, c, heads, dim_head, mode="qkv"):
 def grads_as_dict(g):
     return {"dw_q": g.dw_q, "dw_k": g.dw_k, "dw_v": g.dw_v,
             "dw_o": g.dw_o, "dx": g.dx}
+
+
+def poison_dropped_slots(p, keep, mode, head_keep):
+    """Write NaN, in place, into every slot of a full cache that
+    restrict_mhsa_cache drops (in place keeps each tensor's memory layout)."""
+    if mode == "qkv":
+        drop = np.setdiff1d(np.arange(p.x.shape[1]), keep)
+        p.x[:, drop, :] = np.nan
+        for t in (p.q, p.k, p.v, p.a):
+            t[:, :, drop, :] = np.nan
+        for t in (p.m, p.s):
+            t[:, :, drop, :] = np.nan
+            t[:, :, :, drop] = np.nan
+        return
+    p.m[:] = np.nan
+    if mode == "query_only":
+        p.q[:, :, np.setdiff1d(np.arange(p.x.shape[1]), keep), :] = np.nan
+    else:
+        for t in (p.q, p.k, p.v, p.s):
+            t[:, np.setdiff1d(np.arange(p.q.shape[1]), head_keep), :, :] = np.nan
+
+
+# (mode, kept tokens of 6, kept heads of 3); head mode ignores the token mask.
+KEPT_CASES = [
+    ("qkv", [1, 2, 5], None),
+    ("qkv", [4], None),
+    ("query_only", [0, 3, 4], None),
+    ("query_only", [2], None),
+    ("head", list(range(6)), (0, 2)),
+    ("head", list(range(6)), (1,)),
+    ("head", list(range(6)), ()),
+]
 
 
 class TestForward:
@@ -175,6 +209,42 @@ class TestBackwardSbp:
         poisoned = grads_as_dict(mhsa_backward_sbp(layer, cache, up, mask, mode="qkv"))
         for key in clean:
             np.testing.assert_array_equal(poisoned[key], clean[key], err_msg=key)
+
+    @pytest.mark.parametrize("mode, keep, head_keep", KEPT_CASES)
+    def test_kept_backward_matches_poisoned_full_cache(self, mode, keep, head_keep):
+        rng = np.random.Generator(np.random.PCG64(12))
+        layer = make_layer(rng, 6, 3, 2)
+        x = rng.normal(size=(2, 6, 6))
+        up = rng.normal(size=(2, 6, 6))
+        _, cache = mhsa_forward(layer, x)
+        keep = np.asarray(keep)
+        kept = grads_as_dict(mhsa_backward_kept(
+            layer, restrict_mhsa_cache(cache, keep, mode, head_keep), up, keep, mode, head_keep))
+        poison_dropped_slots(cache, keep, mode, head_keep)
+        poisoned = grads_as_dict(mhsa_backward_sbp(
+            layer, cache, up, IndexMask.from_keep((6,), keep), mode=mode, head_keep=head_keep))
+        for key in kept:
+            assert np.all(np.isfinite(kept[key])), key
+            np.testing.assert_array_equal(kept[key], poisoned[key], err_msg=key)
+
+    @pytest.mark.parametrize("mode, keep, head_keep", KEPT_CASES)
+    def test_restricted_cache_shapes(self, mode, keep, head_keep):
+        rng = np.random.Generator(np.random.PCG64(13))
+        b, n, c, h, d = 2, 6, 6, 3, 2
+        _, cache = mhsa_forward(make_layer(rng, c, h, d), rng.normal(size=(b, n, c)))
+        r = restrict_mhsa_cache(cache, np.asarray(keep), mode, head_keep)
+        got = {name: None if t is None else t.shape
+               for name, t in zip("xqkvmsa", (r.x, r.q, r.k, r.v, r.m, r.s, r.a))}
+        nk, hk = len(keep), len(head_keep or ())
+        expected = {
+            "qkv": dict(x=(b, nk, c), q=(b, h, nk, d), k=(b, h, nk, d), v=(b, h, nk, d),
+                        m=(b, h, nk, nk), s=(b, h, nk, nk), a=(b, h, nk, d)),
+            "query_only": dict(x=(b, n, c), q=(b, h, nk, d), k=(b, h, n, d),
+                               v=(b, h, n, d), m=None, s=(b, h, n, n), a=(b, h, n, d)),
+            "head": dict(x=(b, n, c), q=(b, hk, n, d), k=(b, hk, n, d), v=(b, hk, n, d),
+                         m=None, s=(b, hk, n, n), a=(b, h, n, d)),
+        }[mode]
+        assert got == expected
 
     def test_full_keep_dispatches(self):
         rng = np.random.Generator(np.random.PCG64(8))

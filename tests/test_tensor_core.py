@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbp.errors import ContractViolationError, DimensionError, NumericError
-from sbp.tensor_core import Shape, as_tensor, gather_rows, matmul, scatter_rows_add
+from sbp.errors import DimensionError, NumericError
+from sbp.tensor_core import Shape, as_tensor, gather_rows, matmul
 
 from helpers import naive_matmul
 
@@ -92,30 +92,3 @@ class TestGatherScatter:
     def test_gather_out_of_range(self):
         with pytest.raises(IndexError):
             gather_rows(np.zeros((3, 2)), [3])
-
-    def test_scatter_adds_in_place(self):
-        dst = np.ones((4, 2))
-        scatter_rows_add(dst, [1, 3], np.full((2, 2), 5.0))
-        np.testing.assert_array_equal(dst[1], [6.0, 6.0])
-        np.testing.assert_array_equal(dst[0], [1.0, 1.0])
-
-    def test_scatter_rejects_duplicates(self):
-        with pytest.raises(ContractViolationError):
-            scatter_rows_add(np.zeros((4, 2)), [1, 1], np.ones((2, 2)))
-
-    def test_scatter_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            scatter_rows_add(np.zeros((4, 2)), [1], np.ones((2, 2)))
-
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(2, 8), seed=st.integers(0, 10**6))
-    def test_gather_then_scatter_roundtrip(self, n, seed):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        x = rng.normal(size=(n, 3))
-        m = int(rng.integers(1, n + 1))
-        idx = rng.choice(n, size=m, replace=False)
-        dst = np.zeros_like(x)
-        scatter_rows_add(dst, idx, gather_rows(x, idx))
-        np.testing.assert_array_equal(dst[idx], x[idx])
-        others = sorted(set(range(n)) - set(int(i) for i in idx))
-        assert np.all(dst[others] == 0.0)
