@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError
-from .engine import GradientStore, backward, forward
+from .engine import GradientStore, backward, forward, predict
 from .masks import IndexMask, MaskPlan
 from .models import Model
 
@@ -175,7 +175,8 @@ class MemoryReport:
     per_node: dict          # node_id -> (estimated_elements, full_elements)
     estimated_total: int
     full_total: int
-    mhsa_breakdown: dict    # node_id -> {"io_2hdn", "qkv_3hdn", "maps_2hnn"} (full-cache terms)
+    mhsa_breakdown: dict    # node_id -> {"io_2hdn", "qkv_3hdn", "maps_hnn"}: full-cache
+                            # terms per sample; the one map is S, the logits are not kept
 
     @property
     def ratio(self) -> float:
@@ -215,7 +216,7 @@ def activation_memory_estimate(model: Model, plan: MaskPlan | None, mode: str,
             breakdown[node.node_id] = {
                 "io_2hdn": 2 * h * d * n,
                 "qkv_3hdn": 3 * h * d * n,
-                "maps_2hnn": 2 * h * n * n,
+                "maps_hnn": h * n * n,
             }
         est_total += est
         full_total += full
@@ -382,13 +383,13 @@ def weight_similarity(model_a: Model, model_b: Model) -> float:
 
 def prediction_consistency(model_a: Model, model_b: Model, x: Array, labels) -> float:
     """Fraction of samples where the two models pick the same class."""
-    la = forward(model_a, x, labels).logits.argmax(axis=1)
-    lb = forward(model_b, x, labels).logits.argmax(axis=1)
+    la = predict(model_a, x).argmax(axis=1)
+    lb = predict(model_b, x).argmax(axis=1)
     return float((la == lb).mean())
 
 
 def accuracy(model: Model, x: Array, labels) -> float:
-    pred = forward(model, x, labels).logits.argmax(axis=1)
+    pred = predict(model, x).argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())
 
 

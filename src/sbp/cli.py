@@ -122,6 +122,9 @@ def cmd_train(args):
         rows.append([step, float(tape.loss), train_acc,
                      tape.cached_elements(), float(np.linalg.norm(grads.flat()))])
         sgd_step(model, grads, cfg.train.lr)
+        # One tape at a time: free this step's activations before the next
+        # forward (or the evaluation) allocates its own.
+        del tape, grads
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
         accs = list(pool.map(lambda b: accuracy(model, b[0], b[1]), batches))
     counts = [b[1].shape[0] for b in batches]

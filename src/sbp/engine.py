@@ -3,7 +3,8 @@
 The tape is built once per forward pass. Whatever a node needs for its backward
 is cached while the activations are still live; nothing is recomputed and no
 second forward happens. Under SBP the node records hold kept-index slices only,
-so the tape's cached-element count is the honest memory figure.
+so the tape's cached-element count is the honest memory figure. Evaluation
+needs no backward, so `predict` runs the same nodes without a tape.
 """
 
 from __future__ import annotations
@@ -103,6 +104,20 @@ def forward(model: Model, x: Array, labels: Array, plan: MaskPlan | None = None,
     if not np.isfinite(loss):
         raise NumericError("loss is non-finite")
     return Tape(model, records, float(loss), logits, dlogits, x.shape[0])
+
+
+def predict(model: Model, x: Array) -> Array:
+    """Logits of an exact forward pass that records no tape.
+
+    Each node's record is dropped as soon as its forward returns, so only one
+    node's activations are alive at a time.
+    """
+    h = np.asarray(x, dtype=np.float64)
+    for node in model.nodes:
+        h = node.forward(h)[0]
+    if not np.all(np.isfinite(h)):
+        raise NumericError("logits are non-finite")
+    return h
 
 
 def backward(tape: Tape, want_input_grad: bool = False):

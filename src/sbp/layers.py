@@ -217,14 +217,11 @@ class MhsaCache:
     q: Array        # B x h x N x d
     k: Array
     v: Array
-    m: Array | None  # B x h x N x N (pre-softmax logits); None if restricted for
-                     # query_only or head, which never read it
-    s: Array        # B x h x N x N (attention weights)
+    s: Array        # B x h x N x N (attention weights; no backward reads the logits)
     a: Array        # B x h x N x d (per-head attention output)
 
     def element_count(self) -> int:
-        return sum(t.size for t in (self.x, self.q, self.k, self.v, self.m, self.s, self.a)
-                   if t is not None)
+        return sum(t.size for t in (self.x, self.q, self.k, self.v, self.s, self.a))
 
 
 def _split_heads(t: Array, heads: int, dim_head: int) -> Array:
@@ -246,13 +243,15 @@ def mhsa_forward(layer: MhsaLayer, x: Array):
     q = _split_heads(x @ layer.w_q, h, d)
     k = _split_heads(x @ layer.w_k, h, d)
     v = _split_heads(x @ layer.w_v, h, d)
-    m = q @ k.transpose(0, 1, 3, 2) / math.sqrt(d)
-    m_shift = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(m_shift)
-    s = e / e.sum(axis=-1, keepdims=True)
+    # Softmax in place on the one B x h x N x N buffer: the logits are not kept.
+    s = q @ k.transpose(0, 1, 3, 2)
+    s /= math.sqrt(d)
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     a = s @ v
     out = _merge_heads(a) @ layer.w_o
-    return out, MhsaCache(x=x, q=q, k=k, v=v, m=m, s=s, a=a)
+    return out, MhsaCache(x=x, q=q, k=k, v=v, s=s, a=a)
 
 
 @dataclass
@@ -315,28 +314,24 @@ def restrict_mhsa_cache(cache: MhsaCache, keep, mode: str,
                         head_keep: tuple[int, ...] | None) -> MhsaCache:
     """The part of a full cache that `mode`'s masked backward reads.
 
-    qkv: kept token rows of X/Q/K/V/A and the kept x kept block of S (and of M).
-    query_only: kept query rows of Q; everything else whole; no M.
-    head: Q/K/V/S of the kept heads only; X and A whole (dW_o stays exact); no M.
+    qkv: kept token rows of X/Q/K/V/A and the kept x kept block of S.
+    query_only: kept query rows of Q; everything else whole.
+    head: Q/K/V/S of the kept heads only; X and A whole (dW_o stays exact).
     """
     if mode == "qkv":
         def rows(t):
-            return np.ascontiguousarray(t[:, :, keep, :])
+            return np.take(t, keep, axis=2)
 
-        def block(t):
-            return np.ascontiguousarray(t[:, :, keep, :][:, :, :, keep])
-
-        return MhsaCache(np.ascontiguousarray(cache.x[:, keep, :]), rows(cache.q),
-                         rows(cache.k), rows(cache.v), block(cache.m), block(cache.s),
+        return MhsaCache(np.take(cache.x, keep, axis=1), rows(cache.q), rows(cache.k),
+                         rows(cache.v), np.take(rows(cache.s), keep, axis=3),
                          rows(cache.a))
     if mode == "query_only":
-        return MhsaCache(cache.x, np.ascontiguousarray(cache.q[:, :, keep, :]),
-                         cache.k, cache.v, None, cache.s, cache.a)
+        return MhsaCache(cache.x, np.take(cache.q, keep, axis=2),
+                         cache.k, cache.v, cache.s, cache.a)
     if mode == "head":
         hk = np.asarray(sorted(head_keep or ()), dtype=np.int64)
-        q, k, v, s = (np.ascontiguousarray(t[:, hk, :, :])
-                      for t in (cache.q, cache.k, cache.v, cache.s))
-        return MhsaCache(cache.x, q, k, v, None, s, cache.a)
+        q, k, v, s = (np.take(t, hk, axis=1) for t in (cache.q, cache.k, cache.v, cache.s))
+        return MhsaCache(cache.x, q, k, v, s, cache.a)
     raise ConfigurationError(f"unknown drop mode {mode!r}")
 
 

@@ -328,13 +328,13 @@ class TransformerBlockNode(Node):
     def estimate_cached(self, batch, keep_count, mode, head_keep_count=None):
         n, c, h, d, f = self.n_tokens, self.embed, self.heads, self.dim_head, self.hidden
         if keep_count is None:
-            mhsa = n * c + 4 * h * n * d + 2 * h * n * n
+            mhsa = n * c + 4 * h * n * d + h * n * n
             return batch * ((n * c + n) * 2 + n * c + 2 * n * f + mhsa)
         k = keep_count
         mlp_side = (k * c + k) + k * c + 2 * k * f  # ln2, h2, u, g on kept rows
         if mode == "qkv":
             ln1 = k * c + k
-            mhsa = k * c + 4 * h * k * d + 2 * h * k * k
+            mhsa = k * c + 4 * h * k * d + h * k * k
         elif mode == "query_only":
             ln1 = n * c + n
             mhsa = n * c + 2 * h * n * d + h * k * d + h * n * n + h * n * d
@@ -387,11 +387,8 @@ class Conv2dNode(Node):
     def backward(self, rec, dy):
         x, u = rec.cache
         if self.activation:
-            if rec.mask is not None and not rec.mask.is_full_keep:
-                b, ho, wo, co = dy.shape
-                dy = dy.reshape(b, ho * wo, co).copy()
-                dy[:, rec.mask.drop_array(), :] = 0.0
-                dy = dy.reshape(b, ho, wo, co)
+            # GELU's backward is elementwise, so the dropped positions can be
+            # zeroed after it, once, by conv2d_backward_sbp.
             dy = gelu_backward(u, dy)
         if rec.mask is None or rec.mask.is_full_keep:
             dw, dx = conv2d_backward_full(self._layer(), x, dy)

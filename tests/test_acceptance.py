@@ -265,7 +265,6 @@ def test_criterion_3_memory_contract():
         t[:, :, drop, :] = np.nan
     cache.s[:, :, drop, :] = np.nan
     cache.s[:, :, :, drop] = np.nan
-    cache.m[:] = np.nan
     g = mhsa_backward_sbp(att, cache, upa, amask, mode="qkv")
     mhsa_ok = all(np.all(np.isfinite(t))
                   for t in (g.dw_q, g.dw_k, g.dw_v, g.dw_o, g.dx))

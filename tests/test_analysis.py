@@ -292,6 +292,41 @@ class TestTrajectoryTools:
         assert 0.0 <= accuracy(a, x, labels) <= 1.0
         assert prediction_consistency(a, a, x, labels) == 1.0
 
+    @pytest.mark.parametrize("spec", [
+        mlp_spec(grid=(4, 4), in_channels=2, width=8, depth=2, n_classes=3),
+        tiny_vit_spec(grid=(4, 4), in_channels=2, embed=8, heads=2, depth=2, n_classes=3),
+        tiny_conv_spec(grid=(4, 4), in_channels=2, channels=4, depth=2, n_classes=3),
+    ], ids=["mlp", "vit", "conv"])
+    def test_accuracy_and_consistency_are_tape_argmax(self, spec):
+        a, b = build_model(spec, 0), build_model(spec, 1)
+        rng = np.random.Generator(np.random.PCG64(6))
+        x = rng.normal(size=(32, 4, 4, 2))
+        labels = rng.integers(0, 3, size=32)
+        pred_a = forward(a, x, labels).logits.argmax(axis=1)
+        pred_b = forward(b, x, labels).logits.argmax(axis=1)
+        assert accuracy(a, x, labels) == float((pred_a == labels).mean())
+        assert prediction_consistency(a, b, x, labels) == float((pred_a == pred_b).mean())
+
+    def test_accuracy_keeps_no_tape(self):
+        """Evaluation holds one node's activations at a time, so its traced
+        peak stays below the bytes of the full tape it no longer builds."""
+        import tracemalloc
+
+        spec = tiny_vit_spec(grid=(8, 8), in_channels=3, embed=32, heads=2, depth=6)
+        model = build_model(spec, 0)
+        rng = np.random.Generator(np.random.PCG64(7))
+        x = rng.normal(size=(16, 8, 8, 3))
+        labels = rng.integers(0, 2, size=16)
+        tape_bytes = 8 * forward(model, x, labels).cached_elements()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            accuracy(model, x, labels)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < tape_bytes
+
 
 class TestBootstrap:
     def test_clear_separation(self):

@@ -138,6 +138,50 @@ class TestTrain:
         assert code == EXIT_NUMERIC
         assert "step" in capsys.readouterr().err
 
+    def test_nonfinite_evaluation_exits_numeric(self, tmp_path, capsys, monkeypatch):
+        import sbp.engine
+
+        def poisoning_sgd_step(model, grads, lr):
+            sgd_step(model, grads, lr)
+            model.set_params({k: np.full_like(v, np.nan) for k, v in model.params().items()})
+
+        sgd_step = sbp.engine.sgd_step
+        monkeypatch.setattr(sbp.engine, "sgd_step", poisoning_sgd_step)
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("train.steps = 5", "train.steps = 1"))
+        out = tmp_path / "out"
+        code = run(["train", "--config", cfg, "--out", out])
+        assert code == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("text", [BASE_CONFIG, VIT_CONFIG], ids=["mlp", "vit"])
+    def test_one_tape_alive_at_a_time(self, tmp_path, monkeypatch, text):
+        import weakref
+
+        import sbp.analysis
+        import sbp.engine
+
+        tapes = []
+        alive = []  # live earlier tapes at the start of each forward / evaluation
+
+        def tracking_forward(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in tapes))
+            tape = forward(*args, **kwargs)
+            tapes.append(weakref.ref(tape))
+            return tape
+
+        def tracking_accuracy(*args):
+            alive.append(sum(ref() is not None for ref in tapes))
+            return accuracy(*args)
+
+        forward, accuracy = sbp.engine.forward, sbp.analysis.accuracy
+        monkeypatch.setattr(sbp.engine, "forward", tracking_forward)
+        monkeypatch.setattr(sbp.analysis, "accuracy", tracking_accuracy)
+        cfg = write_config(tmp_path, text)
+        assert run(["train", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_OK
+        assert len(tapes) >= 3
+        assert alive and not any(alive)
+
     def test_missing_config_exits_config(self, tmp_path):
         assert run(["train", "--config", tmp_path / "nope.cfg",
                     "--out", tmp_path / "out"]) == EXIT_CONFIG

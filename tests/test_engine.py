@@ -8,6 +8,7 @@ from sbp.engine import (
     forward,
     grad,
     head_keep_for,
+    predict,
     sgd_step,
 )
 from sbp.errors import ContractViolationError, NumericError
@@ -66,6 +67,28 @@ class TestFullBackward:
         x, labels = small_batch(rng)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             forward(model, x, labels)
+
+
+class TestPredict:
+    @pytest.mark.parametrize("spec", [
+        mlp_spec(grid=(2, 2), in_channels=2, width=4, depth=2),
+        tiny_vit_spec(grid=(2, 2), in_channels=2, embed=4, heads=2, depth=2),
+        tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=2),
+    ], ids=["mlp", "vit", "conv"])
+    def test_equals_tape_logits(self, spec):
+        model = build_model(spec, seed=0)
+        rng = np.random.Generator(np.random.PCG64(2))
+        x, labels = small_batch(rng, grid=spec.layers[0].options["grid"], batch=5)
+        np.testing.assert_array_equal(predict(model, x), forward(model, x, labels).logits)
+
+    def test_nonfinite_logits_raise(self):
+        model = build_model(mlp_spec(grid=(2, 2), in_channels=2, width=4, depth=1), 0)
+        bad = dict(model.params())
+        bad["head.b"] = np.array([0.0, np.nan])
+        model.set_params(bad)
+        x, _ = small_batch(np.random.Generator(np.random.PCG64(3)))
+        with pytest.raises(NumericError):
+            predict(model, x)
 
 
 class TestSbpEngine:

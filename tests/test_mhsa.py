@@ -48,11 +48,9 @@ def poison_dropped_slots(p, keep, mode, head_keep):
         p.x[:, drop, :] = np.nan
         for t in (p.q, p.k, p.v, p.a):
             t[:, :, drop, :] = np.nan
-        for t in (p.m, p.s):
-            t[:, :, drop, :] = np.nan
-            t[:, :, :, drop] = np.nan
+        p.s[:, :, drop, :] = np.nan
+        p.s[:, :, :, drop] = np.nan
         return
-    p.m[:] = np.nan
     if mode == "query_only":
         p.q[:, :, np.setdiff1d(np.arange(p.x.shape[1]), keep), :] = np.nan
     else:
@@ -86,6 +84,33 @@ class TestForward:
         np.testing.assert_allclose(out, _merge_heads(s @ v) @ layer.w_o, atol=1e-12)
         np.testing.assert_allclose(cache.s, s, atol=1e-12)
         np.testing.assert_allclose(cache.s.sum(axis=-1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("b, n, c, h, d", [
+        (2, 6, 6, 3, 2), (1, 5, 8, 2, 4), (3, 1, 4, 1, 4), (2, 17, 12, 4, 3)])
+    @pytest.mark.parametrize("max_logit", [None, 700.0])
+    def test_in_place_softmax_equals_out_of_place(self, b, n, c, h, d, max_logit):
+        """The forward's in-place softmax gives the bytes of the out-of-place
+        formula that kept the logits, also with logits near +-700."""
+        rng = np.random.Generator(np.random.PCG64(n * 31 + h))
+        layer = make_layer(rng, c, h, d)
+        x = rng.normal(size=(b, n, c))
+
+        def split(t):
+            return t.reshape(b, n, h, d).transpose(0, 2, 1, 3)
+
+        def logits(x):
+            return split(x @ layer.w_q) @ split(x @ layer.w_k).transpose(0, 1, 3, 2) / math.sqrt(d)
+
+        if max_logit is not None:  # logits scale with the square of x
+            x = x * math.sqrt(max_logit / np.abs(logits(x)).max())
+        m = logits(x)
+        m_shift = m - m.max(axis=-1, keepdims=True)
+        e = np.exp(m_shift)
+        s = e / e.sum(axis=-1, keepdims=True)
+        if max_logit is not None:
+            assert 650.0 < np.abs(m).max() < 750.0
+        _, cache = mhsa_forward(layer, x)
+        np.testing.assert_array_equal(cache.s, s)
 
     def test_input_width_checked(self):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -205,7 +230,6 @@ class TestBackwardSbp:
             t[:, :, drop, :] = np.nan
         cache.s[:, :, drop, :] = np.nan
         cache.s[:, :, :, drop] = np.nan
-        cache.m[:] = np.nan
         poisoned = grads_as_dict(mhsa_backward_sbp(layer, cache, up, mask, mode="qkv"))
         for key in clean:
             np.testing.assert_array_equal(poisoned[key], clean[key], err_msg=key)
@@ -234,15 +258,15 @@ class TestBackwardSbp:
         _, cache = mhsa_forward(make_layer(rng, c, h, d), rng.normal(size=(b, n, c)))
         r = restrict_mhsa_cache(cache, np.asarray(keep), mode, head_keep)
         got = {name: None if t is None else t.shape
-               for name, t in zip("xqkvmsa", (r.x, r.q, r.k, r.v, r.m, r.s, r.a))}
+               for name, t in zip("xqkvsa", (r.x, r.q, r.k, r.v, r.s, r.a))}
         nk, hk = len(keep), len(head_keep or ())
         expected = {
             "qkv": dict(x=(b, nk, c), q=(b, h, nk, d), k=(b, h, nk, d), v=(b, h, nk, d),
-                        m=(b, h, nk, nk), s=(b, h, nk, nk), a=(b, h, nk, d)),
+                        s=(b, h, nk, nk), a=(b, h, nk, d)),
             "query_only": dict(x=(b, n, c), q=(b, h, nk, d), k=(b, h, n, d),
-                               v=(b, h, n, d), m=None, s=(b, h, n, n), a=(b, h, n, d)),
+                               v=(b, h, n, d), s=(b, h, n, n), a=(b, h, n, d)),
             "head": dict(x=(b, n, c), q=(b, hk, n, d), k=(b, hk, n, d), v=(b, hk, n, d),
-                         m=None, s=(b, hk, n, n), a=(b, h, n, d)),
+                         s=(b, hk, n, n), a=(b, h, n, d)),
         }[mode]
         assert got == expected
 
