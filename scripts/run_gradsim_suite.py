@@ -2,8 +2,10 @@
 
 Runs the same batch stream through every variant, writes one CSV per variant
 plus a JSON summary with 90% bootstrap intervals on the pairwise mean-cosine
-differences, and prints the ordering table. The weights never change, so the
-exact gradient of each batch is computed once and shared by every variant.
+differences, and prints the ordering table. The weights never change, so each
+batch gets one exact forward, and every variant takes its masked gradient from
+that one exact tape. Batches run one at a time instead of holding every
+batch's tape.
 """
 
 import argparse
@@ -30,18 +32,19 @@ VARIANTS = [
 ]
 
 
-def run_variant(model, batches, exact, schedule_kind, sampler, mode, keep_ratio,
+def run_variant(model, batch, step, exact, schedule_kind, sampler, mode, keep_ratio,
                 plan_seed, head_seed):
+    """One variant's report on the batch numbered `step`, from its exact reference."""
     n_layers = len(model.sbp_layers())
     sharing = "shared" if schedule_kind == "uniform" else "independent"
 
-    def plan_fn(step):
+    def plan_fn(s):
         sched = build_schedule(schedule_kind, keep_ratio, n_layers)
-        return make_mask_plan(model, sched, sampler, sharing,
-                              plan_seed + step * 13)
+        return make_mask_plan(model, sched, sampler, sharing, plan_seed + s * 13)
 
-    return grad_similarity_experiment(model, batches, plan_fn, mode=mode,
-                                      head_seed=head_seed, exact=exact)
+    return grad_similarity_experiment(model, [batch], plan_fn, mode=mode,
+                                      head_seed=head_seed, exact=[exact],
+                                      start=step)[0]
 
 
 def main():
@@ -65,14 +68,18 @@ def main():
     model = build_model(spec, seed=args.model_seed)
     data = make_blobs(args.batches * args.batch_size, grid=(8, 8), channels=3,
                       noise=0.5, seed=args.data_seed)
-    batches = list(data.batches(args.batch_size))
-    exact = [exact_reference(model, x, labels) for x, labels in batches]
+    per_variant = {name: [] for name, *_ in VARIANTS}
+    for step, batch in enumerate(data.batches(args.batch_size)):
+        exact = exact_reference(model, *batch)
+        for name, schedule, sampler, mode in VARIANTS:
+            per_variant[name].append(run_variant(
+                model, batch, step, exact, schedule, sampler, mode,
+                args.keep_ratio, args.plan_seed, args.head_seed))
 
     cosines = {}
     summary = {"variants": {}, "pairwise": {}}
-    for name, schedule, sampler, mode in VARIANTS:
-        reports = run_variant(model, batches, exact, schedule, sampler, mode,
-                              args.keep_ratio, args.plan_seed, args.head_seed)
+    for name, *_ in VARIANTS:
+        reports = per_variant[name]
         rows = []
         for i, r in enumerate(reports):
             for nid in sorted(r.per_node):

@@ -51,6 +51,7 @@ from .layers import (
     conv2d_backward_sbp,
     conv2d_forward,
     gelu_backward,
+    gelu_cdf,
     gelu_forward,
     layer_norm_backward,
     layer_norm_forward,

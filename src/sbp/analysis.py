@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError
-from .engine import GradientStore, backward, forward, predict
+from .engine import GradientStore, Tape, backward, forward, predict, sbp_context
 from .masks import IndexMask, MaskPlan
 from .models import Model
 
@@ -40,10 +40,6 @@ def cosine_similarity(a: Array, b: Array) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(a @ b) / (na * nb)
-
-
-def grad_cosine(a: GradientStore, b: GradientStore) -> float:
-    return cosine_similarity(a.flat(), b.flat())
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +72,27 @@ def _per_node_blocks(store: GradientStore) -> dict:
             for nid, keys in sorted(by_node.items())}
 
 
-def exact_reference(model: Model, x: Array, labels: Array) -> GradientStore:
-    """Exact (no-SBP) gradient of one batch at the model's current weights.
+@dataclass
+class ExactReference:
+    """One batch's exact tape and gradient, with the figures every variant
+    compares against."""
 
-    Only the gradient is returned, so the exact tape is freed on return. At
-    fixed weights one reference serves every SBP variant run on that batch.
+    tape: Tape
+    grads: GradientStore
+    norm: float         # L2 norm of grads.flat()
+    blocks: dict        # node_id -> that node's flattened exact gradient
+
+
+def exact_reference(model: Model, x: Array, labels: Array) -> ExactReference:
+    """Exact (no-SBP) tape and gradient of one batch at the model's current weights.
+
+    At fixed weights one reference serves every SBP variant run on that batch:
+    each takes its masked gradient from the same exact tape.
     """
-    return backward(forward(model, x, labels, plan=None))
+    tape = forward(model, x, labels, plan=None)
+    grads = backward(tape)
+    return ExactReference(tape, grads, float(np.linalg.norm(grads.flat())),
+                          _per_node_blocks(grads))
 
 
 def grad_similarity_experiment(model: Model, batches, plan_fn, mode: str = "qkv",
@@ -94,26 +104,27 @@ def grad_similarity_experiment(model: Model, batches, plan_fn, mode: str = "qkv"
     returns the MaskPlan for that step (resampling is the caller's policy), and
     head mode draws its heads per step. Weights are never updated.
     `exact`, if given, holds `exact_reference` of each batch in order, so
-    callers comparing several variants compute it once; otherwise it is
-    computed here.
+    callers comparing several variants run one forward per batch; otherwise
+    it is computed here. Either way the SBP gradient is the masked backward of
+    the exact tape, so each batch costs one forward.
     """
     kinds = {node.node_id: node.kind for node in model.nodes if node.params()}
     reports = []
     for step, (x, labels) in enumerate(batches, start):
-        g_full = exact_reference(model, x, labels) if exact is None else exact[step - start]
-        g_sbp = backward(forward(model, x, labels, plan=plan_fn(step), mode=mode,
-                                 step=step, head_seed=head_seed))
+        ref = exact_reference(model, x, labels) if exact is None else exact[step - start]
+        g_sbp = backward(ref.tape, plan=plan_fn(step), mode=mode, step=step,
+                         head_seed=head_seed)
+        flat_sbp = g_sbp.flat()
         blocks_sbp = _per_node_blocks(g_sbp)
-        blocks_full = _per_node_blocks(g_full)
         reports.append(GradReport(
             step=step,
-            cosine=grad_cosine(g_sbp, g_full),
-            sbp_norm=float(np.linalg.norm(g_sbp.flat())),
-            exact_norm=float(np.linalg.norm(g_full.flat())),
-            per_node={nid: cosine_similarity(blocks_sbp[nid], blocks_full[nid])
+            cosine=cosine_similarity(flat_sbp, ref.grads.flat()),
+            sbp_norm=float(np.linalg.norm(flat_sbp)),
+            exact_norm=ref.norm,
+            per_node={nid: cosine_similarity(blocks_sbp[nid], ref.blocks[nid])
                       for nid in blocks_sbp},
             per_node_l2={nid: (float(np.linalg.norm(blocks_sbp[nid])),
-                               float(np.linalg.norm(blocks_full[nid])))
+                               float(np.linalg.norm(ref.blocks[nid])))
                          for nid in blocks_sbp},
             node_kinds=kinds,
         ))
@@ -176,7 +187,9 @@ class MemoryReport:
     estimated_total: int
     full_total: int
     mhsa_breakdown: dict    # node_id -> {"io_2hdn", "qkv_3hdn", "maps_hnn"}: full-cache
-                            # terms per sample; the one map is S, the logits are not kept
+                            # terms per sample. The tape keeps one map (S, not the
+                            # logits) and of the io pair only the output: the
+                            # attention input is rebuilt from LN1's x_hat
 
     @property
     def ratio(self) -> float:
@@ -198,9 +211,7 @@ def activation_memory_estimate(model: Model, plan: MaskPlan | None, mode: str,
     full_total = 0
     for node in model.nodes:
         full = node.estimate_cached(batch_size, None, None)
-        mask = None
-        if node.sbp_enabled and node.mask_group in masks:
-            mask = masks[node.mask_group]
+        mask = sbp_context(node, masks, None, 0, 0)[0]
         if mask is None or mask.is_full_keep:
             est = full
         else:
@@ -381,7 +392,7 @@ def weight_similarity(model_a: Model, model_b: Model) -> float:
     return cosine_similarity(flat_params(model_a), flat_params(model_b))
 
 
-def prediction_consistency(model_a: Model, model_b: Model, x: Array, labels) -> float:
+def prediction_consistency(model_a: Model, model_b: Model, x: Array) -> float:
     """Fraction of samples where the two models pick the same class."""
     la = predict(model_a, x).argmax(axis=1)
     lb = predict(model_b, x).argmax(axis=1)

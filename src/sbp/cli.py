@@ -89,6 +89,18 @@ def _dump_masks(plan, dump_dir, step):
         (d / f"step{step:05d}_{lid}.mask").write_text(mask_to_text(mask))
 
 
+def _map(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], spread over `threads` worker threads.
+
+    With one thread the calls run on the calling thread: a one-worker pool
+    would only give them a second malloc arena next to the training heap.
+    """
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def _outdir(args) -> Path:
     d = Path(args.out)
     d.mkdir(parents=True, exist_ok=True)
@@ -125,8 +137,7 @@ def cmd_train(args):
         # One tape at a time: free this step's activations before the next
         # forward (or the evaluation) allocates its own.
         del tape, grads
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        accs = list(pool.map(lambda b: accuracy(model, b[0], b[1]), batches))
+    accs = _map(lambda b: accuracy(model, b[0], b[1]), batches, args.threads)
     counts = [b[1].shape[0] for b in batches]
     final_acc = float(np.average(accs, weights=counts))
     csv_path = out / "train.csv"
@@ -183,7 +194,7 @@ def cmd_gradsim(args):
     batches = [batches[i % len(batches)] for i in range(n_batches)]
 
     def compare(step):
-        """Every variant's report on one batch, against one shared exact pass."""
+        """Every variant's report on one batch, all from one shared exact tape."""
         exact = [exact_reference(model, *batches[step])]
         reports = []
         for _name, schedule, sampler, mode in variants:
@@ -194,8 +205,7 @@ def cmd_gradsim(args):
                 mode=mode, head_seed=cfg.train.seed, exact=exact, start=step)[0])
         return reports
 
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        per_batch = list(pool.map(compare, range(len(batches))))
+    per_batch = _map(compare, range(len(batches)), args.threads)
 
     summary = {"config_hash": cfg_hash, "variants": {}}
     variant_means = {}

@@ -1,10 +1,14 @@
 """Sequential tape: record activations at forward time, replay them backward.
 
-The tape is built once per forward pass. Whatever a node needs for its backward
-is cached while the activations are still live; nothing is recomputed and no
-second forward happens. Under SBP the node records hold kept-index slices only,
-so the tape's cached-element count is the honest memory figure. Evaluation
-needs no backward, so `predict` runs the same nodes without a tape.
+The tape is built once per forward pass, and the forward is always exact.
+Whatever a node needs for its backward is cached while the activations are
+still live; no second forward happens. SBP restriction is a separate per-node
+step (`Node.restrict`). A forward under a plan restricts each record as soon
+as its node has run, so the tape holds kept-index slices only and its
+cached-element count is the honest memory figure. A backward under a plan
+restricts each record of an exact tape just before that node's backward, so
+one exact tape serves the exact gradient and any number of masked ones.
+Evaluation needs no backward, so `predict` runs the same nodes without a tape.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ class Tape:
     logits: Array
     dlogits: Array
     batch_size: int
+    plan: MaskPlan | None = None  # the plan the records were restricted under
 
     def cached_elements(self) -> int:
         return sum(rec.cached_elements for _, rec in self.records)
@@ -82,28 +87,37 @@ def head_keep_for(node, ratio, step: int, seed: int):
     return sample_head_keep(node.heads, ratio, mix)
 
 
+def sbp_context(node, masks: dict, mode: str, step: int, head_seed: int):
+    """(mask, mode, head_keep) that `node` runs under; all None without a mask.
+
+    `masks` maps a plan's layer ids to their masks. Only transformer blocks
+    take a drop mode, and only head mode draws the kept heads.
+    """
+    mask = masks.get(node.mask_group) if node.sbp_enabled else None
+    if mask is None or node.kind != "block":
+        return mask, None, None
+    if mode == "head":
+        return mask, mode, head_keep_for(node, mask.keep_ratio, step, head_seed)
+    return mask, mode, None
+
+
 def forward(model: Model, x: Array, labels: Array, plan: MaskPlan | None = None,
             mode: str = "qkv", step: int = 0, head_seed: int = 0) -> Tape:
-    """Run the network, recording a tape. plan=None disables SBP entirely."""
+    """Run the network, recording a tape. plan=None disables SBP entirely.
+
+    Under a plan each node's record is restricted as soon as the node has run.
+    """
     masks = dict(plan.per_layer) if plan is not None else {}
     h = np.asarray(x, dtype=np.float64)
     records = []
     for node in model.nodes:
-        mask = None
-        head_keep = None
-        if node.sbp_enabled and node.mask_group in masks:
-            mask = masks[node.mask_group]
-            if mode == "head" and node.kind == "block":
-                head_keep = head_keep_for(node, mask.keep_ratio, step, head_seed)
-        node_mode = mode if node.kind == "block" else None
-        h, rec = node.forward(h, mask=mask, mode=node_mode if mask is not None else None,
-                              head_keep=head_keep)
+        h, rec = node.forward(h, *sbp_context(node, masks, mode, step, head_seed))
         records.append((node, rec))
     logits = h
     loss, dlogits = _loss_and_grad(model.loss, logits, np.asarray(labels))
     if not np.isfinite(loss):
         raise NumericError("loss is non-finite")
-    return Tape(model, records, float(loss), logits, dlogits, x.shape[0])
+    return Tape(model, records, float(loss), logits, dlogits, x.shape[0], plan)
 
 
 def predict(model: Model, x: Array) -> Array:
@@ -120,11 +134,24 @@ def predict(model: Model, x: Array) -> Array:
     return h
 
 
-def backward(tape: Tape, want_input_grad: bool = False):
-    """Differentiate a recorded tape. Returns a GradientStore (and dx on request)."""
+def backward(tape: Tape, plan: MaskPlan | None = None, mode: str = "qkv", step: int = 0,
+             head_seed: int = 0, want_input_grad: bool = False):
+    """Differentiate a recorded tape. Returns a GradientStore (and dx on request).
+
+    With a plan, the tape must be exact (recorded without one): each record is
+    restricted just before its node's backward, so only one node's restricted
+    copy is alive at a time and the tape itself is left as it was. The result
+    equals the backward of `forward(..., plan, mode, step, head_seed)`.
+    """
+    if plan is not None and tape.plan is not None:
+        raise ConfigurationError("tape was recorded under a mask plan already; "
+                                 "a second plan needs an exact tape")
+    masks = dict(plan.per_layer) if plan is not None else {}
     dy = tape.dlogits
     grads: dict[str, Array] = {}
     for node, rec in reversed(tape.records):
+        if masks:
+            rec = node.restrict(rec, *sbp_context(node, masks, mode, step, head_seed))
         node_grads, dy = node.backward(rec, dy)
         for name, g in node_grads.items():
             grads[f"{node.node_id}.{name}"] = g

@@ -1,15 +1,15 @@
 """Network nodes and desk-scale model builders (token MLP, tiny ViT, tiny conv net).
 
-A Model is an ordered list of nodes. Each node knows how to run forward while
-recording the activations its backward will need — restricted to kept indices
-when a mask is in force — and how to run its backward from that record. Node
-records are what the tape stores.
+A Model is an ordered list of nodes. Each node's forward is exact and records
+the activations its backward will need; `restrict` cuts such a full record down
+to the kept indices of a mask, and the backward runs from either kind of
+record. Node records are what the tape stores.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -24,6 +24,7 @@ from .layers import (
     conv2d_backward_sbp,
     conv2d_forward,
     gelu_backward,
+    gelu_cdf,
     gelu_forward,
     layer_norm_backward,
     layer_norm_forward,
@@ -50,6 +51,12 @@ class NodeRecord:
 
 def _nbytes_elems(*arrays) -> int:
     return sum(int(a.size) for a in arrays if a is not None)
+
+
+def _cache_elements(cache: dict) -> int:
+    """Cached elements of a transformer block's record."""
+    return (_nbytes_elems(*cache["ln1"], *cache["ln2"], cache["u"], cache["cdf"])
+            + cache["mhsa"].element_count())
 
 
 def _kept(mask: IndexMask | None):
@@ -80,7 +87,7 @@ def _add_rows(base: Array, keep, rows: Array) -> Array:
     return out
 
 
-def _rows_record(x: Array, mask: IndexMask | None) -> NodeRecord:
+def _rows_record(x: Array, mask: IndexMask | None = None) -> NodeRecord:
     """Record caching the kept token rows of x, and their indices."""
     x_k = _gather(x, _kept(mask))
     # The recorded index array is made after x_k on purpose. Made before it,
@@ -105,7 +112,13 @@ class Node:
         setattr(self, name, value)
 
     def forward(self, x, mask=None, mode=None, head_keep=None):
+        """Exact output and the record of (mask, mode, head_keep): the full
+        record passed through `restrict`."""
         raise NotImplementedError
+
+    def restrict(self, rec: NodeRecord, mask=None, mode=None, head_keep=None) -> NodeRecord:
+        """The part of a full (unmasked) record that the masked backward reads."""
+        return rec
 
     def backward(self, rec: NodeRecord, dy):
         raise NotImplementedError
@@ -161,7 +174,14 @@ class TokenEmbedNode(Node):
         return batch * self.n_tokens * self.w.shape[0]
 
 
-class TokenLinearNode(Node):
+class _RowsNode(Node):
+    """A token-wise node whose record is its input rows (the kept ones under a mask)."""
+
+    def restrict(self, rec, mask=None, mode=None, head_keep=None):
+        return _rows_record(rec.cache[0], mask)
+
+
+class TokenLinearNode(_RowsNode):
     """Linear layer applied per token row; the canonical SBP (PW-Conv) case."""
 
     kind = "linear"
@@ -183,7 +203,7 @@ class TokenLinearNode(Node):
         y = x.reshape(b * n, c) @ self.w
         if self.b is not None:
             y = y + self.b
-        return y.reshape(b, n, -1), _rows_record(x, mask)
+        return y.reshape(b, n, -1), self.restrict(_rows_record(x), mask)
 
     def backward(self, rec, dy):
         x_k, keep = rec.cache
@@ -201,7 +221,7 @@ class TokenLinearNode(Node):
         return batch * rows * self.w.shape[0]
 
 
-class GeluNode(Node):
+class GeluNode(_RowsNode):
     kind = "gelu"
 
     def __init__(self, node_id, n_tokens, width, sbp_enabled=False, grid=None):
@@ -215,7 +235,7 @@ class GeluNode(Node):
         return {}
 
     def forward(self, x, mask=None, mode=None, head_keep=None):
-        return gelu_forward(x), _rows_record(x, mask)
+        return gelu_forward(x), self.restrict(_rows_record(x), mask)
 
     def backward(self, rec, dy):
         x_k, keep = rec.cache
@@ -276,48 +296,41 @@ class TransformerBlockNode(Node):
         h2, ln2c = layer_norm_forward(x2, self.ln2_g, self.ln2_b)
         b, n, c = x.shape
         u = (h2.reshape(b * n, c) @ self.w1 + self.b1).reshape(b, n, -1)
-        g = gelu_forward(u)
+        cdf = gelu_cdf(u)
+        g = u * cdf
         mo = (g.reshape(b * n, -1) @ self.w2 + self.b2).reshape(b, n, c)
-        y = x2 + mo
+        # The LN outputs h1 (the attention input) and h2 are not kept: the
+        # backward rebuilds them from the cached x_hat, bit for bit.
+        cache = {"ln1": ln1c, "mhsa": replace(mc, x=None), "ln2": ln2c,
+                 "u": u, "cdf": cdf}
+        rec = NodeRecord(cache, None, None, None, _cache_elements(cache))
+        return x2 + mo, self.restrict(rec, mask, mode, head_keep)
 
+    def restrict(self, rec, mask=None, mode=None, head_keep=None):
         keep = _kept(mask)
-        # The MLP branch caches kept token rows only, in every mode. The
+        if keep is None:
+            return rec
+        full = rec.cache
+        # The MLP branch keeps kept token rows only, in every mode. The
         # attention-input LN can be restricted only when the attention backward
         # returns zero input-gradient at dropped rows (the qkv mode).
         ln1_keep = keep if mode == "qkv" else None
-        ln1c = tuple(_gather(t, ln1_keep) for t in ln1c)
-        ln2c = tuple(_gather(t, keep) for t in ln2c)
-        h2, u, g = (_gather(t, keep) for t in (h2, u, g))
-        if keep is not None:
-            mc = restrict_mhsa_cache(mc, keep, mode, head_keep)
-        cache = {"ln1": ln1c, "mhsa": mc, "ln2": ln2c, "h2": h2, "u": u, "g": g}
-        count = (_nbytes_elems(*ln1c) + mc.element_count()
-                 + _nbytes_elems(*ln2c) + _nbytes_elems(h2, u, g))
-        return y, NodeRecord(cache, None if keep is None else mask, mode, head_keep, count)
+        cache = {"ln1": tuple(_gather(t, ln1_keep) for t in full["ln1"]),
+                 "mhsa": restrict_mhsa_cache(full["mhsa"], keep, mode, head_keep),
+                 "ln2": tuple(_gather(t, keep) for t in full["ln2"]),
+                 "u": _gather(full["u"], keep), "cdf": _gather(full["cdf"], keep)}
+        return NodeRecord(cache, mask, mode, head_keep, _cache_elements(cache))
 
     def backward(self, rec, dy):
         cache = rec.cache
-        b, n, c = dy.shape
         keep = _kept(rec.mask)
-        dy_k = _gather(dy, keep)
-        nk = dy_k.shape[1]
         grads = {}
-        dmo = dy_k.reshape(b * nk, c)
-        grads["w2"] = cache["g"].reshape(b * nk, -1).T @ dmo
-        grads["b2"] = dmo.sum(axis=0)
-        dg = (dmo @ self.w2.T).reshape(b, nk, -1)
-        du_f = gelu_backward(cache["u"], dg).reshape(b * nk, -1)
-        grads["w1"] = cache["h2"].reshape(b * nk, c).T @ du_f
-        grads["b1"] = du_f.sum(axis=0)
-        dh2 = (du_f @ self.w1.T).reshape(b, nk, c)
-        grads["ln2_g"], grads["ln2_b"], dx2a = layer_norm_backward(
-            cache["ln2"], self.ln2_g, dh2)
-        dx2 = _add_rows(dy, keep, dx2a)
+        dx2 = _add_rows(dy, keep, self._mlp_backward(cache, _gather(dy, keep), grads))
+        mc = replace(cache["mhsa"], x=self.ln1_g * cache["ln1"][0] + self.ln1_b)
         if keep is None:
-            mg = mhsa_backward_full(self._mhsa(), cache["mhsa"], dx2)
+            mg = mhsa_backward_full(self._mhsa(), mc, dx2)
         else:
-            mg = mhsa_backward_kept(self._mhsa(), cache["mhsa"], dx2, keep,
-                                    rec.mode, rec.head_keep)
+            mg = mhsa_backward_kept(self._mhsa(), mc, dx2, keep, rec.mode, rec.head_keep)
         grads["w_q"], grads["w_k"], grads["w_v"], grads["w_o"] = (
             mg.dw_q, mg.dw_k, mg.dw_v, mg.dw_o)
         ln1_keep = keep if rec.mode == "qkv" else None
@@ -325,23 +338,43 @@ class TransformerBlockNode(Node):
             cache["ln1"], self.ln1_g, _gather(mg.dx, ln1_keep))
         return grads, _add_rows(dx2, ln1_keep, dxa)
 
+    def _mlp_backward(self, cache, dy_k, grads):
+        """MLP branch on the cached rows: fills its grads, returns the input
+        gradient through LN2. Its temporaries are freed before the attention
+        backward, the block's largest, allocates its own."""
+        b, nk, c = dy_k.shape
+        u, cdf = cache["u"], cache["cdf"]
+        dmo = dy_k.reshape(b * nk, c)
+        grads["w2"] = (u * cdf).reshape(b * nk, -1).T @ dmo
+        grads["b2"] = dmo.sum(axis=0)
+        dg = (dmo @ self.w2.T).reshape(b, nk, -1)
+        du_f = gelu_backward(u, dg, cdf).reshape(b * nk, -1)
+        h2 = self.ln2_g * cache["ln2"][0] + self.ln2_b  # the forward's LN2 output
+        grads["w1"] = h2.reshape(b * nk, c).T @ du_f
+        grads["b1"] = du_f.sum(axis=0)
+        dh2 = (du_f @ self.w1.T).reshape(b, nk, c)
+        grads["ln2_g"], grads["ln2_b"], dx = layer_norm_backward(cache["ln2"], self.ln2_g, dh2)
+        return dx
+
     def estimate_cached(self, batch, keep_count, mode, head_keep_count=None):
         n, c, h, d, f = self.n_tokens, self.embed, self.heads, self.dim_head, self.hidden
+        # The attention input is not counted: the backward rebuilds it from
+        # LN1's x_hat (and the MLP input from LN2's).
         if keep_count is None:
-            mhsa = n * c + 4 * h * n * d + h * n * n
-            return batch * ((n * c + n) * 2 + n * c + 2 * n * f + mhsa)
+            mhsa = 4 * h * n * d + h * n * n
+            return batch * ((n * c + n) * 2 + 2 * n * f + mhsa)
         k = keep_count
-        mlp_side = (k * c + k) + k * c + 2 * k * f  # ln2, h2, u, g on kept rows
+        mlp_side = (k * c + k) + 2 * k * f  # ln2, u, cdf on kept rows
         if mode == "qkv":
             ln1 = k * c + k
-            mhsa = k * c + 4 * h * k * d + h * k * k
+            mhsa = 4 * h * k * d + h * k * k
         elif mode == "query_only":
             ln1 = n * c + n
-            mhsa = n * c + 2 * h * n * d + h * k * d + h * n * n + h * n * d
+            mhsa = 2 * h * n * d + h * k * d + h * n * n + h * n * d
         elif mode == "head":
             ln1 = n * c + n
             hk = h if head_keep_count is None else head_keep_count
-            mhsa = n * c + hk * (3 * n * d + n * n) + h * n * d
+            mhsa = hk * (3 * n * d + n * n) + h * n * d
         else:
             raise ConfigurationError(f"unknown mode {mode!r}")
         return batch * (ln1 + mhsa + mlp_side)
@@ -382,7 +415,11 @@ class Conv2dNode(Node):
         # General conv keeps the full input cached: with kernel > stride the
         # kept outputs' receptive fields overlap nearly everything.
         cache = (x, u if self.activation else None)
-        return y, NodeRecord(cache, mask, mode, None, _nbytes_elems(*cache))
+        rec = NodeRecord(cache, None, None, None, _nbytes_elems(*cache))
+        return y, self.restrict(rec, mask, mode, head_keep)
+
+    def restrict(self, rec, mask=None, mode=None, head_keep=None):
+        return replace(rec, mask=mask, mode=mode)
 
     def backward(self, rec, dy):
         x, u = rec.cache

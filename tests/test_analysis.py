@@ -242,9 +242,10 @@ class TestGradSimilarity:
         import sbp.analysis
         from sbp.cli import main
 
-        exact_calls = []
+        calls, exact_calls = [], []
 
         def counting_forward(*args, **kwargs):
+            calls.append(1)
             if kwargs.get("plan") is None:
                 exact_calls.append(1)
             return forward(*args, **kwargs)
@@ -259,6 +260,7 @@ class TestGradSimilarity:
         assert main(["gradsim", "--config", str(cfg), "--out", str(tmp_path / "out"),
                      "--threads", "2"]) == 0
         assert len(exact_calls) == 3
+        assert len(calls) == 3  # the variants' masked gradients need no forward
 
 
 class TestTrajectoryTools:
@@ -287,10 +289,10 @@ class TestTrajectoryTools:
         rng = np.random.Generator(np.random.PCG64(4))
         x = rng.normal(size=(8, 2, 2, 2))
         labels = rng.integers(0, 2, size=8)
-        pc = prediction_consistency(a, b, x, labels)
+        pc = prediction_consistency(a, b, x)
         assert 0.0 <= pc <= 1.0
         assert 0.0 <= accuracy(a, x, labels) <= 1.0
-        assert prediction_consistency(a, a, x, labels) == 1.0
+        assert prediction_consistency(a, a, x) == 1.0
 
     @pytest.mark.parametrize("spec", [
         mlp_spec(grid=(4, 4), in_channels=2, width=8, depth=2, n_classes=3),
@@ -305,7 +307,7 @@ class TestTrajectoryTools:
         pred_a = forward(a, x, labels).logits.argmax(axis=1)
         pred_b = forward(b, x, labels).logits.argmax(axis=1)
         assert accuracy(a, x, labels) == float((pred_a == labels).mean())
-        assert prediction_consistency(a, b, x, labels) == float((pred_a == pred_b).mean())
+        assert prediction_consistency(a, b, x) == float((pred_a == pred_b).mean())
 
     def test_accuracy_keeps_no_tape(self):
         """Evaluation holds one node's activations at a time, so its traced

@@ -182,6 +182,30 @@ class TestTrain:
         assert len(tapes) >= 3
         assert alive and not any(alive)
 
+    def test_single_thread_evaluates_on_the_calling_thread(self, tmp_path, monkeypatch):
+        import threading
+
+        import sbp.analysis
+
+        threads = []
+
+        def recording_accuracy(*args):
+            threads.append(threading.current_thread())
+            return accuracy(*args)
+
+        accuracy = sbp.analysis.accuracy
+        monkeypatch.setattr(sbp.analysis, "accuracy", recording_accuracy)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        outputs = {}
+        for n in (1, 2):
+            threads.clear()
+            out = tmp_path / f"t{n}"
+            assert run(["train", "--config", cfg, "--out", out, "--threads", n]) == EXIT_OK
+            on_main = {t is threading.main_thread() for t in threads}
+            assert on_main == ({True} if n == 1 else {False})
+            outputs[n] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert outputs[1] == outputs[2]
+
     def test_missing_config_exits_config(self, tmp_path):
         assert run(["train", "--config", tmp_path / "nope.cfg",
                     "--out", tmp_path / "out"]) == EXIT_CONFIG

@@ -11,7 +11,7 @@ from sbp.engine import (
     predict,
     sgd_step,
 )
-from sbp.errors import ContractViolationError, NumericError
+from sbp.errors import ConfigurationError, ContractViolationError, NumericError
 from sbp.layers import gelu_backward, layer_norm_backward
 from sbp.masks import IndexMask, MaskPlan, build_schedule, full_keep_mask, make_mask_plan
 from sbp.models import build_model, mlp_spec, tiny_conv_spec, tiny_vit_spec
@@ -247,6 +247,126 @@ class TestBlockSbp:
         for key, g in got.items():
             assert np.all(np.isfinite(g)), key
         assert np.all(np.isfinite(dx))
+
+
+def assert_stores_equal(a, b):
+    assert set(a.keys()) == set(b.keys())
+    for key in a.keys():
+        assert np.array_equal(a[key], b[key]), key
+
+
+def keep_one_plan(model, token=3):
+    """Every SBP layer keeps a single token: in head mode with two heads that
+    ratio also drops every head."""
+    layers = model.sbp_layers()
+    mask = IndexMask.from_keep(layers[0][1], [token])
+    return MaskPlan(tuple((lid, mask) for lid, _ in layers), "shared")
+
+
+class TestRestrictAtBackward:
+    """backward(exact tape, plan) must equal backward(forward(plan)) bit for bit."""
+
+    def check(self, model, x, labels, plan, mode="qkv", step=0, head_seed=0):
+        exact = forward(model, x, labels)
+        exact_grads = backward(exact)
+        planned = backward(forward(model, x, labels, plan=plan, mode=mode, step=step,
+                                   head_seed=head_seed))
+        masked = backward(exact, plan=plan, mode=mode, step=step, head_seed=head_seed)
+        assert_stores_equal(masked, planned)
+        # The exact tape is left as it was: its plain backward is unchanged.
+        assert_stores_equal(backward(exact), exact_grads)
+
+    def test_mlp_independent_random_masks(self):
+        model = build_model(mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=3), 4)
+        x, labels = small_batch(np.random.Generator(np.random.PCG64(30)), grid=(4, 4))
+        sched = build_schedule("increasing", 0.5, len(model.sbp_layers()))
+        for seed in range(3):
+            self.check(model, x, labels,
+                       make_mask_plan(model, sched, "random", "independent", seed))
+
+    @pytest.mark.parametrize("mode", ["qkv", "query_only", "head"])
+    @pytest.mark.parametrize("plan_kind", ["grid", "keep_one"])
+    def test_vit_modes(self, mode, plan_kind):
+        spec = tiny_vit_spec(grid=(4, 4), in_channels=2, embed=8, heads=2,
+                             depth=3, sbp_fraction=2 / 3)
+        model = build_model(spec, 5)
+        x, labels = small_batch(np.random.Generator(np.random.PCG64(31)), grid=(4, 4))
+        if plan_kind == "grid":
+            sched = build_schedule("uniform", 0.5, len(model.sbp_layers()))
+            plan = make_mask_plan(model, sched, "grid", "shared", 2)
+        else:
+            plan = keep_one_plan(model)
+            if mode == "head":
+                tape = forward(model, x, labels, plan=plan, mode=mode)
+                assert [rec.head_keep for node, rec in tape.records
+                        if node.kind == "block" and node.sbp_enabled] == [(), ()]
+        for step in (0, 1):
+            self.check(model, x, labels, plan, mode=mode, step=step, head_seed=7)
+
+    def test_conv_grid_masks(self):
+        spec = tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=2)
+        model = build_model(spec, 6)
+        x, labels = small_batch(np.random.Generator(np.random.PCG64(32)), grid=(4, 4))
+        sched = build_schedule("uniform", 0.5, len(model.sbp_layers()))
+        self.check(model, x, labels, make_mask_plan(model, sched, "grid", "shared", 1))
+
+    def test_plan_on_restricted_tape_rejected(self):
+        model = build_model(mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=2), 4)
+        x, labels = small_batch(np.random.Generator(np.random.PCG64(33)), grid=(4, 4))
+        sched = build_schedule("uniform", 0.5, len(model.sbp_layers()))
+        plan = make_mask_plan(model, sched, "grid", "shared", 0)
+        tape = forward(model, x, labels, plan=plan)
+        with pytest.raises(ConfigurationError):
+            backward(tape, plan=plan)
+        backward(tape)  # without a second plan the restricted tape is fine
+
+
+class TestNodeRestrict:
+    """restrict(full record) is the record a masked forward makes."""
+
+    def records_equal(self, a, b):
+        assert (a.mask, a.mode, a.head_keep, a.cached_elements) == (
+            b.mask, b.mode, b.head_keep, b.cached_elements)
+
+        def leaves(cache):
+            if isinstance(cache, dict):
+                return [t for k in sorted(cache) for t in leaves(cache[k])]
+            if isinstance(cache, (tuple, list)):
+                return [t for item in cache for t in leaves(item)]
+            if hasattr(cache, "__dataclass_fields__"):
+                return [getattr(cache, f) for f in cache.__dataclass_fields__]
+            return [cache]
+
+        la, lb = leaves(a.cache), leaves(b.cache)
+        assert len(la) == len(lb)
+        for u, v in zip(la, lb):
+            assert (u is None and v is None) or np.array_equal(u, v)
+
+    @pytest.mark.parametrize("mode,head_keep", [
+        ("qkv", None), ("query_only", None), ("head", (1,)), ("head", ())])
+    def test_block(self, mode, head_keep):
+        block, x, _ = TestBlockSbp().setup_block(seed=22)
+        mask = IndexMask.from_keep((4, 4), [2, 7, 11])
+        _, full = block.forward(x)
+        _, rec = block.forward(x, mask=mask, mode=mode, head_keep=head_keep)
+        self.records_equal(block.restrict(full, mask, mode, head_keep), rec)
+        assert rec.cached_elements < full.cached_elements
+
+    @pytest.mark.parametrize("spec", [
+        mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=1),
+        tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=1),
+    ], ids=["mlp", "conv"])
+    def test_token_and_conv_nodes(self, spec):
+        model = build_model(spec, 0)
+        mask = IndexMask.from_keep((4, 4), [0, 5, 6, 15])
+        h = np.random.Generator(np.random.PCG64(34)).normal(size=(2, 4, 4, 2))
+        for node in model.nodes:
+            if not node.sbp_enabled:
+                h = node.forward(h)[0]
+                continue
+            _, full = node.forward(h)
+            h, rec = node.forward(h, mask=mask)
+            self.records_equal(node.restrict(full, mask), rec)
 
 
 class TestGradientStore:
