@@ -41,7 +41,7 @@ def tape_cross_check(seed):
         sched = build_schedule("uniform", 0.5, len(model.sbp_layers()))
         plan = make_mask_plan(model, sched, "grid", "shared", seed)
         tape = forward(model, x, labels, plan=plan, mode=mode)
-        est = activation_memory_estimate(model, plan, mode, batch_size=4)
+        est = activation_memory_estimate(model, plan, mode, batch_size=4, step=0, head_seed=0)
         match = est.estimated_total == tape.cached_elements()
         print(f"{mode:>12s}: estimate {est.estimated_total} "
               f"tape {tape.cached_elements()} match={match} "

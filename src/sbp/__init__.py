@@ -24,7 +24,6 @@ from .errors import (
     NumericError,
     SbpError,
 )
-from .tensor_core import Shape, as_tensor, gather_rows, matmul
 from .masks import (
     IndexMask,
     KeepRatioSchedule,
@@ -47,6 +46,7 @@ from .layers import (
     MhsaGrads,
     MhsaLayer,
     NetworkSpec,
+    as_tensor,
     conv2d_backward_full,
     conv2d_backward_sbp,
     conv2d_forward,
@@ -56,6 +56,7 @@ from .layers import (
     layer_norm_backward,
     layer_norm_forward,
     linear_backward_full,
+    linear_backward_kept,
     linear_backward_sbp,
     linear_forward,
     mhsa_backward_full,

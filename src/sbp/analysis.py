@@ -197,12 +197,12 @@ class MemoryReport:
 
 
 def activation_memory_estimate(model: Model, plan: MaskPlan | None, mode: str,
-                               batch_size: int, head_keep_counts: dict | None = None
-                               ) -> MemoryReport:
+                               batch_size: int, step: int, head_seed: int) -> MemoryReport:
     """Analytic cached-element count per node, next to the no-SBP figure.
 
-    The estimate mirrors exactly what each node's forward records, so it must
-    match a real tape's cached_elements() for the same configuration.
+    Each node's mask, mode and kept heads come from `sbp_context`, as in
+    `forward(model, x, labels, plan, mode, step, head_seed)`, so the estimate
+    must match that tape's cached_elements().
     """
     masks = dict(plan.per_layer) if plan is not None else {}
     per_node = {}
@@ -210,17 +210,13 @@ def activation_memory_estimate(model: Model, plan: MaskPlan | None, mode: str,
     est_total = 0
     full_total = 0
     for node in model.nodes:
-        full = node.estimate_cached(batch_size, None, None)
-        mask = sbp_context(node, masks, None, 0, 0)[0]
+        full = node.estimate_cached(batch_size, None, None, None)
+        mask, node_mode, head_keep = sbp_context(node, masks, mode, step, head_seed)
         if mask is None or mask.is_full_keep:
             est = full
         else:
-            if node.kind == "block":
-                hk = (head_keep_counts or {}).get(node.node_id)
-                est = node.estimate_cached(batch_size, len(mask.keep), mode,
-                                           head_keep_count=hk)
-            else:
-                est = node.estimate_cached(batch_size, len(mask.keep), mode)
+            est = node.estimate_cached(batch_size, len(mask.keep), node_mode,
+                                       None if head_keep is None else len(head_keep))
         per_node[node.node_id] = (est, full)
         if node.kind == "block":
             h, n, d = node.heads, node.n_tokens, node.dim_head

@@ -254,7 +254,8 @@ def cmd_memreport(args):
     dataset = _load_dataset(cfg)
     x, labels = next(dataset.batches(cfg.train.batch_size))
     plan = _make_plan(model, cfg, 0)
-    report = activation_memory_estimate(model, plan, cfg.sbp.mode, x.shape[0])
+    report = activation_memory_estimate(model, plan, cfg.sbp.mode, x.shape[0], step=0,
+                                        head_seed=cfg.train.seed)
     tape = forward(model, x, labels, plan=plan, mode=cfg.sbp.mode, step=0,
                    head_seed=cfg.train.seed)
     payload = {
@@ -290,7 +291,6 @@ def cmd_memreport(args):
 
 
 def cmd_chaindemo(args):
-    import numpy as np
     from .analysis import (ConvStage, PointwiseStage, chain_rule_report,
                            pointwise_stack_report, write_json)
     from .masks import IndexMask, checkerboard_mask, sample_grid_mask

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 from .errors import ConfigurationError
 

@@ -3,11 +3,12 @@
 The tape is built once per forward pass, and the forward is always exact.
 Whatever a node needs for its backward is cached while the activations are
 still live; no second forward happens. SBP restriction is a separate per-node
-step (`Node.restrict`). A forward under a plan restricts each record as soon
-as its node has run, so the tape holds kept-index slices only and its
-cached-element count is the honest memory figure. A backward under a plan
-restricts each record of an exact tape just before that node's backward, so
-one exact tape serves the exact gradient and any number of masked ones.
+step (`Node.restrict`), and this module alone decides when it runs. A forward
+under a plan restricts each record as soon as its node has run, so the tape
+holds kept-index slices only and its cached-element count is the honest
+memory figure. A backward under a plan restricts each record of an exact
+tape just before that node's backward, so one exact tape serves the exact
+gradient and any number of masked ones.
 Evaluation needs no backward, so `predict` runs the same nodes without a tape.
 """
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericError
 from .layers import mse_loss, sample_head_keep, softmax_xent_loss
-from .masks import IndexMask, MaskPlan
-from .models import Model, NodeRecord
+from .masks import MaskPlan
+from .models import Model
 
 Array = np.ndarray
 
@@ -111,7 +112,9 @@ def forward(model: Model, x: Array, labels: Array, plan: MaskPlan | None = None,
     h = np.asarray(x, dtype=np.float64)
     records = []
     for node in model.nodes:
-        h, rec = node.forward(h, *sbp_context(node, masks, mode, step, head_seed))
+        h, rec = node.forward(h)
+        if masks:
+            rec = node.restrict(rec, *sbp_context(node, masks, mode, step, head_seed))
         records.append((node, rec))
     logits = h
     loss, dlogits = _loss_and_grad(model.loss, logits, np.asarray(labels))

@@ -10,6 +10,9 @@ restricted cache alone, never rebuilding a full-shaped one.
 
 Token masks address the flat spatial/token grid of a single sample; batched
 inputs share one mask across the batch.
+
+Every array is a float64 ndarray. Non-finite values are not checked per
+operation: they surface in the loss, the logits and the gradient store.
 """
 
 from __future__ import annotations
@@ -22,10 +25,15 @@ from scipy.special import erf
 
 from .errors import ConfigurationError, ContractViolationError, DimensionError
 from .masks import IndexMask
-from .tensor_core import Array, as_tensor, gather_rows, matmul
 
+Array = np.ndarray
 LN_EPS = 1e-6
 DROP_MODES = ("query_only", "qkv", "head")
+
+
+def as_tensor(x) -> Array:
+    """Coerce to a C-contiguous float64 array."""
+    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -49,41 +57,55 @@ class LinearLayer:
 
 
 def linear_forward(layer: LinearLayer, x: Array) -> Array:
-    out = matmul(x, layer.weight)
+    x = as_tensor(x)
+    if x.ndim != 2 or x.shape[1] != layer.weight.shape[0]:
+        raise DimensionError(f"linear input {x.shape} does not fit weight {layer.weight.shape}")
+    out = x @ layer.weight
     if layer.bias is not None:
         out = out + layer.bias
     return out
 
 
-def linear_backward_full(layer: LinearLayer, x: Array, upstream: Array):
-    """Returns (dW, db, dX); db is None when the layer has no bias."""
-    x = as_tensor(x)
-    upstream = as_tensor(upstream)
-    if x.shape[0] != upstream.shape[0] or upstream.shape[1] != layer.weight.shape[1]:
-        raise DimensionError(f"backward shapes do not conform: x {x.shape}, up {upstream.shape}")
-    dw = matmul(x.T, upstream)
-    db = upstream.sum(axis=0) if layer.bias is not None else None
-    dx = matmul(upstream, layer.weight.T)
+def linear_backward_kept(x: Array, dy: Array, w: Array, has_bias: bool):
+    """(dW, db, dX) of y = x @ w (+ b) over whatever rows x and dy hold.
+
+    Leading dims are flattened through reshaped views, so a B x N x C token
+    batch costs no copy; dX has dy's leading dims. The model nodes pass their
+    kept rows, and the 2-D oracle entry points below gather them first.
+    db is None without a bias.
+    """
+    c_in, c_out = w.shape
+    dy2 = dy.reshape(-1, c_out)
+    dw = x.reshape(-1, c_in).T @ dy2
+    db = dy2.sum(axis=0) if has_bias else None
+    dx = (dy2 @ w.T).reshape(*dy.shape[:-1], c_in)
     return dw, db, dx
+
+
+def _check_linear(layer: LinearLayer, x: Array, upstream: Array):
+    x, upstream = np.asarray(x), np.asarray(upstream)
+    c_in, c_out = layer.weight.shape
+    if x.ndim != 2 or x.shape[1] != c_in or upstream.shape != (x.shape[0], c_out):
+        raise DimensionError(f"backward shapes do not conform: x {x.shape}, up {upstream.shape}")
+    return x, upstream
+
+
+def linear_backward_full(layer: LinearLayer, x: Array, upstream: Array):
+    """Returns (dW, db, dX) over n x C rows; db is None when the layer has no bias."""
+    x, upstream = _check_linear(layer, x, upstream)
+    return linear_backward_kept(x, upstream, layer.weight, layer.bias is not None)
 
 
 def linear_backward_sbp(layer: LinearLayer, x: Array, upstream: Array, mask: IndexMask):
     """Masked backward: reads only kept rows of x and upstream; dropped dX rows are 0."""
-    x = np.asarray(x)
+    x, upstream = _check_linear(layer, x, upstream)
     if mask.total != x.shape[0]:
         raise DimensionError(f"mask domain {mask.total} != row count {x.shape[0]}")
-    if mask.is_full_keep:
-        return linear_backward_full(layer, x, upstream)
     keep = mask.keep_array()
-    x_k = gather_rows(x, keep)
-    up_k = gather_rows(np.asarray(upstream), keep)
-    if up_k.shape[1] != layer.weight.shape[1]:
-        raise DimensionError("upstream width must equal C_out")
-    dw = matmul(x_k.T, up_k)
-    db = up_k.sum(axis=0) if layer.bias is not None else None
-    dx = np.zeros((x.shape[0], layer.weight.shape[0]))
-    if keep.size:
-        dx[keep] = matmul(up_k, layer.weight.T)
+    dw, db, dx_k = linear_backward_kept(x[keep], upstream[keep], layer.weight,
+                                        layer.bias is not None)
+    dx = np.zeros(x.shape)
+    dx[keep] = dx_k
     return dw, db, dx
 
 
@@ -137,7 +159,7 @@ def conv2d_forward(layer: Conv2dLayer, x: Array) -> Array:
     b = x.shape[0]
     cols, (ho, wo) = _im2col(layer, x)
     k, c, co = layer.kernel, layer.weight.shape[2], layer.weight.shape[3]
-    out = matmul(cols.reshape(b * ho * wo, k * k * c), layer.weight.reshape(k * k * c, co))
+    out = cols.reshape(b * ho * wo, k * k * c) @ layer.weight.reshape(k * k * c, co)
     return out.reshape(b, ho, wo, co)
 
 
@@ -154,8 +176,8 @@ def conv2d_backward_full(layer: Conv2dLayer, x: Array, upstream: Array):
         raise DimensionError(f"upstream shape {upstream.shape} != {(b, ho, wo, co)}")
     up_flat = upstream.reshape(b * ho * wo, co)
     cols_flat = cols.reshape(b * ho * wo, k * k * c)
-    dw = matmul(cols_flat.T, up_flat).reshape(layer.weight.shape)
-    dcols = matmul(up_flat, layer.weight.reshape(k * k * c, co).T)
+    dw = (cols_flat.T @ up_flat).reshape(layer.weight.shape)
+    dcols = up_flat @ layer.weight.reshape(k * k * c, co).T
     dcols = dcols.reshape(b, ho, wo, k, k, c)
     dxp = np.zeros((b, h + 2 * p, w + 2 * p, c))
     for a in range(k):
@@ -196,7 +218,6 @@ class MhsaLayer:
     w_k: Array
     w_v: Array
     w_o: Array  # (h * d) x C
-    drop_mode: str = "qkv"
 
     def __post_init__(self):
         for name in ("w_q", "w_k", "w_v", "w_o"):
@@ -207,8 +228,6 @@ class MhsaLayer:
             raise DimensionError("w_q/w_k/w_v must all be C x (heads * dim_head)")
         if self.w_o.shape != (hd, c):
             raise DimensionError("w_o must be (heads * dim_head) x C")
-        if self.drop_mode not in DROP_MODES:
-            raise ConfigurationError(f"unknown drop_mode {self.drop_mode!r}")
 
 
 @dataclass
@@ -407,7 +426,7 @@ def mhsa_backward_kept(layer: MhsaLayer, restricted: MhsaCache, upstream: Array,
 
 
 def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
-                      mask: IndexMask, mode: str | None = None,
+                      mask: IndexMask, mode: str,
                       head_keep: tuple[int, ...] | None = None) -> MhsaGrads:
     """Masked attention backward from a full cache: restrict it, then run
     `mhsa_backward_kept`, the same code the transformer block runs.
@@ -417,7 +436,6 @@ def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
          weight gradient is a kept-subset estimate.
     head: zero the whole gradient of dropped heads (head_keep lists survivors).
     """
-    mode = mode or layer.drop_mode
     if mode not in DROP_MODES:
         raise ConfigurationError(f"unknown drop mode {mode!r}")
     upstream = as_tensor(upstream)

@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .tensor_core import Shape
 
 # The published increasing schedule for 8 layers averaging 0.5. Its entries are
 # not a consistent 2-dp rounding of the underlying linear ramp (the exact ramp
@@ -120,7 +119,7 @@ def sample_grid_mask(shape, keep_ratio, rng_seed: int, phase: int | None = None)
     consecutive resamples cover every position. Non-reciprocal ratios fall back
     to evenly spaced selection of floor(r * total) indices.
     """
-    dims = tuple(shape.dims) if isinstance(shape, Shape) else tuple(int(d) for d in shape)
+    dims = tuple(int(d) for d in shape)
     ratio = _as_ratio(keep_ratio)
     total, m = _check_divisible(dims, ratio)
     if ratio == 1:
@@ -134,7 +133,7 @@ def sample_grid_mask(shape, keep_ratio, rng_seed: int, phase: int | None = None)
 
 def sample_random_mask(shape, keep_ratio, rng_seed: int) -> IndexMask:
     """Uniform subset of floor(r * total) indices, drawn without replacement."""
-    dims = tuple(shape.dims) if isinstance(shape, Shape) else tuple(int(d) for d in shape)
+    dims = tuple(int(d) for d in shape)
     ratio = _as_ratio(keep_ratio)
     total, m = _check_divisible(dims, ratio)
     if ratio == 1:
@@ -227,7 +226,6 @@ class MaskPlan:
 
     per_layer: tuple[tuple[str, IndexMask], ...]
     sharing: str  # "shared" | "independent"
-    resample_each_step: bool = False
 
     def __post_init__(self):
         if self.sharing not in ("shared", "independent"):
@@ -241,19 +239,9 @@ class MaskPlan:
             if len(masks) > 1:
                 raise ConfigurationError("shared plan must reuse one mask object per resolution")
 
-    def mask_for(self, layer_id: str) -> IndexMask | None:
-        for lid, m in self.per_layer:
-            if lid == layer_id:
-                return m
-        return None
-
-    @property
-    def layer_ids(self) -> tuple[str, ...]:
-        return tuple(lid for lid, _ in self.per_layer)
-
 
 def make_mask_plan(network, schedule: KeepRatioSchedule, sampler: str, sharing: str,
-                   rng_seed: int, resample_each_step: bool = False) -> MaskPlan:
+                   rng_seed: int) -> MaskPlan:
     """Build a per-layer mask plan for a network's SBP-enabled layers.
 
     `network` must expose `sbp_layers() -> [(layer_id, domain_shape), ...]`.
@@ -280,12 +268,12 @@ def make_mask_plan(network, schedule: KeepRatioSchedule, sampler: str, sharing: 
             else:
                 factor = base_shape[0] // shape[0]
                 per_layer.append((lid, downsample_mask(base, factor)))
-        return MaskPlan(tuple(per_layer), "shared", resample_each_step)
+        return MaskPlan(tuple(per_layer), "shared")
     per_layer = tuple(
         (lid, sample(shape, ratio, rng_seed + 1000003 * i))
         for i, ((lid, shape), ratio) in enumerate(zip(layers, schedule.ratios))
     )
-    return MaskPlan(per_layer, "independent", resample_each_step)
+    return MaskPlan(per_layer, "independent")
 
 
 def mask_to_text(mask: IndexMask) -> str:

@@ -9,7 +9,7 @@ record. Node records are what the tape stores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -23,11 +23,13 @@ from .layers import (
     conv2d_backward_full,
     conv2d_backward_sbp,
     conv2d_forward,
+    conv2d_output_grid,
     gelu_backward,
     gelu_cdf,
     gelu_forward,
     layer_norm_backward,
     layer_norm_forward,
+    linear_backward_kept,
     mhsa_backward_full,
     mhsa_backward_kept,
     mhsa_forward,
@@ -111,12 +113,11 @@ class Node:
     def set_param(self, name: str, value: Array):
         setattr(self, name, value)
 
-    def forward(self, x, mask=None, mode=None, head_keep=None):
-        """Exact output and the record of (mask, mode, head_keep): the full
-        record passed through `restrict`."""
+    def forward(self, x):
+        """Exact output and the full record; `restrict` cuts it down under a mask."""
         raise NotImplementedError
 
-    def restrict(self, rec: NodeRecord, mask=None, mode=None, head_keep=None) -> NodeRecord:
+    def restrict(self, rec: NodeRecord, mask, mode, head_keep) -> NodeRecord:
         """The part of a full (unmasked) record that the masked backward reads."""
         return rec
 
@@ -124,8 +125,10 @@ class Node:
         raise NotImplementedError
 
     def estimate_cached(self, batch: int, keep_count: int | None, mode: str | None,
-                        head_keep_count: int | None = None) -> int:
-        """Analytic cached-element count; keep_count None means no mask (full)."""
+                        head_keep_count: int | None) -> int:
+        """Analytic cached-element count of the record `restrict` leaves under
+        (keep_count, mode, head_keep_count), as `sbp_context` hands them out;
+        keep_count None means no mask (full)."""
         raise NotImplementedError
 
 
@@ -147,7 +150,7 @@ class TokenEmbedNode(Node):
             p["pos"] = self.pos
         return p
 
-    def forward(self, x, mask=None, mode=None, head_keep=None):
+    def forward(self, x):
         orig = x.shape
         if x.ndim == 4:  # B x H x W x C image grid -> token rows
             x = x.reshape(orig[0], orig[1] * orig[2], orig[3])
@@ -162,22 +165,23 @@ class TokenEmbedNode(Node):
 
     def backward(self, rec, dy):
         x, orig = rec.cache
-        b, n, c = x.shape
-        dy2 = dy.reshape(b * n, -1)
-        grads = {"w": x.reshape(b * n, c).T @ dy2, "b": dy2.sum(axis=0)}
+        grads = {}
+        # The pos gradient is taken first on purpose. Taken after dx, peak RSS
+        # on the train-mlp16-random benchmark workload rose by about 3 MB:
+        # a glibc heap-layout effect, the live bytes are the same.
         if self.pos is not None:
             grads["pos"] = dy.sum(axis=0)
-        dx = (dy2 @ self.w.T).reshape(orig)
-        return grads, dx
+        grads["w"], grads["b"], dx = linear_backward_kept(x, dy, self.w, True)
+        return grads, dx.reshape(orig)
 
-    def estimate_cached(self, batch, keep_count, mode):
+    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         return batch * self.n_tokens * self.w.shape[0]
 
 
 class _RowsNode(Node):
     """A token-wise node whose record is its input rows (the kept ones under a mask)."""
 
-    def restrict(self, rec, mask=None, mode=None, head_keep=None):
+    def restrict(self, rec, mask, mode, head_keep):
         return _rows_record(rec.cache[0], mask)
 
 
@@ -198,25 +202,20 @@ class TokenLinearNode(_RowsNode):
     def params(self):
         return {"w": self.w, "b": self.b} if self.b is not None else {"w": self.w}
 
-    def forward(self, x, mask=None, mode=None, head_keep=None):
+    def forward(self, x):
         b, n, c = x.shape
         y = x.reshape(b * n, c) @ self.w
         if self.b is not None:
             y = y + self.b
-        return y.reshape(b, n, -1), self.restrict(_rows_record(x), mask)
+        return y.reshape(b, n, -1), _rows_record(x)
 
     def backward(self, rec, dy):
         x_k, keep = rec.cache
-        b, n, _ = dy.shape
-        nk = x_k.shape[1]
-        c_in = self.w.shape[0]
-        dy_k = _gather(dy, keep).reshape(b * nk, -1)
-        grads = {"w": x_k.reshape(b * nk, c_in).T @ dy_k}
-        if self.b is not None:
-            grads["b"] = dy_k.sum(axis=0)
-        return grads, _scatter((dy_k @ self.w.T).reshape(b, nk, c_in), keep, n)
+        dw, db, dx_k = linear_backward_kept(x_k, _gather(dy, keep), self.w, self.b is not None)
+        grads = {"w": dw} if db is None else {"w": dw, "b": db}
+        return grads, _scatter(dx_k, keep, dy.shape[1])
 
-    def estimate_cached(self, batch, keep_count, mode):
+    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         rows = self.n_tokens if keep_count is None else keep_count
         return batch * rows * self.w.shape[0]
 
@@ -234,14 +233,14 @@ class GeluNode(_RowsNode):
     def params(self):
         return {}
 
-    def forward(self, x, mask=None, mode=None, head_keep=None):
-        return gelu_forward(x), self.restrict(_rows_record(x), mask)
+    def forward(self, x):
+        return gelu_forward(x), _rows_record(x)
 
     def backward(self, rec, dy):
         x_k, keep = rec.cache
         return {}, _scatter(gelu_backward(x_k, _gather(dy, keep)), keep, dy.shape[1])
 
-    def estimate_cached(self, batch, keep_count, mode):
+    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         rows = self.n_tokens if keep_count is None else keep_count
         return batch * rows * self.width
 
@@ -289,7 +288,7 @@ class TransformerBlockNode(Node):
     def _mhsa(self):
         return MhsaLayer(self.heads, self.dim_head, self.w_q, self.w_k, self.w_v, self.w_o)
 
-    def forward(self, x, mask=None, mode=None, head_keep=None):
+    def forward(self, x):
         h1, ln1c = layer_norm_forward(x, self.ln1_g, self.ln1_b)
         att, mc = mhsa_forward(self._mhsa(), h1)
         x2 = x + att
@@ -303,10 +302,9 @@ class TransformerBlockNode(Node):
         # backward rebuilds them from the cached x_hat, bit for bit.
         cache = {"ln1": ln1c, "mhsa": replace(mc, x=None), "ln2": ln2c,
                  "u": u, "cdf": cdf}
-        rec = NodeRecord(cache, None, None, None, _cache_elements(cache))
-        return x2 + mo, self.restrict(rec, mask, mode, head_keep)
+        return x2 + mo, NodeRecord(cache, None, None, None, _cache_elements(cache))
 
-    def restrict(self, rec, mask=None, mode=None, head_keep=None):
+    def restrict(self, rec, mask, mode, head_keep):
         keep = _kept(mask)
         if keep is None:
             return rec
@@ -342,21 +340,15 @@ class TransformerBlockNode(Node):
         """MLP branch on the cached rows: fills its grads, returns the input
         gradient through LN2. Its temporaries are freed before the attention
         backward, the block's largest, allocates its own."""
-        b, nk, c = dy_k.shape
         u, cdf = cache["u"], cache["cdf"]
-        dmo = dy_k.reshape(b * nk, c)
-        grads["w2"] = (u * cdf).reshape(b * nk, -1).T @ dmo
-        grads["b2"] = dmo.sum(axis=0)
-        dg = (dmo @ self.w2.T).reshape(b, nk, -1)
-        du_f = gelu_backward(u, dg, cdf).reshape(b * nk, -1)
+        grads["w2"], grads["b2"], dg = linear_backward_kept(u * cdf, dy_k, self.w2, True)
+        du = gelu_backward(u, dg, cdf)
         h2 = self.ln2_g * cache["ln2"][0] + self.ln2_b  # the forward's LN2 output
-        grads["w1"] = h2.reshape(b * nk, c).T @ du_f
-        grads["b1"] = du_f.sum(axis=0)
-        dh2 = (du_f @ self.w1.T).reshape(b, nk, c)
+        grads["w1"], grads["b1"], dh2 = linear_backward_kept(h2, du, self.w1, True)
         grads["ln2_g"], grads["ln2_b"], dx = layer_norm_backward(cache["ln2"], self.ln2_g, dh2)
         return dx
 
-    def estimate_cached(self, batch, keep_count, mode, head_keep_count=None):
+    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         n, c, h, d, f = self.n_tokens, self.embed, self.heads, self.dim_head, self.hidden
         # The attention input is not counted: the backward rebuilds it from
         # LN1's x_hat (and the MLP input from LN2's).
@@ -373,8 +365,7 @@ class TransformerBlockNode(Node):
             mhsa = 2 * h * n * d + h * k * d + h * n * n + h * n * d
         elif mode == "head":
             ln1 = n * c + n
-            hk = h if head_keep_count is None else head_keep_count
-            mhsa = hk * (3 * n * d + n * n) + h * n * d
+            mhsa = head_keep_count * (3 * n * d + n * n) + h * n * d
         else:
             raise ConfigurationError(f"unknown mode {mode!r}")
         return batch * (ln1 + mhsa + mlp_side)
@@ -396,9 +387,7 @@ class Conv2dNode(Node):
         self.padding = padding
         self.activation = activation
         self.sbp_enabled = sbp_enabled
-        layer = Conv2dLayer(w, stride, padding)
-        from .layers import conv2d_output_grid
-        self.out_grid = conv2d_output_grid(layer, *self.in_grid)
+        self.out_grid = conv2d_output_grid(Conv2dLayer(w, stride, padding), *self.in_grid)
         self.grid = self.out_grid
 
     def params(self):
@@ -407,7 +396,7 @@ class Conv2dNode(Node):
     def _layer(self):
         return Conv2dLayer(self.w, self.stride, self.padding)
 
-    def forward(self, x, mask=None, mode=None, head_keep=None):
+    def forward(self, x):
         y = conv2d_forward(self._layer(), x)
         u = y
         if self.activation:
@@ -415,10 +404,9 @@ class Conv2dNode(Node):
         # General conv keeps the full input cached: with kernel > stride the
         # kept outputs' receptive fields overlap nearly everything.
         cache = (x, u if self.activation else None)
-        rec = NodeRecord(cache, None, None, None, _nbytes_elems(*cache))
-        return y, self.restrict(rec, mask, mode, head_keep)
+        return y, NodeRecord(cache, None, None, None, _nbytes_elems(*cache))
 
-    def restrict(self, rec, mask=None, mode=None, head_keep=None):
+    def restrict(self, rec, mask, mode, head_keep):
         return replace(rec, mask=mask, mode=mode)
 
     def backward(self, rec, dy):
@@ -433,7 +421,7 @@ class Conv2dNode(Node):
             dw, dx = conv2d_backward_sbp(self._layer(), x, dy, rec.mask)
         return {"w": dw}, dx
 
-    def estimate_cached(self, batch, keep_count, mode):
+    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         h, w = self.in_grid
         ho, wo = self.out_grid
         c_in, c_out = self.w.shape[2], self.w.shape[3]
@@ -454,7 +442,7 @@ class MeanPoolNode(Node):
     def params(self):
         return {}
 
-    def forward(self, x, mask=None, mode=None, head_keep=None):
+    def forward(self, x):
         orig = x.shape
         if x.ndim == 4:
             b, h, w, c = x.shape
@@ -467,7 +455,7 @@ class MeanPoolNode(Node):
         dx = np.repeat(dy[:, None, :], n, axis=1) / n
         return {}, dx.reshape(shape)
 
-    def estimate_cached(self, batch, keep_count, mode):
+    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         return 0
 
 
@@ -484,14 +472,14 @@ class ClassifierNode(Node):
     def params(self):
         return {"w": self.w, "b": self.b}
 
-    def forward(self, x, mask=None, mode=None, head_keep=None):
+    def forward(self, x):
         return x @ self.w + self.b, NodeRecord(x, None, None, None, x.size)
 
     def backward(self, rec, dy):
-        x = rec.cache
-        return {"w": x.T @ dy, "b": dy.sum(axis=0)}, dy @ self.w.T
+        dw, db, dx = linear_backward_kept(rec.cache, dy, self.w, True)
+        return {"w": dw, "b": db}, dx
 
-    def estimate_cached(self, batch, keep_count, mode):
+    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         return batch * self.w.shape[0]
 
 

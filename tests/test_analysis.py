@@ -107,14 +107,9 @@ class TestMemoryEstimate:
         rng = np.random.Generator(np.random.PCG64(1))
         x = rng.normal(size=(3, 4, 4, 2))
         labels = rng.integers(0, 2, size=3)
-        tape = forward(model, x, labels, plan=plan, mode=mode, step=0, head_seed=5)
-        hk = {}
-        if mode == "head":
-            for node, rec in tape.records:
-                if rec.head_keep is not None:
-                    hk[node.node_id] = len(rec.head_keep)
-        report = activation_memory_estimate(model, plan, mode, batch_size=3,
-                                            head_keep_counts=hk or None)
+        tape = forward(model, x, labels, plan=plan, mode=mode, step=1, head_seed=5)
+        report = activation_memory_estimate(model, plan, mode, batch_size=3, step=1,
+                                            head_seed=5)
         assert report.estimated_total == tape.cached_elements()
         assert report.ratio < 1.0
 
@@ -127,12 +122,14 @@ class TestMemoryEstimate:
         x = rng.normal(size=(2, 4, 4, 2))
         labels = rng.integers(0, 2, size=2)
         tape = forward(model, x, labels, plan=plan)
-        report = activation_memory_estimate(model, plan, "qkv", batch_size=2)
+        report = activation_memory_estimate(model, plan, "qkv", batch_size=2, step=0,
+                                            head_seed=0)
         assert report.estimated_total == tape.cached_elements()
 
     def test_no_plan_equals_full(self):
         model = build_model(mlp_spec(grid=(2, 2), in_channels=2, width=4, depth=1), 0)
-        report = activation_memory_estimate(model, None, "qkv", batch_size=2)
+        report = activation_memory_estimate(model, None, "qkv", batch_size=2, step=0,
+                                            head_seed=0)
         assert report.estimated_total == report.full_total
         assert report.ratio == 1.0
 

@@ -138,6 +138,18 @@ class TestTrain:
         assert code == EXIT_NUMERIC
         assert "step" in capsys.readouterr().err
 
+    def test_conv_forward_overflow_exits_numeric(self, tmp_path, capsys):
+        """The first update blows the conv weights up, so the second step's
+        forward overflows: exit 3 and no summary."""
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("model.kind = mlp", "model.kind = conv")
+                           .replace("train.lr = 0.2", "train.lr = 1e200"))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = run(["train", "--config", cfg, "--out", out])
+        assert code == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_nonfinite_evaluation_exits_numeric(self, tmp_path, capsys, monkeypatch):
         import sbp.engine
 
@@ -310,8 +322,9 @@ class TestGradsim:
 
 
 class TestMemreport:
-    def test_estimate_matches_tape(self, tmp_path):
-        cfg = write_config(tmp_path, VIT_CONFIG)
+    @pytest.mark.parametrize("mode", ["qkv", "query_only", "head"])
+    def test_estimate_matches_tape(self, tmp_path, mode):
+        cfg = write_config(tmp_path, VIT_CONFIG + f"sbp.mode = {mode}\n")
         out = tmp_path / "out"
         assert run(["memreport", "--config", cfg, "--out", out]) == EXIT_OK
         payload = json.loads((out / "memory.json").read_text())

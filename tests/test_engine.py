@@ -68,6 +68,16 @@ class TestFullBackward:
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             forward(model, x, labels)
 
+    def test_conv_forward_overflow_raises(self):
+        """No per-operation finiteness check: a conv stack whose activations
+        overflow still ends in NumericError, at the loss."""
+        model = build_model(tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=2), 0)
+        model.set_params({k: v * 1e200 if k.startswith("conv") else v
+                          for k, v in model.params().items()})
+        x, labels = small_batch(np.random.Generator(np.random.PCG64(3)), grid=(4, 4))
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="loss"):
+            forward(model, x, labels)
+
 
 class TestPredict:
     @pytest.mark.parametrize("spec", [
@@ -228,7 +238,7 @@ class TestBlockSbp:
         block, x, dy = self.setup_block(seed=20)
         mask = IndexMask.from_keep((4, 4), list(range(0, 16, 2)))
         head_keep = (1,) if mode == "head" else None
-        y, rec = block.forward(x, mask=mask, mode=mode, head_keep=head_keep)
+        rec = block.restrict(block.forward(x)[1], mask, mode, head_keep)
         got, dx = block.backward(rec, dy)
         ref, dx_ref = self.block_reference(block, x, dy, mask, mode, head_keep)
         for key in ref:
@@ -242,7 +252,7 @@ class TestBlockSbp:
         block, x, dy = self.setup_block(seed=21)
         mask = IndexMask.from_keep((4, 4), [0, 3, 5, 9, 12, 14])
         head_keep = (0,) if mode == "head" else None
-        _, rec = block.forward(x, mask=mask, mode=mode, head_keep=head_keep)
+        rec = block.restrict(block.forward(x)[1], mask, mode, head_keep)
         got, dx = block.backward(rec, dy)
         for key, g in got.items():
             assert np.all(np.isfinite(g)), key
@@ -322,25 +332,8 @@ class TestRestrictAtBackward:
 
 
 class TestNodeRestrict:
-    """restrict(full record) is the record a masked forward makes."""
-
-    def records_equal(self, a, b):
-        assert (a.mask, a.mode, a.head_keep, a.cached_elements) == (
-            b.mask, b.mode, b.head_keep, b.cached_elements)
-
-        def leaves(cache):
-            if isinstance(cache, dict):
-                return [t for k in sorted(cache) for t in leaves(cache[k])]
-            if isinstance(cache, (tuple, list)):
-                return [t for item in cache for t in leaves(item)]
-            if hasattr(cache, "__dataclass_fields__"):
-                return [getattr(cache, f) for f in cache.__dataclass_fields__]
-            return [cache]
-
-        la, lb = leaves(a.cache), leaves(b.cache)
-        assert len(la) == len(lb)
-        for u, v in zip(la, lb):
-            assert (u is None and v is None) or np.array_equal(u, v)
+    """restrict cuts a full record down to what the masked backward reads, and
+    the analytic estimate counts exactly that."""
 
     @pytest.mark.parametrize("mode,head_keep", [
         ("qkv", None), ("query_only", None), ("head", (1,)), ("head", ())])
@@ -348,9 +341,11 @@ class TestNodeRestrict:
         block, x, _ = TestBlockSbp().setup_block(seed=22)
         mask = IndexMask.from_keep((4, 4), [2, 7, 11])
         _, full = block.forward(x)
-        _, rec = block.forward(x, mask=mask, mode=mode, head_keep=head_keep)
-        self.records_equal(block.restrict(full, mask, mode, head_keep), rec)
+        rec = block.restrict(full, mask, mode, head_keep)
+        assert (rec.mask, rec.mode, rec.head_keep) == (mask, mode, head_keep)
         assert rec.cached_elements < full.cached_elements
+        hk = None if head_keep is None else len(head_keep)
+        assert rec.cached_elements == block.estimate_cached(2, 3, mode, hk)
 
     @pytest.mark.parametrize("spec", [
         mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=1),
@@ -361,12 +356,15 @@ class TestNodeRestrict:
         mask = IndexMask.from_keep((4, 4), [0, 5, 6, 15])
         h = np.random.Generator(np.random.PCG64(34)).normal(size=(2, 4, 4, 2))
         for node in model.nodes:
+            h, full = node.forward(h)
             if not node.sbp_enabled:
-                h = node.forward(h)[0]
                 continue
-            _, full = node.forward(h)
-            h, rec = node.forward(h, mask=mask)
-            self.records_equal(node.restrict(full, mask), rec)
+            rec = node.restrict(full, mask, None, None)
+            assert rec.mask is mask
+            # Token nodes keep 4 of 16 rows; conv keeps its whole record.
+            expected = full.cached_elements if node.kind == "conv" else full.cached_elements // 4
+            assert rec.cached_elements == expected
+            assert rec.cached_elements == node.estimate_cached(2, 4, None, None)
 
 
 class TestGradientStore:

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 from sbp.errors import DimensionError
 from sbp.layers import (
     LinearLayer,
+    as_tensor,
     linear_backward_full,
+    linear_backward_kept,
     linear_backward_sbp,
     linear_forward,
 )
@@ -17,6 +19,17 @@ from helpers import fd_grad, naive_matmul, random_mask
 def make_layer(rng, c_in, c_out, bias=True):
     return LinearLayer(rng.normal(size=(c_in, c_out)),
                        rng.normal(size=c_out) if bias else None)
+
+
+class TestAsTensor:
+    def test_contiguous_f64(self):
+        t = as_tensor([[1, 2], [3, 4]])
+        assert t.dtype == np.float64
+        assert t.flags["C_CONTIGUOUS"]
+
+    def test_transposed_input_made_contiguous(self):
+        t = as_tensor(np.arange(6.0).reshape(2, 3).T)
+        assert t.flags["C_CONTIGUOUS"]
 
 
 class TestForward:
@@ -32,6 +45,8 @@ class TestForward:
         layer = make_layer(rng, 4, 3)
         with pytest.raises(DimensionError):
             linear_forward(layer, np.zeros((5, 3)))
+        with pytest.raises(DimensionError):
+            linear_forward(layer, np.zeros(4))
 
 
 class TestBackwardFull:
@@ -54,6 +69,23 @@ class TestBackwardFull:
         layer = make_layer(rng, 3, 2)
         dw, db, dx = linear_backward_full(layer, rng.normal(size=(4, 3)), np.zeros((4, 2)))
         assert not dw.any() and not db.any() and not dx.any()
+
+
+class TestBackwardKept:
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    def test_token_batch_equals_full_on_flattened_rows(self, bias):
+        """The kernel the model nodes run, on B x N x C, is bit for bit the
+        2-D oracle entry point on the B*N flattened rows."""
+        rng = np.random.Generator(np.random.PCG64(8))
+        layer = make_layer(rng, 5, 3, bias=bias)
+        x = rng.normal(size=(4, 7, 5))
+        dy = rng.normal(size=(4, 7, 3))
+        dw, db, dx = linear_backward_kept(x, dy, layer.weight, bias)
+        dw_ref, db_ref, dx_ref = linear_backward_full(layer, x.reshape(28, 5), dy.reshape(28, 3))
+        assert np.array_equal(dw, dw_ref)
+        assert (db is None and db_ref is None) or np.array_equal(db, db_ref)
+        assert dx.shape == x.shape
+        assert np.array_equal(dx.reshape(28, 5), dx_ref)
 
 
 class TestBackwardSbp:

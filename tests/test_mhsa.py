@@ -25,14 +25,13 @@ from helpers import (
 )
 
 
-def make_layer(rng, c, heads, dim_head, mode="qkv"):
+def make_layer(rng, c, heads, dim_head):
     hd = heads * dim_head
     return MhsaLayer(heads, dim_head,
                      rng.normal(size=(c, hd)) / math.sqrt(c),
                      rng.normal(size=(c, hd)) / math.sqrt(c),
                      rng.normal(size=(c, hd)) / math.sqrt(c),
-                     rng.normal(size=(hd, c)) / math.sqrt(hd),
-                     drop_mode=mode)
+                     rng.normal(size=(hd, c)) / math.sqrt(hd))
 
 
 def grads_as_dict(g):
@@ -162,7 +161,7 @@ class TestBackwardSbp:
     @given(seed=st.integers(0, 10**6), mode=st.sampled_from(["query_only", "qkv"]))
     def test_equals_explicit_zeroing_oracle(self, seed, mode):
         rng = np.random.Generator(np.random.PCG64(seed))
-        layer = make_layer(rng, 6, 2, 3, mode=mode)
+        layer = make_layer(rng, 6, 2, 3)
         n = int(rng.integers(3, 8))
         x = rng.normal(size=(2, n, 6))
         up = rng.normal(size=(2, n, 6))
@@ -178,7 +177,7 @@ class TestBackwardSbp:
     def test_head_mode_equals_explicit_zeroing(self, seed, n_keep_heads):
         rng = np.random.Generator(np.random.PCG64(seed))
         heads = 3
-        layer = make_layer(rng, 6, heads, 2, mode="head")
+        layer = make_layer(rng, 6, heads, 2)
         x = rng.normal(size=(2, 4, 6))
         up = rng.normal(size=(2, 4, 6))
         _, cache = mhsa_forward(layer, x)
@@ -205,7 +204,7 @@ class TestBackwardSbp:
 
     def test_head_mode_output_projection_exact(self):
         rng = np.random.Generator(np.random.PCG64(6))
-        layer = make_layer(rng, 6, 3, 2, mode="head")
+        layer = make_layer(rng, 6, 3, 2)
         x = rng.normal(size=(1, 4, 6))
         up = rng.normal(size=(1, 4, 6))
         _, cache = mhsa_forward(layer, x)
