@@ -292,6 +292,16 @@ def _check_cache(layer: MhsaLayer, cache: MhsaCache, upstream: Array):
         raise ContractViolationError("cache does not belong to this layer")
 
 
+def _softmax_backward(s: Array, ds: Array, rowsum: Array | None = None) -> Array:
+    """s * (ds - rowsum), the gradient through softmax weights s, computed in
+    place on ds; rowsum defaults to the row sums of ds * s."""
+    if rowsum is None:
+        rowsum = (ds * s).sum(axis=-1, keepdims=True)
+    ds -= rowsum
+    ds *= s
+    return ds
+
+
 def mhsa_backward_full(layer: MhsaLayer, cache: MhsaCache, upstream: Array) -> MhsaGrads:
     upstream = as_tensor(upstream)
     _check_cache(layer, cache, upstream)
@@ -304,10 +314,11 @@ def mhsa_backward_full(layer: MhsaLayer, cache: MhsaCache, upstream: Array) -> M
     da = _split_heads(upstream @ layer.w_o.T, h, d)
 
     dv = cache.s.transpose(0, 1, 3, 2) @ da
-    ds = da @ cache.v.transpose(0, 1, 3, 2)
-    dm = cache.s * (ds - (ds * cache.s).sum(axis=-1, keepdims=True))
-    dq = dm @ cache.k / math.sqrt(d)
-    dk = dm.transpose(0, 1, 3, 2) @ cache.q / math.sqrt(d)
+    dm = _softmax_backward(cache.s, da @ cache.v.transpose(0, 1, 3, 2))
+    dq = dm @ cache.k
+    dq /= math.sqrt(d)
+    dk = dm.transpose(0, 1, 3, 2) @ cache.q
+    dk /= math.sqrt(d)
 
     dq_f = _merge_heads(dq).reshape(b * n, h * d)
     dk_f = _merge_heads(dk).reshape(b * n, h * d)
@@ -376,53 +387,62 @@ def mhsa_backward_kept(layer: MhsaLayer, restricted: MhsaCache, upstream: Array,
     rows = up.shape[1]
     dw_o = _merge_heads(restricted.a).reshape(b * rows, h * d).T @ up.reshape(b * rows, c)
     da = _split_heads(up @ layer.w_o.T, h, d)
+    # Projection columns of the heads whose dQ/dK/dV are computed: every head
+    # but in head mode, where the dropped heads' weight gradients stay zero.
+    cols = slice(None)
 
     if mode == "qkv":
-        s_kk = restricted.s
-        ds_kk = da @ restricted.v.transpose(0, 1, 3, 2)
         # Row sums of ds * s run over ALL keys: <dA_q, A_q> recovers them from
         # the cached per-head outputs without touching dropped columns of S.
         rowsum = (da * restricted.a).sum(axis=-1, keepdims=True)
-        dm_kk = s_kk * (ds_kk - rowsum)
-        dq = dm_kk @ restricted.k * scale
-        dk = dm_kk.transpose(0, 1, 3, 2) @ restricted.q * scale
-        dv = s_kk.transpose(0, 1, 3, 2) @ da
+        dm_kk = _softmax_backward(restricted.s, da @ restricted.v.transpose(0, 1, 3, 2),
+                                  rowsum)
+        dq = dm_kk @ restricted.k
+        dq *= scale
+        dk = dm_kk.transpose(0, 1, 3, 2) @ restricted.q
+        dk *= scale
+        dv = restricted.s.transpose(0, 1, 3, 2) @ da
     elif mode == "query_only":
         # Value path is untouched: exact dV and dW_V.
         dv = restricted.s.transpose(0, 1, 3, 2) @ da
         da_k = da[:, :, keep, :]
-        s_k = restricted.s[:, :, keep, :]
-        a_k = restricted.a[:, :, keep, :]
-        ds_k = da_k @ restricted.v.transpose(0, 1, 3, 2)
-        rowsum = (da_k * a_k).sum(axis=-1, keepdims=True)  # == sum(ds * s) over keys
-        dm_k = s_k * (ds_k - rowsum)
-        dk = dm_k.transpose(0, 1, 3, 2) @ restricted.q * scale
+        # == sum(ds * s) over keys
+        rowsum = (da_k * restricted.a[:, :, keep, :]).sum(axis=-1, keepdims=True)
+        dm_k = _softmax_backward(restricted.s[:, :, keep, :],
+                                 da_k @ restricted.v.transpose(0, 1, 3, 2), rowsum)
+        dk = dm_k.transpose(0, 1, 3, 2) @ restricted.q
+        dk *= scale
+        dq_k = dm_k @ restricted.k
+        dq_k *= scale
         dq = np.zeros((b, h, n, d))
-        dq[:, :, keep, :] = dm_k @ restricted.k * scale    # kept query rows
-    elif mode == "head":
-        dq = np.zeros((b, h, n, d))
-        dk = np.zeros((b, h, n, d))
-        dv = np.zeros((b, h, n, d))
-        if hk.size:
-            da_h = da[:, hk, :, :]
-            s_h = restricted.s
-            dv[:, hk, :, :] = s_h.transpose(0, 1, 3, 2) @ da_h
-            ds_h = da_h @ restricted.v.transpose(0, 1, 3, 2)
-            dm_h = s_h * (ds_h - (da_h * restricted.a[:, hk, :, :]).sum(axis=-1, keepdims=True))
-            dq[:, hk, :, :] = dm_h @ restricted.k * scale
-            dk[:, hk, :, :] = dm_h.transpose(0, 1, 3, 2) @ restricted.q * scale
+        dq[:, :, keep, :] = dq_k    # kept query rows
+    elif mode == "head":  # the kept heads alone
+        da_h = da[:, hk, :, :]
+        rowsum = (da_h * restricted.a[:, hk, :, :]).sum(axis=-1, keepdims=True)
+        dm_h = _softmax_backward(restricted.s, da_h @ restricted.v.transpose(0, 1, 3, 2),
+                                 rowsum)
+        dq = dm_h @ restricted.k
+        dq *= scale
+        dk = dm_h.transpose(0, 1, 3, 2) @ restricted.q
+        dk *= scale
+        dv = restricted.s.transpose(0, 1, 3, 2) @ da_h
+        cols = (hk[:, None] * d + np.arange(d)).ravel()
     else:
         raise ConfigurationError(f"unknown drop mode {mode!r}")
 
     x2 = restricted.x.reshape(b * rows, c)
-    dq_f = _merge_heads(dq).reshape(b * rows, h * d)
-    dk_f = _merge_heads(dk).reshape(b * rows, h * d)
-    dv_f = _merge_heads(dv).reshape(b * rows, h * d)
-    dx = (dq_f @ layer.w_q.T + dk_f @ layer.w_k.T + dv_f @ layer.w_v.T).reshape(b, rows, c)
+    dq_f, dk_f, dv_f = (_merge_heads(t).reshape(b * rows, -1) for t in (dq, dk, dv))
+    dx = (dq_f @ layer.w_q[:, cols].T + dk_f @ layer.w_k[:, cols].T
+          + dv_f @ layer.w_v[:, cols].T).reshape(b, rows, c)
     if mode == "qkv":  # dropped token rows get no input gradient
         dx_k, dx = dx, np.zeros((b, n, c))
         dx[:, keep, :] = dx_k
-    return MhsaGrads(x2.T @ dq_f, x2.T @ dk_f, x2.T @ dv_f, dw_o, dx)
+    dws = [x2.T @ t for t in (dq_f, dk_f, dv_f)]
+    if mode == "head":
+        for i, dw_kept in enumerate(dws):
+            dws[i] = np.zeros((c, h * d))
+            dws[i][:, cols] = dw_kept
+    return MhsaGrads(*dws, dw_o, dx)
 
 
 def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
@@ -475,15 +495,19 @@ def layer_norm_backward(cache, gamma: Array, upstream: Array):
     """Returns (dgamma, dbeta, dx)."""
     x_hat, inv_std = cache
     upstream = as_tensor(upstream)
-    c = x_hat.shape[-1]
     axes = tuple(range(upstream.ndim - 1))
     dgamma = (upstream * x_hat).sum(axis=axes)
     dbeta = upstream.sum(axis=axes)
+    # inv_std * (dxhat - mean(dxhat) - x_hat * mean(dxhat * x_hat)), in place
+    # on dxhat with one temporary; same operation order, same bytes.
     dxhat = upstream * gamma
-    dx = inv_std * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - x_hat * (dxhat * x_hat).mean(axis=-1, keepdims=True))
-    return dgamma, dbeta, dx
+    t = dxhat * x_hat
+    m2 = t.mean(axis=-1, keepdims=True)
+    np.multiply(x_hat, m2, out=t)
+    dxhat -= dxhat.mean(axis=-1, keepdims=True)
+    dxhat -= t
+    dxhat *= inv_std
+    return dgamma, dbeta, dxhat
 
 
 def gelu_cdf(x: Array) -> Array:
@@ -505,8 +529,16 @@ def gelu_backward(x: Array, upstream: Array, cdf: Array | None = None) -> Array:
     x = as_tensor(x)
     if cdf is None:
         cdf = gelu_cdf(x)
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return upstream * (cdf + x * pdf)
+    # upstream * (cdf + x * pdf) with pdf = exp(-x*x/2) / sqrt(2 pi), built in
+    # one temporary in the same operation order.
+    t = x * -0.5
+    t *= x
+    np.exp(t, out=t)
+    t /= math.sqrt(2.0 * math.pi)
+    t *= x
+    t += cdf
+    t *= upstream
+    return t
 
 
 def softmax_xent_loss(logits: Array, labels: np.ndarray):

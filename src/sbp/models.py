@@ -91,11 +91,8 @@ def _add_rows(base: Array, keep, rows: Array) -> Array:
 
 def _rows_record(x: Array, mask: IndexMask | None = None) -> NodeRecord:
     """Record caching the kept token rows of x, and their indices."""
-    x_k = _gather(x, _kept(mask))
-    # The recorded index array is made after x_k on purpose. Made before it,
-    # peak RSS on the train-mlp16-random benchmark workload rose from about
-    # 275 to 299 MB: a glibc heap-layout effect, the live bytes are the same.
     keep = _kept(mask)
+    x_k = _gather(x, keep)
     return NodeRecord((x_k, keep), None if keep is None else mask, None, None,
                       _nbytes_elems(x_k))
 
@@ -167,7 +164,7 @@ class TokenEmbedNode(Node):
         x, orig = rec.cache
         grads = {}
         # The pos gradient is taken first on purpose. Taken after dx, peak RSS
-        # on the train-mlp16-random benchmark workload rose by about 3 MB:
+        # on the train-mlp16-random benchmark workload rose by about 2 MB:
         # a glibc heap-layout effect, the live bytes are the same.
         if self.pos is not None:
             grads["pos"] = dy.sum(axis=0)
