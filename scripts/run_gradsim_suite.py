@@ -17,7 +17,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sbp.analysis import (bootstrap_mean_diff, exact_reference,
-                          grad_similarity_experiment, write_csv, write_json)
+                          grad_similarity_experiment, write_gradsim_csv, write_json)
 from sbp.data import make_blobs
 from sbp.masks import build_schedule, make_mask_plan
 from sbp.models import build_model, tiny_vit_spec
@@ -80,14 +80,7 @@ def main():
     summary = {"variants": {}, "pairwise": {}}
     for name, *_ in VARIANTS:
         reports = per_variant[name]
-        rows = []
-        for i, r in enumerate(reports):
-            for nid in sorted(r.per_node):
-                rows.append([i, nid, r.node_kinds.get(nid, "?"),
-                             float(r.per_node[nid]), float(r.per_node_l2[nid][0])])
-            rows.append([i, "__overall__", "all", float(r.cosine), float(r.sbp_norm)])
-        write_csv(out / f"gradsim_{name}.csv",
-                  ["batch", "layer_id", "layer_kind", "cosine", "l2_norm"], rows)
+        write_gradsim_csv(out / f"gradsim_{name}.csv", reports)
         cosines[name] = np.array([r.cosine for r in reports])
         summary["variants"][name] = {
             "mean_cosine": float(cosines[name].mean()),

@@ -437,6 +437,18 @@ def write_csv(path, header: list[str], rows):
             w.writerow([format_float(v) if isinstance(v, float) else v for v in row])
 
 
+def write_gradsim_csv(path, reports):
+    """One variant's gradsim CSV: for each batch, every node's cosine and SBP
+    gradient L2 norm, then the whole-model `__overall__` row."""
+    rows = []
+    for i, r in enumerate(reports):
+        for nid in sorted(r.per_node):
+            rows.append([i, nid, r.node_kinds.get(nid, "?"),
+                         float(r.per_node[nid]), float(r.per_node_l2[nid][0])])
+        rows.append([i, "__overall__", "all", float(r.cosine), float(r.sbp_norm)])
+    write_csv(path, ["batch", "layer_id", "layer_kind", "cosine", "l2_norm"], rows)
+
+
 def write_json(path, obj):
     def default(o):
         if isinstance(o, Fraction):

@@ -182,7 +182,7 @@ def _variant_tokens(cfg):
 def cmd_gradsim(args):
     import numpy as np
     from .analysis import (bootstrap_mean_diff, exact_reference,
-                           grad_similarity_experiment, write_csv, write_json)
+                           grad_similarity_experiment, write_gradsim_csv, write_json)
 
     cfg, cfg_hash = _load_config(args.config, args.seed)
     variants = _variant_tokens(cfg)
@@ -211,14 +211,7 @@ def cmd_gradsim(args):
     variant_means = {}
     for v, (name, *_) in enumerate(variants):
         reports = [row[v] for row in per_batch]
-        rows = []
-        for i, r in enumerate(reports):
-            for nid in sorted(r.per_node):
-                rows.append([i, nid, r.node_kinds.get(nid, "?"),
-                             float(r.per_node[nid]), float(r.per_node_l2[nid][0])])
-            rows.append([i, "__overall__", "all", float(r.cosine), float(r.sbp_norm)])
-        write_csv(out / f"gradsim_{name}.csv",
-                  ["batch", "layer_id", "layer_kind", "cosine", "l2_norm"], rows)
+        write_gradsim_csv(out / f"gradsim_{name}.csv", reports)
         cosines = np.array([r.cosine for r in reports])
         lo, hi = bootstrap_mean_diff(cosines, np.zeros_like(cosines), seed=cfg.train.seed)
         variant_means[name] = cosines

@@ -91,10 +91,11 @@ def head_keep_for(node, ratio, step: int, seed: int):
 def sbp_context(node, masks: dict, mode: str, step: int, head_seed: int):
     """(mask, mode, head_keep) that `node` runs under; all None without a mask.
 
-    `masks` maps a plan's layer ids to their masks. Only transformer blocks
-    take a drop mode, and only head mode draws the kept heads.
+    `masks` maps a plan's layer ids to their masks, and a node runs under
+    the mask of its own node id. Only transformer blocks take a drop mode,
+    and only head mode draws the kept heads.
     """
-    mask = masks.get(node.mask_group) if node.sbp_enabled else None
+    mask = masks.get(node.node_id) if node.sbp_enabled else None
     if mask is None or node.kind != "block":
         return mask, None, None
     if mode == "head":

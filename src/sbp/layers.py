@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
+from .config import SBP_MODES
 from .errors import ConfigurationError, ContractViolationError, DimensionError
 from .masks import IndexMask
 
 Array = np.ndarray
 LN_EPS = 1e-6
-DROP_MODES = ("query_only", "qkv", "head")
 
 
 def as_tensor(x) -> Array:
@@ -456,7 +456,7 @@ def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
          weight gradient is a kept-subset estimate.
     head: zero the whole gradient of dropped heads (head_keep lists survivors).
     """
-    if mode not in DROP_MODES:
+    if mode not in SBP_MODES:
         raise ConfigurationError(f"unknown drop mode {mode!r}")
     upstream = as_tensor(upstream)
     _check_cache(layer, cache, upstream)
@@ -511,8 +511,16 @@ def layer_norm_backward(cache, gamma: Array, upstream: Array):
 
 
 def gelu_cdf(x: Array) -> Array:
-    """Standard normal CDF Phi(x), so that gelu(x) = x * Phi(x)."""
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    """Standard normal CDF Phi(x), so that gelu(x) = x * Phi(x).
+
+    Built in place on one buffer, in the operation order of
+    0.5 * (1 + erf(x / sqrt(2))), so the bytes are the same.
+    """
+    t = x / math.sqrt(2.0)
+    erf(t, out=t)
+    t += 1.0
+    t *= 0.5
+    return t
 
 
 def gelu_forward(x: Array) -> Array:

@@ -89,12 +89,14 @@ def _add_rows(base: Array, keep, rows: Array) -> Array:
     return out
 
 
-def _rows_record(x: Array, mask: IndexMask | None = None) -> NodeRecord:
-    """Record caching the kept token rows of x, and their indices."""
+def _rows_record(mask: IndexMask | None, x: Array, u: Array | None) -> NodeRecord:
+    """Record caching the kept token rows of x and u (u may be None), and
+    their indices."""
     keep = _kept(mask)
     x_k = _gather(x, keep)
-    return NodeRecord((x_k, keep), None if keep is None else mask, None, None,
-                      _nbytes_elems(x_k))
+    u_k = None if u is None else _gather(u, keep)
+    return NodeRecord((x_k, u_k, keep), None if keep is None else mask, None, None,
+                      _nbytes_elems(x_k, u_k))
 
 
 class Node:
@@ -102,7 +104,6 @@ class Node:
     kind: str
     sbp_enabled: bool = False
     grid: tuple[int, ...] | None = None  # mask domain, when sbp_enabled
-    mask_group: str | None = None        # plan key of the mask this node runs under
 
     def params(self) -> dict[str, Array]:
         raise NotImplementedError
@@ -134,18 +135,15 @@ class TokenEmbedNode(Node):
 
     kind = "embed"
 
-    def __init__(self, node_id, n_tokens, c_in, c_out, rng, use_pos=True):
+    def __init__(self, node_id, n_tokens, c_in, c_out, rng):
         self.node_id = node_id
         self.n_tokens = n_tokens
         self.w = rng.normal(0.0, 1.0 / math.sqrt(c_in), (c_in, c_out))
         self.b = np.zeros(c_out)
-        self.pos = 0.02 * rng.normal(size=(n_tokens, c_out)) if use_pos else None
+        self.pos = 0.02 * rng.normal(size=(n_tokens, c_out))
 
     def params(self):
-        p = {"w": self.w, "b": self.b}
-        if self.pos is not None:
-            p["pos"] = self.pos
-        return p
+        return {"w": self.w, "b": self.b, "pos": self.pos}
 
     def forward(self, x):
         orig = x.shape
@@ -156,8 +154,7 @@ class TokenEmbedNode(Node):
             raise DimensionError(f"expected {self.n_tokens} tokens, got {n}")
         y = x.reshape(b * n, c) @ self.w + self.b
         y = y.reshape(b, n, -1)
-        if self.pos is not None:
-            y = y + self.pos
+        y = y + self.pos
         return y, NodeRecord((x, orig), None, None, None, _nbytes_elems(x))
 
     def backward(self, rec, dy):
@@ -166,8 +163,7 @@ class TokenEmbedNode(Node):
         # The pos gradient is taken first on purpose. Taken after dx, peak RSS
         # on the train-mlp16-random benchmark workload rose by about 2 MB:
         # a glibc heap-layout effect, the live bytes are the same.
-        if self.pos is not None:
-            grads["pos"] = dy.sum(axis=0)
+        grads["pos"] = dy.sum(axis=0)
         grads["w"], grads["b"], dx = linear_backward_kept(x, dy, self.w, True)
         return grads, dx.reshape(orig)
 
@@ -175,71 +171,52 @@ class TokenEmbedNode(Node):
         return batch * self.n_tokens * self.w.shape[0]
 
 
-class _RowsNode(Node):
-    """A token-wise node whose record is its input rows (the kept ones under a mask)."""
+class TokenLinearNode(Node):
+    """Linear layer applied per token row, the canonical SBP (PW-Conv) case;
+    with `activation`, a GELU follows and the node is one token-MLP unit.
 
-    def restrict(self, rec, mask, mode, head_keep):
-        return _rows_record(rec.cache[0], mask)
-
-
-class TokenLinearNode(_RowsNode):
-    """Linear layer applied per token row; the canonical SBP (PW-Conv) case."""
+    The record holds the kept rows of the input (and of the GELU input), so
+    the masked backward gathers the upstream once, runs on kept rows only
+    and scatters the input gradient once.
+    """
 
     kind = "linear"
 
-    def __init__(self, node_id, n_tokens, c_in, c_out, rng, bias=True,
+    def __init__(self, node_id, n_tokens, c_in, c_out, rng, activation=False,
                  sbp_enabled=False, grid=None):
         self.node_id = node_id
         self.n_tokens = n_tokens
         self.w = rng.normal(0.0, 1.0 / math.sqrt(c_in), (c_in, c_out))
-        self.b = np.zeros(c_out) if bias else None
+        self.b = np.zeros(c_out)
+        self.activation = activation
         self.sbp_enabled = sbp_enabled
         self.grid = tuple(grid) if grid else (n_tokens,)
 
     def params(self):
-        return {"w": self.w, "b": self.b} if self.b is not None else {"w": self.w}
+        return {"w": self.w, "b": self.b}
 
     def forward(self, x):
         b, n, c = x.shape
-        y = x.reshape(b * n, c) @ self.w
-        if self.b is not None:
-            y = y + self.b
-        return y.reshape(b, n, -1), _rows_record(x)
+        u = (x.reshape(b * n, c) @ self.w + self.b).reshape(b, n, -1)
+        if not self.activation:
+            return u, _rows_record(None, x, None)
+        return gelu_forward(u), _rows_record(None, x, u)
+
+    def restrict(self, rec, mask, mode, head_keep):
+        return _rows_record(mask, *rec.cache[:2])
 
     def backward(self, rec, dy):
-        x_k, keep = rec.cache
-        dw, db, dx_k = linear_backward_kept(x_k, _gather(dy, keep), self.w, self.b is not None)
-        grads = {"w": dw} if db is None else {"w": dw, "b": db}
-        return grads, _scatter(dx_k, keep, dy.shape[1])
+        x_k, u_k, keep = rec.cache
+        dy_k = _gather(dy, keep)
+        if u_k is not None:
+            dy_k = gelu_backward(u_k, dy_k)
+        dw, db, dx_k = linear_backward_kept(x_k, dy_k, self.w, True)
+        return {"w": dw, "b": db}, _scatter(dx_k, keep, dy.shape[1])
 
     def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         rows = self.n_tokens if keep_count is None else keep_count
-        return batch * rows * self.w.shape[0]
-
-
-class GeluNode(_RowsNode):
-    kind = "gelu"
-
-    def __init__(self, node_id, n_tokens, width, sbp_enabled=False, grid=None):
-        self.node_id = node_id
-        self.n_tokens = n_tokens
-        self.width = width
-        self.sbp_enabled = sbp_enabled
-        self.grid = tuple(grid) if grid else (n_tokens,)
-
-    def params(self):
-        return {}
-
-    def forward(self, x):
-        return gelu_forward(x), _rows_record(x)
-
-    def backward(self, rec, dy):
-        x_k, keep = rec.cache
-        return {}, _scatter(gelu_backward(x_k, _gather(dy, keep)), keep, dy.shape[1])
-
-    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
-        rows = self.n_tokens if keep_count is None else keep_count
-        return batch * rows * self.width
+        c_in, c_out = self.w.shape
+        return batch * rows * (c_in + c_out if self.activation else c_in)
 
 
 class TransformerBlockNode(Node):
@@ -369,12 +346,12 @@ class TransformerBlockNode(Node):
 
 
 class Conv2dNode(Node):
-    """Conv + optional GELU on a B x H x W x C grid; mask lives on the output grid."""
+    """Conv + GELU on a B x H x W x C grid; mask lives on the output grid."""
 
     kind = "conv"
 
     def __init__(self, node_id, in_grid, c_in, c_out, rng, kernel=3, stride=1,
-                 padding=1, activation=True, sbp_enabled=False):
+                 padding=1, sbp_enabled=False):
         self.node_id = node_id
         self.in_grid = tuple(in_grid)
         w = rng.normal(0.0, 1.0 / math.sqrt(kernel * kernel * c_in),
@@ -382,7 +359,6 @@ class Conv2dNode(Node):
         self.w = w
         self.stride = stride
         self.padding = padding
-        self.activation = activation
         self.sbp_enabled = sbp_enabled
         self.out_grid = conv2d_output_grid(Conv2dLayer(w, stride, padding), *self.in_grid)
         self.grid = self.out_grid
@@ -394,24 +370,20 @@ class Conv2dNode(Node):
         return Conv2dLayer(self.w, self.stride, self.padding)
 
     def forward(self, x):
-        y = conv2d_forward(self._layer(), x)
-        u = y
-        if self.activation:
-            y = gelu_forward(u)
+        u = conv2d_forward(self._layer(), x)
         # General conv keeps the full input cached: with kernel > stride the
         # kept outputs' receptive fields overlap nearly everything.
-        cache = (x, u if self.activation else None)
-        return y, NodeRecord(cache, None, None, None, _nbytes_elems(*cache))
+        cache = (x, u)
+        return gelu_forward(u), NodeRecord(cache, None, None, None, _nbytes_elems(*cache))
 
     def restrict(self, rec, mask, mode, head_keep):
         return replace(rec, mask=mask, mode=mode)
 
     def backward(self, rec, dy):
         x, u = rec.cache
-        if self.activation:
-            # GELU's backward is elementwise, so the dropped positions can be
-            # zeroed after it, once, by conv2d_backward_sbp.
-            dy = gelu_backward(u, dy)
+        # GELU's backward is elementwise, so the dropped positions can be
+        # zeroed after it, once, by conv2d_backward_sbp.
+        dy = gelu_backward(u, dy)
         if rec.mask is None or rec.mask.is_full_keep:
             dw, dx = conv2d_backward_full(self._layer(), x, dy)
         else:
@@ -422,10 +394,7 @@ class Conv2dNode(Node):
         h, w = self.in_grid
         ho, wo = self.out_grid
         c_in, c_out = self.w.shape[2], self.w.shape[3]
-        total = batch * h * w * c_in
-        if self.activation:
-            total += batch * ho * wo * c_out
-        return total
+        return batch * (h * w * c_in + ho * wo * c_out)
 
 
 class MeanPoolNode(Node):
@@ -522,7 +491,7 @@ def _sbp_flags(depth: int, fraction: float) -> list[bool]:
 
 def mlp_spec(grid=(8, 8), in_channels=3, width=32, depth=3, n_classes=2,
              sbp_fraction=1.0, loss="xent") -> NetworkSpec:
-    """Token-wise MLP: embed, depth x (linear + gelu) units, mean pool, classifier."""
+    """Token-wise MLP: embed, depth x (linear then GELU) units, mean pool, classifier."""
     flags = _sbp_flags(depth, sbp_fraction)
     layers = [LayerSpecEntry("embed", "embed", {"grid": tuple(grid), "in_channels": in_channels,
                                                 "width": width})]
@@ -585,24 +554,18 @@ def build_model(spec: NetworkSpec, seed: int) -> Model:
             width = o["width"]
             nodes.append(TokenEmbedNode(entry.layer_id, n_tokens, o["in_channels"], width, rng))
         elif entry.kind == "mlp_layer":
-            lin = TokenLinearNode(f"{entry.layer_id}.lin", n_tokens, width, o["width"], rng,
-                                  sbp_enabled=entry.sbp_enabled, grid=o["grid"])
-            act = GeluNode(f"{entry.layer_id}.act", n_tokens, o["width"],
-                           sbp_enabled=entry.sbp_enabled, grid=o["grid"])
-            lin.mask_group = act.mask_group = entry.layer_id
+            nodes.append(TokenLinearNode(entry.layer_id, n_tokens, width, o["width"], rng,
+                                         activation=True, sbp_enabled=entry.sbp_enabled,
+                                         grid=o["grid"]))
             width = o["width"]
-            nodes.extend([lin, act])
         elif entry.kind == "block":
-            blk = TransformerBlockNode(entry.layer_id, n_tokens, o["embed"], o["heads"],
-                                       o["mlp_ratio"], rng, sbp_enabled=entry.sbp_enabled,
-                                       grid=o["grid"])
-            blk.mask_group = entry.layer_id
-            nodes.append(blk)
+            nodes.append(TransformerBlockNode(entry.layer_id, n_tokens, o["embed"], o["heads"],
+                                              o["mlp_ratio"], rng,
+                                              sbp_enabled=entry.sbp_enabled, grid=o["grid"]))
         elif entry.kind == "conv":
             conv = Conv2dNode(entry.layer_id, o["grid"], o["in_channels"], o["channels"], rng,
                               kernel=o["kernel"], stride=o["stride"], padding=o["padding"],
                               sbp_enabled=entry.sbp_enabled)
-            conv.mask_group = entry.layer_id
             width = o["channels"]
             n_tokens = int(np.prod(conv.out_grid))
             nodes.append(conv)

@@ -3,7 +3,10 @@ import pytest
 
 from sbp.engine import forward
 from sbp.errors import ConfigurationError
+from sbp.layers import gelu_backward, gelu_forward, linear_backward_kept
+from sbp.masks import IndexMask
 from sbp.models import (
+    TokenLinearNode,
     TransformerBlockNode,
     build_model,
     mlp_spec,
@@ -68,6 +71,58 @@ class TestSbpFlags:
         layers = model.sbp_layers()
         assert [lid for lid, _ in layers] == ["block1", "block2"]
         assert all(g == (4, 4) for _, g in layers)
+
+    @pytest.mark.parametrize("spec", [
+        mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=3, sbp_fraction=2 / 3),
+        tiny_vit_spec(grid=(4, 4), in_channels=2, embed=8, heads=2, depth=3),
+        tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=3, sbp_fraction=2 / 3),
+    ], ids=["mlp", "vit", "conv"])
+    def test_sbp_nodes_are_keyed_by_node_id(self, spec):
+        """A node runs under the plan mask of its own node id, so every
+        SBP-enabled node's id is one of the plan's layer ids."""
+        model = build_model(spec, 0)
+        layer_ids = [lid for lid, _ in model.sbp_layers()]
+        sbp_ids = [node.node_id for node in model.nodes if node.sbp_enabled]
+        assert sbp_ids == layer_ids
+        assert len(layer_ids) == 2
+
+
+def _two_step_unit(node, x, dy, keep):
+    """The token-MLP unit as two nodes, a linear node and then a GELU node,
+    each gathering its upstream's kept rows and scattering its input gradient
+    into zeros. Returns (y, dw, db, dx)."""
+    rows = slice(None) if keep is None else keep
+    b, n, c = x.shape
+    u = (x.reshape(b * n, c) @ node.w + node.b).reshape(b, n, -1)
+    y = gelu_forward(u)
+    du = np.zeros(u.shape)
+    du[:, rows, :] = gelu_backward(np.ascontiguousarray(u[:, rows, :]),
+                                   np.ascontiguousarray(dy[:, rows, :]))
+    dw, db, dx_k = linear_backward_kept(np.ascontiguousarray(x[:, rows, :]),
+                                        np.ascontiguousarray(du[:, rows, :]), node.w, True)
+    dx = np.zeros(x.shape)
+    dx[:, rows, :] = dx_k
+    return y, dw, db, dx
+
+
+class TestTokenMlpUnit:
+    @pytest.mark.parametrize("keep", [None, [5]], ids=["unmasked", "keep-one"])
+    def test_fused_equals_two_step(self, keep):
+        rng = np.random.Generator(np.random.PCG64(8))
+        node = TokenLinearNode("mlp0", 16, 3, 5, rng, activation=True,
+                               sbp_enabled=True, grid=(4, 4))
+        node.b = rng.normal(size=5)
+        x = rng.normal(size=(2, 16, 3))
+        dy = rng.normal(size=(2, 16, 5))
+        y, rec = node.forward(x)
+        if keep is not None:
+            rec = node.restrict(rec, IndexMask.from_keep((4, 4), keep), None, None)
+        grads, dx = node.backward(rec, dy)
+        y_ref, dw_ref, db_ref, dx_ref = _two_step_unit(node, x, dy, keep)
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(grads["w"], dw_ref)
+        assert np.array_equal(grads["b"], db_ref)
+        assert np.array_equal(dx, dx_ref)
 
 
 class TestModelParams:
