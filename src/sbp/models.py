@@ -89,12 +89,11 @@ def _add_rows(base: Array, keep, rows: Array) -> Array:
     return out
 
 
-def _rows_record(mask: IndexMask | None, x: Array, u: Array | None) -> NodeRecord:
-    """Record caching the kept token rows of x and u (u may be None), and
-    their indices."""
+def _rows_record(mask: IndexMask | None, x: Array, u: Array) -> NodeRecord:
+    """Record caching the kept token rows of x and u, and their indices."""
     keep = _kept(mask)
     x_k = _gather(x, keep)
-    u_k = None if u is None else _gather(u, keep)
+    u_k = _gather(u, keep)
     return NodeRecord((x_k, u_k, keep), None if keep is None else mask, None, None,
                       _nbytes_elems(x_k, u_k))
 
@@ -172,23 +171,21 @@ class TokenEmbedNode(Node):
 
 
 class TokenLinearNode(Node):
-    """Linear layer applied per token row, the canonical SBP (PW-Conv) case;
-    with `activation`, a GELU follows and the node is one token-MLP unit.
+    """One token-MLP unit: a linear layer applied per token row (the
+    canonical SBP PW-Conv case), then a GELU.
 
-    The record holds the kept rows of the input (and of the GELU input), so
+    The record holds the kept rows of the input and of the GELU input, so
     the masked backward gathers the upstream once, runs on kept rows only
     and scatters the input gradient once.
     """
 
     kind = "linear"
 
-    def __init__(self, node_id, n_tokens, c_in, c_out, rng, activation=False,
-                 sbp_enabled=False, grid=None):
+    def __init__(self, node_id, n_tokens, c_in, c_out, rng, sbp_enabled=False, grid=None):
         self.node_id = node_id
         self.n_tokens = n_tokens
         self.w = rng.normal(0.0, 1.0 / math.sqrt(c_in), (c_in, c_out))
         self.b = np.zeros(c_out)
-        self.activation = activation
         self.sbp_enabled = sbp_enabled
         self.grid = tuple(grid) if grid else (n_tokens,)
 
@@ -198,8 +195,6 @@ class TokenLinearNode(Node):
     def forward(self, x):
         b, n, c = x.shape
         u = (x.reshape(b * n, c) @ self.w + self.b).reshape(b, n, -1)
-        if not self.activation:
-            return u, _rows_record(None, x, None)
         return gelu_forward(u), _rows_record(None, x, u)
 
     def restrict(self, rec, mask, mode, head_keep):
@@ -207,16 +202,14 @@ class TokenLinearNode(Node):
 
     def backward(self, rec, dy):
         x_k, u_k, keep = rec.cache
-        dy_k = _gather(dy, keep)
-        if u_k is not None:
-            dy_k = gelu_backward(u_k, dy_k)
+        dy_k = gelu_backward(u_k, _gather(dy, keep))
         dw, db, dx_k = linear_backward_kept(x_k, dy_k, self.w, True)
         return {"w": dw, "b": db}, _scatter(dx_k, keep, dy.shape[1])
 
     def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         rows = self.n_tokens if keep_count is None else keep_count
         c_in, c_out = self.w.shape
-        return batch * rows * (c_in + c_out if self.activation else c_in)
+        return batch * rows * (c_in + c_out)
 
 
 class TransformerBlockNode(Node):
@@ -555,8 +548,7 @@ def build_model(spec: NetworkSpec, seed: int) -> Model:
             nodes.append(TokenEmbedNode(entry.layer_id, n_tokens, o["in_channels"], width, rng))
         elif entry.kind == "mlp_layer":
             nodes.append(TokenLinearNode(entry.layer_id, n_tokens, width, o["width"], rng,
-                                         activation=True, sbp_enabled=entry.sbp_enabled,
-                                         grid=o["grid"]))
+                                         sbp_enabled=entry.sbp_enabled, grid=o["grid"]))
             width = o["width"]
         elif entry.kind == "block":
             nodes.append(TransformerBlockNode(entry.layer_id, n_tokens, o["embed"], o["heads"],

@@ -109,8 +109,7 @@ class TestTokenMlpUnit:
     @pytest.mark.parametrize("keep", [None, [5]], ids=["unmasked", "keep-one"])
     def test_fused_equals_two_step(self, keep):
         rng = np.random.Generator(np.random.PCG64(8))
-        node = TokenLinearNode("mlp0", 16, 3, 5, rng, activation=True,
-                               sbp_enabled=True, grid=(4, 4))
+        node = TokenLinearNode("mlp0", 16, 3, 5, rng, sbp_enabled=True, grid=(4, 4))
         node.b = rng.normal(size=5)
         x = rng.normal(size=(2, 16, 3))
         dy = rng.normal(size=(2, 16, 5))
