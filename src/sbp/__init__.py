@@ -98,6 +98,7 @@ from .layers import (
     mhsa_backward_kept,
     mhsa_backward_sbp,
     mhsa_forward,
+    mhsa_projections,
     mse_loss,
     restrict_mhsa_cache,
     sample_head_keep,

@@ -187,9 +187,9 @@ class MemoryReport:
     estimated_total: int
     full_total: int
     mhsa_breakdown: dict    # node_id -> {"io_2hdn", "qkv_3hdn", "maps_hnn"}: full-cache
-                            # terms per sample. The tape keeps one map (S, not the
-                            # logits) and of the io pair only the output: the
-                            # attention input is rebuilt from LN1's x_hat
+                            # terms per sample. The tape keeps S (one map, not the
+                            # logits) and the per-head output A, and not X, Q, K
+                            # or V: the block rebuilds those from LN1's x_hat
 
     @property
     def ratio(self) -> float:

@@ -129,10 +129,12 @@ def cmd_train(args):
                            step=step, head_seed=cfg.train.seed)
         except NumericError as e:
             raise NumericError(f"step {step}: {e}") from e
-        grads = backward(tape)
+        cached = tape.cached_elements()
+        # Each record is freed as soon as its node's backward has run.
+        grads = backward(tape, consume=True)
         train_acc = float((tape.logits.argmax(axis=1) == labels).mean())
-        rows.append([step, float(tape.loss), train_acc,
-                     tape.cached_elements(), float(np.linalg.norm(grads.flat()))])
+        rows.append([step, float(tape.loss), train_acc, cached,
+                     float(np.linalg.norm(grads.flat()))])
         sgd_step(model, grads, cfg.train.lr)
         # One tape at a time: free this step's activations before the next
         # forward (or the evaluation) allocates its own.

@@ -139,13 +139,17 @@ def predict(model: Model, x: Array) -> Array:
 
 
 def backward(tape: Tape, plan: MaskPlan | None = None, mode: str = "qkv", step: int = 0,
-             head_seed: int = 0, want_input_grad: bool = False):
+             head_seed: int = 0, want_input_grad: bool = False, consume: bool = False):
     """Differentiate a recorded tape. Returns a GradientStore (and dx on request).
 
     With a plan, the tape must be exact (recorded without one): each record is
     restricted just before its node's backward, so only one node's restricted
     copy is alive at a time and the tape itself is left as it was. The result
     equals the backward of `forward(..., plan, mode, step, head_seed)`.
+    With consume=True each record leaves the tape once its node's backward
+    has run, so its activations are freed while the rest of the backward
+    runs; the tape keeps no records afterwards. Otherwise the tape is left
+    as it was, ready for another backward.
     """
     if plan is not None and tape.plan is not None:
         raise ConfigurationError("tape was recorded under a mask plan already; "
@@ -153,7 +157,9 @@ def backward(tape: Tape, plan: MaskPlan | None = None, mode: str = "qkv", step: 
     masks = dict(plan.per_layer) if plan is not None else {}
     dy = tape.dlogits
     grads: dict[str, Array] = {}
-    for node, rec in reversed(tape.records):
+    records = tape.records if consume else list(tape.records)
+    while records:
+        node, rec = records.pop()
         if masks:
             rec = node.restrict(rec, *sbp_context(node, masks, mode, step, head_seed))
         node_grads, dy = node.backward(rec, dy)

@@ -18,7 +18,7 @@ operation: they surface in the loss, the logits and the gradient store.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import erf
@@ -232,12 +232,13 @@ class MhsaLayer:
 
 @dataclass
 class MhsaCache:
-    x: Array | None  # B x N x C; None while a caller that can rebuild it holds the cache
-    q: Array         # B x h x N x d
-    k: Array
-    v: Array
-    s: Array         # B x h x N x N (attention weights; no backward reads the logits)
-    a: Array         # B x h x N x d (per-head attention output)
+    # X, Q, K and V are None while a caller that can rebuild them holds the cache.
+    x: Array | None  # B x N x C
+    q: Array | None  # B x h x N x d
+    k: Array | None
+    v: Array | None
+    s: Array | None  # B x h x N x N (attention weights; no backward reads the logits)
+    a: Array | None  # B x h x N x d (per-head attention output)
 
     def element_count(self) -> int:
         return sum(t.size for t in (self.x, self.q, self.k, self.v, self.s, self.a)
@@ -254,15 +255,28 @@ def _merge_heads(t: Array) -> Array:
     return t.transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
 
+def mhsa_projections(layer: MhsaLayer, x: Array):
+    """Per-head Q, K and V (each B x h x N x d) of a B x N x C input.
+
+    Each projection is one GEMM over all B x N rows, so a row's result does
+    not depend on which other rows are present: projecting a subset of the
+    token rows gives those rows of the full projection, bit for bit. (With a
+    single row in all, BLAS takes its matrix-vector path and the last bit
+    may differ.)
+    """
+    b, n, c = x.shape
+    return tuple(_split_heads((x.reshape(b * n, c) @ w).reshape(b, n, -1),
+                              layer.heads, layer.dim_head)
+                 for w in (layer.w_q, layer.w_k, layer.w_v))
+
+
 def mhsa_forward(layer: MhsaLayer, x: Array):
     """Scaled dot-product attention over all heads; returns (out, cache)."""
     x = as_tensor(x)
     if x.ndim != 3 or x.shape[2] != layer.w_q.shape[0]:
         raise DimensionError(f"mhsa input must be B x N x {layer.w_q.shape[0]}")
-    h, d = layer.heads, layer.dim_head
-    q = _split_heads(x @ layer.w_q, h, d)
-    k = _split_heads(x @ layer.w_k, h, d)
-    v = _split_heads(x @ layer.w_v, h, d)
+    d = layer.dim_head
+    q, k, v = mhsa_projections(layer, x)
     # Softmax in place on the one B x h x N x N buffer: the logits are not kept.
     s = q @ k.transpose(0, 1, 3, 2)
     s /= math.sqrt(d)
@@ -348,21 +362,28 @@ def restrict_mhsa_cache(cache: MhsaCache, keep, mode: str,
     qkv: kept token rows of X/Q/K/V/A and the kept x kept block of S.
     query_only: kept query rows of Q; everything else whole.
     head: Q/K/V/S of the kept heads only; X and A whole (dW_o stays exact).
-    An X of None stays None.
+    A field of None stays None.
     """
+    def take(t, index, axis):
+        return None if t is None else np.take(t, index, axis=axis)
+
     if mode == "qkv":
         def rows(t):
-            return np.take(t, keep, axis=2)
+            return take(t, keep, 2)
 
-        x = None if cache.x is None else np.take(cache.x, keep, axis=1)
-        return MhsaCache(x, rows(cache.q), rows(cache.k), rows(cache.v),
-                         np.take(rows(cache.s), keep, axis=3), rows(cache.a))
+        s = cache.s
+        if s is not None:
+            # One gather over the flat kept x kept index of each N x N map.
+            b, h, n, _ = s.shape
+            s = take(s.reshape(b, h, n * n), (keep[:, None] * n + keep).ravel(), 2)
+            s = s.reshape(b, h, keep.size, keep.size)
+        return MhsaCache(take(cache.x, keep, 1), rows(cache.q), rows(cache.k),
+                         rows(cache.v), s, rows(cache.a))
     if mode == "query_only":
-        return MhsaCache(cache.x, np.take(cache.q, keep, axis=2),
-                         cache.k, cache.v, cache.s, cache.a)
+        return replace(cache, q=take(cache.q, keep, 2))
     if mode == "head":
         hk = np.asarray(sorted(head_keep or ()), dtype=np.int64)
-        q, k, v, s = (np.take(t, hk, axis=1) for t in (cache.q, cache.k, cache.v, cache.s))
+        q, k, v, s = (take(t, hk, 1) for t in (cache.q, cache.k, cache.v, cache.s))
         return MhsaCache(cache.x, q, k, v, s, cache.a)
     raise ConfigurationError(f"unknown drop mode {mode!r}")
 

@@ -18,6 +18,7 @@ from .errors import ConfigurationError, DimensionError
 from .layers import (
     Conv2dLayer,
     LayerSpecEntry,
+    MhsaCache,
     MhsaLayer,
     NetworkSpec,
     conv2d_backward_full,
@@ -33,6 +34,7 @@ from .layers import (
     mhsa_backward_full,
     mhsa_backward_kept,
     mhsa_forward,
+    mhsa_projections,
     restrict_mhsa_cache,
 )
 from .masks import IndexMask
@@ -57,7 +59,7 @@ def _nbytes_elems(*arrays) -> int:
 
 def _cache_elements(cache: dict) -> int:
     """Cached elements of a transformer block's record."""
-    return (_nbytes_elems(*cache["ln1"], *cache["ln2"], cache["u"], cache["cdf"])
+    return (_nbytes_elems(*cache["ln1"], *cache["ln2"], cache["cdf"])
             + cache["mhsa"].element_count())
 
 
@@ -68,7 +70,7 @@ def _kept(mask: IndexMask | None):
 
 def _gather(t: Array, keep) -> Array:
     """Kept token rows of a B x N x ... array (all of it when keep is None)."""
-    return t if keep is None else np.ascontiguousarray(t[:, keep, :])
+    return t if keep is None else np.take(t, keep, axis=1)
 
 
 def _scatter(rows: Array, keep, n: int) -> Array:
@@ -217,6 +219,10 @@ class TransformerBlockNode(Node):
 
     Under SBP the whole block shares one token mask; both branches cache only
     kept token rows (the attention cache restriction depends on the drop mode).
+    The record holds only what the backward cannot rebuild: x_hat and 1/sigma
+    of both LNs, the attention weights S and per-head outputs A, and the GELU
+    CDF Phi(u). The LN outputs, Q, K, V and u are one affine map or GEMM away
+    from a cached x_hat, so the backward rebuilds them, bit for bit.
     """
 
     kind = "block"
@@ -265,10 +271,8 @@ class TransformerBlockNode(Node):
         cdf = gelu_cdf(u)
         g = u * cdf
         mo = (g.reshape(b * n, -1) @ self.w2 + self.b2).reshape(b, n, c)
-        # The LN outputs h1 (the attention input) and h2 are not kept: the
-        # backward rebuilds them from the cached x_hat, bit for bit.
-        cache = {"ln1": ln1c, "mhsa": replace(mc, x=None), "ln2": ln2c,
-                 "u": u, "cdf": cdf}
+        cache = {"ln1": ln1c, "mhsa": replace(mc, x=None, q=None, k=None, v=None),
+                 "ln2": ln2c, "cdf": cdf}
         return x2 + mo, NodeRecord(cache, None, None, None, _cache_elements(cache))
 
     def restrict(self, rec, mask, mode, head_keep):
@@ -283,7 +287,7 @@ class TransformerBlockNode(Node):
         cache = {"ln1": tuple(_gather(t, ln1_keep) for t in full["ln1"]),
                  "mhsa": restrict_mhsa_cache(full["mhsa"], keep, mode, head_keep),
                  "ln2": tuple(_gather(t, keep) for t in full["ln2"]),
-                 "u": _gather(full["u"], keep), "cdf": _gather(full["cdf"], keep)}
+                 "cdf": _gather(full["cdf"], keep)}
         return NodeRecord(cache, mask, mode, head_keep, _cache_elements(cache))
 
     def backward(self, rec, dy):
@@ -291,7 +295,7 @@ class TransformerBlockNode(Node):
         keep = _kept(rec.mask)
         grads = {}
         dx2 = _add_rows(dy, keep, self._mlp_backward(cache, _gather(dy, keep), grads))
-        mc = replace(cache["mhsa"], x=self.ln1_g * cache["ln1"][0] + self.ln1_b)
+        mc = self._attention_cache(rec)
         if keep is None:
             mg = mhsa_backward_full(self._mhsa(), mc, dx2)
         else:
@@ -303,36 +307,48 @@ class TransformerBlockNode(Node):
             cache["ln1"], self.ln1_g, _gather(mg.dx, ln1_keep))
         return grads, _add_rows(dx2, ln1_keep, dxa)
 
+    def _attention_cache(self, rec):
+        """The attention cache the kernels read, on the rows and heads the
+        record covers: X, Q, K and V rebuilt from LN1's x_hat, S and A cached."""
+        cached = rec.cache["mhsa"]
+        x = self.ln1_g * rec.cache["ln1"][0] + self.ln1_b  # the forward's LN1 output
+        mc = MhsaCache(x, *mhsa_projections(self._mhsa(), x), None, None)
+        if rec.mode in ("query_only", "head"):  # qkv's LN1 rows are the kept ones
+            mc = restrict_mhsa_cache(mc, _kept(rec.mask), rec.mode, rec.head_keep)
+        return replace(mc, s=cached.s, a=cached.a)
+
     def _mlp_backward(self, cache, dy_k, grads):
         """MLP branch on the cached rows: fills its grads, returns the input
         gradient through LN2. Its temporaries are freed before the attention
         backward, the block's largest, allocates its own."""
-        u, cdf = cache["u"], cache["cdf"]
+        h2 = self.ln2_g * cache["ln2"][0] + self.ln2_b  # the forward's LN2 output
+        b, n, c = h2.shape
+        u = (h2.reshape(b * n, c) @ self.w1 + self.b1).reshape(b, n, -1)
+        cdf = cache["cdf"]
         grads["w2"], grads["b2"], dg = linear_backward_kept(u * cdf, dy_k, self.w2, True)
         du = gelu_backward(u, dg, cdf)
-        h2 = self.ln2_g * cache["ln2"][0] + self.ln2_b  # the forward's LN2 output
         grads["w1"], grads["b1"], dh2 = linear_backward_kept(h2, du, self.w1, True)
         grads["ln2_g"], grads["ln2_b"], dx = layer_norm_backward(cache["ln2"], self.ln2_g, dh2)
         return dx
 
     def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         n, c, h, d, f = self.n_tokens, self.embed, self.heads, self.dim_head, self.hidden
-        # The attention input is not counted: the backward rebuilds it from
-        # LN1's x_hat (and the MLP input from LN2's).
+        # Only S, A, both LNs' x_hat and 1/sigma, and Phi(u) are counted:
+        # the backward rebuilds the rest (see the class docstring).
         if keep_count is None:
-            mhsa = 4 * h * n * d + h * n * n
-            return batch * ((n * c + n) * 2 + 2 * n * f + mhsa)
+            mhsa = h * n * n + h * n * d
+            return batch * ((n * c + n) * 2 + n * f + mhsa)
         k = keep_count
-        mlp_side = (k * c + k) + 2 * k * f  # ln2, u, cdf on kept rows
+        mlp_side = (k * c + k) + k * f  # ln2, cdf on kept rows
         if mode == "qkv":
             ln1 = k * c + k
-            mhsa = 4 * h * k * d + h * k * k
+            mhsa = h * k * k + h * k * d
         elif mode == "query_only":
             ln1 = n * c + n
-            mhsa = 2 * h * n * d + h * k * d + h * n * n + h * n * d
+            mhsa = h * n * n + h * n * d
         elif mode == "head":
             ln1 = n * c + n
-            mhsa = head_keep_count * (3 * n * d + n * n) + h * n * d
+            mhsa = head_keep_count * n * n + h * n * d
         else:
             raise ConfigurationError(f"unknown mode {mode!r}")
         return batch * (ln1 + mhsa + mlp_side)

@@ -1,0 +1,206 @@
+"""The transformer block's slim record and the consumed training tape.
+
+The block caches only what its backward cannot rebuild; it rebuilds Q, K, V
+and the MLP pre-activation u from the cached LN x_hat. The reference below is
+the block backward as it ran when the record still cached Q/K/V/u, and the
+slim record must give the same bytes in every drop mode. A training step
+frees each record once its node's backward has run, while an exact tape
+shared between backwards stays whole.
+"""
+
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+import sbp.engine
+from sbp.cli import EXIT_OK, main
+from sbp.engine import backward, forward
+from sbp.layers import (
+    gelu_backward,
+    gelu_cdf,
+    layer_norm_backward,
+    layer_norm_forward,
+    linear_backward_kept,
+    mhsa_backward_full,
+    mhsa_backward_kept,
+    mhsa_forward,
+    restrict_mhsa_cache,
+)
+from sbp.masks import IndexMask, build_schedule, make_mask_plan, sample_grid_mask
+from sbp.models import build_model, tiny_vit_spec
+
+# (B, grid, embed): the gradsim benchmark model's 8 x 64 x 32 and the 14x14
+# ViT's 16 x 196 x 64, 2 heads each.
+SHAPES = {"gradsim": (8, (8, 8), 32), "vit14": (16, (14, 14), 64)}
+
+# (mode, head_keep, mask kind): the full record, then every drop mode under a
+# grid mask and under a mask that keeps one token.
+CASES = [("full", None, None)] + [
+    (mode, head_keep, mask_kind) for mask_kind in ("grid", "keep_one")
+    for mode, head_keep in [("qkv", None), ("query_only", None), ("head", ()),
+                            ("head", (0,)), ("head", (1,)), ("head", (0, 1))]]
+
+
+def block_case(shape):
+    b, grid, embed = SHAPES[shape]
+    spec = tiny_vit_spec(grid=grid, in_channels=3, embed=embed, heads=2, depth=1,
+                         sbp_fraction=1.0)
+    block = [n for n in build_model(spec, 3).nodes if n.kind == "block"][0]
+    rng = np.random.Generator(np.random.PCG64(11))
+    n = grid[0] * grid[1]
+    return block, rng.normal(size=(b, n, embed)), rng.normal(size=(b, n, embed)), grid
+
+
+def gather(t, keep):
+    return t if keep is None else np.take(t, keep, axis=1)
+
+
+def add_rows(base, keep, rows):
+    if keep is None:
+        return base + rows
+    out = base.copy()
+    out[:, keep, :] += rows
+    return out
+
+
+def cached_qkv_u_backward(block, x, dy, keep, mode, head_keep):
+    """(grads, dx) of the block from a record that caches Q, K, V and u, and
+    the attention and MLP inputs, as the forward computed them."""
+    h1, ln1c = layer_norm_forward(x, block.ln1_g, block.ln1_b)
+    att, mc = mhsa_forward(block._mhsa(), h1)
+    h2, ln2c = layer_norm_forward(x + att, block.ln2_g, block.ln2_b)
+    b, n, c = x.shape
+    u = (h2.reshape(b * n, c) @ block.w1 + block.b1).reshape(b, n, -1)
+    ln1_keep = keep if mode == "qkv" else None
+    if keep is not None:
+        mc = restrict_mhsa_cache(mc, keep, mode, head_keep)
+    ln1c = tuple(gather(t, ln1_keep) for t in ln1c)
+    ln2c, h2, u = tuple(gather(t, keep) for t in ln2c), gather(h2, keep), gather(u, keep)
+
+    grads = {}
+    cdf = gelu_cdf(u)
+    grads["w2"], grads["b2"], dg = linear_backward_kept(u * cdf, gather(dy, keep),
+                                                        block.w2, True)
+    grads["w1"], grads["b1"], dh2 = linear_backward_kept(h2, gelu_backward(u, dg, cdf),
+                                                         block.w1, True)
+    grads["ln2_g"], grads["ln2_b"], dxm = layer_norm_backward(ln2c, block.ln2_g, dh2)
+    dx2 = add_rows(dy, keep, dxm)
+    if keep is None:
+        mg = mhsa_backward_full(block._mhsa(), mc, dx2)
+    else:
+        mg = mhsa_backward_kept(block._mhsa(), mc, dx2, keep, mode, head_keep)
+    grads["w_q"], grads["w_k"], grads["w_v"], grads["w_o"] = (
+        mg.dw_q, mg.dw_k, mg.dw_v, mg.dw_o)
+    grads["ln1_g"], grads["ln1_b"], dxa = layer_norm_backward(
+        ln1c, block.ln1_g, gather(mg.dx, ln1_keep))
+    return grads, add_rows(dx2, ln1_keep, dxa)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+class TestSlimBlockRecord:
+    def test_full_record_holds_no_qkv_or_u(self, shape):
+        block, x, _, _ = block_case(shape)
+        cache = block.forward(x)[1].cache
+        assert sorted(cache) == ["cdf", "ln1", "ln2", "mhsa"]
+        mc = cache["mhsa"]
+        assert (mc.x, mc.q, mc.k, mc.v) == (None, None, None, None)
+        assert mc.s is not None and mc.a is not None
+
+    @pytest.mark.parametrize("mode, head_keep, mask_kind", CASES,
+                             ids=[f"{m}-{hk}-{k}" for m, hk, k in CASES])
+    def test_rebuild_is_bitwise(self, shape, mode, head_keep, mask_kind):
+        block, x, dy, grid = block_case(shape)
+        if mode == "full":
+            keep, rec = None, block.forward(x)[1]
+        else:
+            mask = (sample_grid_mask(grid, 0.5, 3) if mask_kind == "grid"
+                    else IndexMask.from_keep(grid, [grid[0] * grid[1] // 3]))
+            keep = mask.keep_array()
+            rec = block.restrict(block.forward(x)[1], mask, mode, head_keep)
+        grads, dx = block.backward(rec, dy)
+        ref, dx_ref = cached_qkv_u_backward(block, x, dy, keep,
+                                            None if mode == "full" else mode, head_keep)
+        assert set(grads) == set(ref)
+        for key in ref:
+            assert np.array_equal(grads[key], ref[key]), key
+        assert np.array_equal(dx, dx_ref)
+
+
+VIT_CONFIG = """
+model.kind = vit
+model.grid = 4x4
+model.in_channels = 2
+model.embed = 8
+model.heads = 2
+model.depth = 3
+model.sbp_fraction = 0.6666666666666666
+sbp.keep_ratio = 0.5
+train.steps = 3
+train.batch_size = 8
+data.count = 16
+"""
+
+
+def vit8_case():
+    """The gradsim benchmark ViT (8x8 grid, embed 32, 4 of 6 blocks SBP), one
+    batch of 8 and a uniform grid plan."""
+    spec = tiny_vit_spec(grid=(8, 8), in_channels=3, embed=32, heads=2, depth=6,
+                         sbp_fraction=2 / 3)
+    model = build_model(spec, 1)
+    rng = np.random.Generator(np.random.PCG64(2))
+    x = rng.normal(size=(8, 8, 8, 3))
+    labels = rng.integers(0, 2, size=8)
+    sched = build_schedule("uniform", 0.5, len(model.sbp_layers()))
+    return model, x, labels, make_mask_plan(model, sched, "grid", "shared", 4)
+
+
+class TestConsumedTape:
+    def test_train_frees_every_record(self, tmp_path, monkeypatch):
+        real_backward = sbp.engine.backward
+        seen = []
+
+        def spy(tape, *args, **kwargs):
+            refs = [weakref.ref(rec.cache["ln1"][0]) for node, rec in tape.records
+                    if node.kind == "block"]
+            store = real_backward(tape, *args, **kwargs)
+            seen.append((len(refs), sum(ref() is not None for ref in refs),
+                         len(tape.records)))
+            return store
+
+        monkeypatch.setattr(sbp.engine, "backward", spy)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(VIT_CONFIG)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+        # Three steps, three blocks each; no cached array outlives its backward.
+        assert seen == [(3, 0, 0)] * 3
+
+    def test_shared_exact_tape_stays_whole(self):
+        model, x, labels, plan = vit8_case()
+        tape = forward(model, x, labels)
+        records = list(tape.records)
+        backward(tape)
+        first = backward(tape, plan=plan, mode="query_only")
+        second = backward(tape, plan=plan, mode="query_only")
+        assert set(first.keys()) == set(second.keys())
+        assert np.array_equal(first.flat(), second.flat())
+        assert len(tape.records) == len(records)
+        assert all(a is b for a, b in zip(tape.records, records))
+
+    def test_consumed_backward_peaks_lower(self):
+        model, x, labels, plan = vit8_case()
+
+        def backward_peak(consume):
+            tracemalloc.start()
+            try:
+                tape = forward(model, x, labels, plan=plan)
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                backward(tape, consume=consume)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        kept, consumed = backward_peak(False), backward_peak(True)
+        assert consumed < kept
