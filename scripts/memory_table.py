@@ -1,5 +1,5 @@
 """Closed-form attention activation-memory ratios, plus an estimate-vs-tape
-cross-check on a small instantiated model.
+cross-check on two small instantiated models (a tiny ViT and a token MLP).
 
 The closed forms depend only on the keep ratio r and c = d/n (head width over
 token count). The table covers the 196-token, 64-wide-head configuration and
@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sbp.analysis import activation_memory_estimate, mhsa_memory_ratio
 from sbp.engine import forward
 from sbp.masks import build_schedule, make_mask_plan
-from sbp.models import build_model, tiny_vit_spec
+from sbp.models import build_model, mlp_spec, tiny_vit_spec
 
 
 def closed_form_table():
@@ -31,19 +31,22 @@ def closed_form_table():
 
 
 def tape_cross_check(seed):
-    spec = tiny_vit_spec(grid=(8, 8), in_channels=3, embed=32, heads=2,
-                         depth=6, mlp_ratio=2, sbp_fraction=2 / 3)
-    model = build_model(spec, seed=seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x = rng.normal(size=(4, 8, 8, 3))
-    labels = rng.integers(0, 2, size=4)
-    for mode in ("query_only", "qkv"):
+    vit = tiny_vit_spec(grid=(8, 8), in_channels=3, embed=32, heads=2,
+                        depth=6, mlp_ratio=2, sbp_fraction=2 / 3)
+    mlp = mlp_spec(grid=(8, 8), in_channels=3, width=32, depth=3)
+    # The drop mode applies to attention blocks only; the token MLP ignores it.
+    for label, spec, mode in (("vit query_only", vit, "query_only"),
+                              ("vit qkv", vit, "qkv"), ("mlp", mlp, "qkv")):
+        model = build_model(spec, seed=seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = rng.normal(size=(4, 8, 8, 3))
+        labels = rng.integers(0, 2, size=4)
         sched = build_schedule("uniform", 0.5, len(model.sbp_layers()))
         plan = make_mask_plan(model, sched, "grid", "shared", seed)
         tape = forward(model, x, labels, plan=plan, mode=mode)
         est = activation_memory_estimate(model, plan, mode, batch_size=4, step=0, head_seed=0)
         match = est.estimated_total == tape.cached_elements()
-        print(f"{mode:>12s}: estimate {est.estimated_total} "
+        print(f"{label:>14s}: estimate {est.estimated_total} "
               f"tape {tape.cached_elements()} match={match} "
               f"ratio={est.ratio:.4f}")
 

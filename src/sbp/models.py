@@ -91,13 +91,24 @@ def _add_rows(base: Array, keep, rows: Array) -> Array:
     return out
 
 
-def _rows_record(mask: IndexMask | None, x: Array, u: Array) -> NodeRecord:
-    """Record caching the kept token rows of x and u, and their indices."""
+def _token_linear(x: Array, w: Array, b: Array) -> Array:
+    """x @ w + b on a B x N x C token batch, as one GEMM over all B x N rows.
+
+    A row's result does not depend on which other rows are present, so a
+    backward that rebuilds the product on a row subset gets those rows of the
+    forward's product, bit for bit (with one row in all, BLAS takes its
+    matrix-vector path and the last bit may differ).
+    """
+    bsz, n, c = x.shape
+    return (x.reshape(bsz * n, c) @ w + b).reshape(bsz, n, -1)
+
+
+def _rows_record(mask: IndexMask | None, x: Array) -> NodeRecord:
+    """Record caching the kept token rows of x and their indices."""
     keep = _kept(mask)
     x_k = _gather(x, keep)
-    u_k = _gather(u, keep)
-    return NodeRecord((x_k, u_k, keep), None if keep is None else mask, None, None,
-                      _nbytes_elems(x_k, u_k))
+    return NodeRecord((x_k, keep), None if keep is None else mask, None, None,
+                      _nbytes_elems(x_k))
 
 
 class Node:
@@ -176,9 +187,13 @@ class TokenLinearNode(Node):
     """One token-MLP unit: a linear layer applied per token row (the
     canonical SBP PW-Conv case), then a GELU.
 
-    The record holds the kept rows of the input and of the GELU input, so
-    the masked backward gathers the upstream once, runs on kept rows only
-    and scatters the input gradient once.
+    The record holds the kept rows of the input only, so the masked backward
+    gathers the upstream once, runs on kept rows only and scatters the input
+    gradient once. The backward rebuilds the GELU input u from those rows
+    with the forward's `_token_linear`, so it gets the forward's bits. (With
+    one cached row in all, B = 1 and one kept token, the last bit may
+    differ; the gradient stays within the oracle, and a backward from an
+    exact tape still equals one from a masked forward.)
     """
 
     kind = "linear"
@@ -195,23 +210,20 @@ class TokenLinearNode(Node):
         return {"w": self.w, "b": self.b}
 
     def forward(self, x):
-        b, n, c = x.shape
-        u = (x.reshape(b * n, c) @ self.w + self.b).reshape(b, n, -1)
-        return gelu_forward(u), _rows_record(None, x, u)
+        return gelu_forward(_token_linear(x, self.w, self.b)), _rows_record(None, x)
 
     def restrict(self, rec, mask, mode, head_keep):
-        return _rows_record(mask, *rec.cache[:2])
+        return _rows_record(mask, rec.cache[0])
 
     def backward(self, rec, dy):
-        x_k, u_k, keep = rec.cache
-        dy_k = gelu_backward(u_k, _gather(dy, keep))
+        x_k, keep = rec.cache
+        dy_k = gelu_backward(_token_linear(x_k, self.w, self.b), _gather(dy, keep))
         dw, db, dx_k = linear_backward_kept(x_k, dy_k, self.w, True)
         return {"w": dw, "b": db}, _scatter(dx_k, keep, dy.shape[1])
 
     def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         rows = self.n_tokens if keep_count is None else keep_count
-        c_in, c_out = self.w.shape
-        return batch * rows * (c_in + c_out)
+        return batch * rows * self.w.shape[0]
 
 
 class TransformerBlockNode(Node):
@@ -262,18 +274,29 @@ class TransformerBlockNode(Node):
         return MhsaLayer(self.heads, self.dim_head, self.w_q, self.w_k, self.w_v, self.w_o)
 
     def forward(self, x):
-        h1, ln1c = layer_norm_forward(x, self.ln1_g, self.ln1_b)
+        cache = {}
+        x2 = x + self._attention_forward(x, cache)
+        return (x2 + self._mlp_forward(x2, cache),
+                NodeRecord(cache, None, None, None, _cache_elements(cache)))
+
+    def _attention_forward(self, x, cache):
+        """Attention branch output; caches LN1's x_hat and 1/sigma, S and A.
+        The attention input and Q, K and V die when it returns."""
+        h1, cache["ln1"] = layer_norm_forward(x, self.ln1_g, self.ln1_b)
         att, mc = mhsa_forward(self._mhsa(), h1)
-        x2 = x + att
-        h2, ln2c = layer_norm_forward(x2, self.ln2_g, self.ln2_b)
-        b, n, c = x.shape
-        u = (h2.reshape(b * n, c) @ self.w1 + self.b1).reshape(b, n, -1)
-        cdf = gelu_cdf(u)
+        cache["mhsa"] = replace(mc, x=None, q=None, k=None, v=None)
+        return att
+
+    def _mlp_forward(self, x2, cache):
+        """MLP branch output; caches LN2's x_hat and 1/sigma and Phi(u). h2 and
+        u are freed at their last use, g when it returns."""
+        h2, cache["ln2"] = layer_norm_forward(x2, self.ln2_g, self.ln2_b)
+        u = _token_linear(h2, self.w1, self.b1)
+        del h2
+        cache["cdf"] = cdf = gelu_cdf(u)
         g = u * cdf
-        mo = (g.reshape(b * n, -1) @ self.w2 + self.b2).reshape(b, n, c)
-        cache = {"ln1": ln1c, "mhsa": replace(mc, x=None, q=None, k=None, v=None),
-                 "ln2": ln2c, "cdf": cdf}
-        return x2 + mo, NodeRecord(cache, None, None, None, _cache_elements(cache))
+        del u
+        return _token_linear(g, self.w2, self.b2)
 
     def restrict(self, rec, mask, mode, head_keep):
         keep = _kept(mask)
@@ -322,8 +345,7 @@ class TransformerBlockNode(Node):
         gradient through LN2. Its temporaries are freed before the attention
         backward, the block's largest, allocates its own."""
         h2 = self.ln2_g * cache["ln2"][0] + self.ln2_b  # the forward's LN2 output
-        b, n, c = h2.shape
-        u = (h2.reshape(b * n, c) @ self.w1 + self.b1).reshape(b, n, -1)
+        u = _token_linear(h2, self.w1, self.b1)
         cdf = cache["cdf"]
         grads["w2"], grads["b2"], dg = linear_backward_kept(u * cdf, dy_k, self.w2, True)
         du = gelu_backward(u, dg, cdf)
@@ -427,7 +449,9 @@ class MeanPoolNode(Node):
     def backward(self, rec, dy):
         shape = rec.cache
         n = int(np.prod(shape[1:-1]))
-        dx = np.repeat(dy[:, None, :], n, axis=1) / n
+        # A read-only broadcast view, not n copies of each row: no node writes
+        # into its upstream, and one that tried would raise.
+        dx = np.broadcast_to((dy / n)[:, None, :], (shape[0], n, shape[-1]))
         return {}, dx.reshape(shape)
 
     def estimate_cached(self, batch, keep_count, mode, head_keep_count):

@@ -366,10 +366,10 @@ class TestNodeRestrict:
             assert rec.cached_elements == expected
             assert rec.cached_elements == node.estimate_cached(2, 4, None, None)
             if node.kind == "linear":
-                # The unit caches the kept rows of its input and of its GELU input.
-                x_k, u_k, _ = rec.cache
+                # The unit caches the kept rows of its input and their indices.
+                x_k, keep = rec.cache
                 assert x_k.shape == (2, 4, node.w.shape[0])
-                assert u_k.shape == (2, 4, node.w.shape[1])
+                assert keep.tolist() == [0, 5, 6, 15]
 
 
 class TestGradientStore:

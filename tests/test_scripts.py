@@ -21,7 +21,7 @@ def test_chain_rule_demo():
 
 def test_memory_table_estimates_match_tape():
     matches = [line for line in run_script("memory_table.py").splitlines() if "match=" in line]
-    assert len(matches) == 2
+    assert len(matches) == 3
     assert all("match=True" in line for line in matches), matches
 
 
