@@ -369,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("chaindemo", help="stacked-mask chain-rule classification demo")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_chaindemo)
 
     sp = sub.add_parser("gendata", help="write a synthetic SBPD dataset")

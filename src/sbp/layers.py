@@ -18,7 +18,7 @@ operation: they surface in the loss, the logits and the gradient store.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -56,14 +56,28 @@ class LinearLayer:
                 raise DimensionError("bias length must equal C_out")
 
 
+def row_gemm(x: Array, w: Array, b: Array | None = None) -> Array:
+    """x @ w (+ b) as one GEMM over all leading rows of x, leading dims kept.
+
+    A row's result does not depend on which other rows are present, so a
+    backward that rebuilds a forward's product on a subset of its rows gets
+    those rows of the forward's product, bit for bit. (With a single row in
+    all, BLAS takes its matrix-vector path and the last bit may differ.)
+    """
+    out = x.reshape(-1, x.shape[-1]) @ w
+    if b is not None:
+        # A new buffer on purpose: with `out += b`, peak RSS on the
+        # train-vit14-qkv benchmark workload rose by about 2 MB (heap layout;
+        # the live bytes are the same).
+        out = out + b
+    return out.reshape(*x.shape[:-1], w.shape[1])
+
+
 def linear_forward(layer: LinearLayer, x: Array) -> Array:
     x = as_tensor(x)
     if x.ndim != 2 or x.shape[1] != layer.weight.shape[0]:
         raise DimensionError(f"linear input {x.shape} does not fit weight {layer.weight.shape}")
-    out = x @ layer.weight
-    if layer.bias is not None:
-        out = out + layer.bias
-    return out
+    return row_gemm(x, layer.weight, layer.bias)
 
 
 def linear_backward_kept(x: Array, dy: Array, w: Array, has_bias: bool):
@@ -256,17 +270,9 @@ def _merge_heads(t: Array) -> Array:
 
 
 def mhsa_projections(layer: MhsaLayer, x: Array):
-    """Per-head Q, K and V (each B x h x N x d) of a B x N x C input.
-
-    Each projection is one GEMM over all B x N rows, so a row's result does
-    not depend on which other rows are present: projecting a subset of the
-    token rows gives those rows of the full projection, bit for bit. (With a
-    single row in all, BLAS takes its matrix-vector path and the last bit
-    may differ.)
-    """
-    b, n, c = x.shape
-    return tuple(_split_heads((x.reshape(b * n, c) @ w).reshape(b, n, -1),
-                              layer.heads, layer.dim_head)
+    """Per-head Q, K and V (each B x h x N x d) of a B x N x C input, each
+    one `row_gemm` over all B x N rows."""
+    return tuple(_split_heads(row_gemm(x, w), layer.heads, layer.dim_head)
                  for w in (layer.w_q, layer.w_k, layer.w_v))
 
 
@@ -355,111 +361,90 @@ def sample_head_keep(heads: int, keep_ratio, rng_seed: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in rng.choice(heads, size=n_keep, replace=False)))
 
 
+def mode_selections(mode: str, keep, head_keep: tuple[int, ...] | None):
+    """(rows, queries, heads) that `mode`'s masked attention backward keeps,
+    each None where the mode keeps all of them: qkv keeps the kept token rows
+    `keep`, query_only the kept query rows `keep`, and head the heads in
+    `head_keep` (as a sorted index array)."""
+    if mode == "qkv":
+        return keep, None, None
+    if mode == "query_only":
+        return None, keep, None
+    if mode == "head":
+        return None, None, np.asarray(sorted(head_keep or ()), dtype=np.int64)
+    raise ConfigurationError(f"unknown drop mode {mode!r}")
+
+
+def select_mhsa_cache(cache: MhsaCache, rows, queries, heads) -> MhsaCache:
+    """The cache cut to the given token rows (of X, Q, K, V, A and both axes
+    of S), query rows (of Q) and heads (of Q, K, V and S; A stays whole, so
+    dW_o stays exact). A selection or a field of None is left whole."""
+    def take(t, index, axis):
+        return t if t is None or index is None else np.take(t, index, axis=axis)
+
+    q, k, v, a = (take(t, rows, 2) for t in (cache.q, cache.k, cache.v, cache.a))
+    s = cache.s
+    if rows is not None and s is not None:
+        # One gather over the flat kept x kept index of each N x N map.
+        b, h, n, _ = s.shape
+        s = take(s.reshape(b, h, n * n), (rows[:, None] * n + rows).ravel(), 2)
+        s = s.reshape(b, h, rows.size, rows.size)
+    q = take(q, queries, 2)
+    q, k, v, s = (take(t, heads, 1) for t in (q, k, v, s))
+    return MhsaCache(take(cache.x, rows, 1), q, k, v, s, a)
+
+
 def restrict_mhsa_cache(cache: MhsaCache, keep, mode: str,
                         head_keep: tuple[int, ...] | None) -> MhsaCache:
-    """The part of a full cache that `mode`'s masked backward reads.
-
-    qkv: kept token rows of X/Q/K/V/A and the kept x kept block of S.
-    query_only: kept query rows of Q; everything else whole.
-    head: Q/K/V/S of the kept heads only; X and A whole (dW_o stays exact).
-    A field of None stays None.
-    """
-    def take(t, index, axis):
-        return None if t is None else np.take(t, index, axis=axis)
-
-    if mode == "qkv":
-        def rows(t):
-            return take(t, keep, 2)
-
-        s = cache.s
-        if s is not None:
-            # One gather over the flat kept x kept index of each N x N map.
-            b, h, n, _ = s.shape
-            s = take(s.reshape(b, h, n * n), (keep[:, None] * n + keep).ravel(), 2)
-            s = s.reshape(b, h, keep.size, keep.size)
-        return MhsaCache(take(cache.x, keep, 1), rows(cache.q), rows(cache.k),
-                         rows(cache.v), s, rows(cache.a))
-    if mode == "query_only":
-        return replace(cache, q=take(cache.q, keep, 2))
-    if mode == "head":
-        hk = np.asarray(sorted(head_keep or ()), dtype=np.int64)
-        q, k, v, s = (take(t, hk, 1) for t in (cache.q, cache.k, cache.v, cache.s))
-        return MhsaCache(cache.x, q, k, v, s, cache.a)
-    raise ConfigurationError(f"unknown drop mode {mode!r}")
+    """The part of a full cache that `mode`'s masked backward reads."""
+    return select_mhsa_cache(cache, *mode_selections(mode, keep, head_keep))
 
 
 def mhsa_backward_kept(layer: MhsaLayer, restricted: MhsaCache, upstream: Array,
                        keep, mode: str, head_keep: tuple[int, ...] | None) -> MhsaGrads:
     """Masked attention backward straight from `restrict_mhsa_cache`'s output.
 
-    `upstream` and the returned dX are full B x N x C; `keep` holds the kept
-    token indices (unused in head mode, where `head_keep` lists the surviving
-    heads).
+    `upstream` and the returned dX cover the token rows the restricted cache
+    covers: the kept rows in qkv, all N otherwise. The kept rows, queries
+    and heads come from `mode_selections(mode, keep, head_keep)`; the
+    dropped heads' weight gradients are zero.
     """
+    _, queries, heads = mode_selections(mode, keep, head_keep)
     h, d = layer.heads, layer.dim_head
+    if heads is not None and heads.size == h:
+        return mhsa_backward_full(layer, restricted, upstream)
     scale = 1.0 / math.sqrt(d)
-    b, n, c = upstream.shape
-    if mode == "head":
-        hk = np.asarray(sorted(head_keep or ()), dtype=np.int64)
-        if hk.size == h:
-            return mhsa_backward_full(layer, restricted, upstream)
-    # qkv works on the kept token rows throughout, the other modes on all rows.
-    up = upstream[:, keep, :] if mode == "qkv" else upstream
-    rows = up.shape[1]
-    dw_o = _merge_heads(restricted.a).reshape(b * rows, h * d).T @ up.reshape(b * rows, c)
-    da = _split_heads(up @ layer.w_o.T, h, d)
-    # Projection columns of the heads whose dQ/dK/dV are computed: every head
-    # but in head mode, where the dropped heads' weight gradients stay zero.
+    b, rows, c = upstream.shape
+    dw_o = _merge_heads(restricted.a).reshape(b * rows, h * d).T @ upstream.reshape(b * rows, c)
+    da = _split_heads(upstream @ layer.w_o.T, h, d)
+    a = restricted.a
+    # Projection columns of the heads whose dQ/dK/dV are computed.
     cols = slice(None)
-
-    if mode == "qkv":
-        # Row sums of ds * s run over ALL keys: <dA_q, A_q> recovers them from
-        # the cached per-head outputs without touching dropped columns of S.
-        rowsum = (da * restricted.a).sum(axis=-1, keepdims=True)
-        dm_kk = _softmax_backward(restricted.s, da @ restricted.v.transpose(0, 1, 3, 2),
-                                  rowsum)
-        dq = dm_kk @ restricted.k
-        dq *= scale
-        dk = dm_kk.transpose(0, 1, 3, 2) @ restricted.q
-        dk *= scale
-        dv = restricted.s.transpose(0, 1, 3, 2) @ da
-    elif mode == "query_only":
-        # Value path is untouched: exact dV and dW_V.
-        dv = restricted.s.transpose(0, 1, 3, 2) @ da
-        da_k = da[:, :, keep, :]
-        # == sum(ds * s) over keys
-        rowsum = (da_k * restricted.a[:, :, keep, :]).sum(axis=-1, keepdims=True)
-        dm_k = _softmax_backward(restricted.s[:, :, keep, :],
-                                 da_k @ restricted.v.transpose(0, 1, 3, 2), rowsum)
-        dk = dm_k.transpose(0, 1, 3, 2) @ restricted.q
-        dk *= scale
-        dq_k = dm_k @ restricted.k
-        dq_k *= scale
-        dq = np.zeros((b, h, n, d))
-        dq[:, :, keep, :] = dq_k    # kept query rows
-    elif mode == "head":  # the kept heads alone
-        da_h = da[:, hk, :, :]
-        rowsum = (da_h * restricted.a[:, hk, :, :]).sum(axis=-1, keepdims=True)
-        dm_h = _softmax_backward(restricted.s, da_h @ restricted.v.transpose(0, 1, 3, 2),
-                                 rowsum)
-        dq = dm_h @ restricted.k
-        dq *= scale
-        dk = dm_h.transpose(0, 1, 3, 2) @ restricted.q
-        dk *= scale
-        dv = restricted.s.transpose(0, 1, 3, 2) @ da_h
-        cols = (hk[:, None] * d + np.arange(d)).ravel()
-    else:
-        raise ConfigurationError(f"unknown drop mode {mode!r}")
+    if heads is not None:
+        da, a = da[:, heads], a[:, heads]
+        cols = (heads[:, None] * d + np.arange(d)).ravel()
+    dv = restricted.s.transpose(0, 1, 3, 2) @ da
+    s = restricted.s
+    if queries is not None:
+        da, a, s = (t[:, :, queries] for t in (da, a, s))
+    # Row sums of ds * s run over ALL keys: <dA_q, A_q> recovers them from
+    # the cached per-head outputs without touching dropped columns of S.
+    rowsum = (da * a).sum(axis=-1, keepdims=True)
+    dm = _softmax_backward(s, da @ restricted.v.transpose(0, 1, 3, 2), rowsum)
+    dq = dm @ restricted.k
+    dq *= scale
+    dk = dm.transpose(0, 1, 3, 2) @ restricted.q
+    dk *= scale
+    if queries is not None:  # zero dQ at dropped queries, full-size to keep dW_Q's last bits
+        dq_k, dq = dq, np.zeros(dk.shape)
+        dq[:, :, queries] = dq_k
 
     x2 = restricted.x.reshape(b * rows, c)
     dq_f, dk_f, dv_f = (_merge_heads(t).reshape(b * rows, -1) for t in (dq, dk, dv))
     dx = (dq_f @ layer.w_q[:, cols].T + dk_f @ layer.w_k[:, cols].T
           + dv_f @ layer.w_v[:, cols].T).reshape(b, rows, c)
-    if mode == "qkv":  # dropped token rows get no input gradient
-        dx_k, dx = dx, np.zeros((b, n, c))
-        dx[:, keep, :] = dx_k
     dws = [x2.T @ t for t in (dq_f, dk_f, dv_f)]
-    if mode == "head":
+    if heads is not None:
         for i, dw_kept in enumerate(dws):
             dws[i] = np.zeros((c, h * d))
             dws[i][:, cols] = dw_kept
@@ -482,18 +467,24 @@ def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
     upstream = as_tensor(upstream)
     _check_cache(layer, cache, upstream)
     n = cache.x.shape[1]
-    if mode != "head" and mask.total != n:
-        raise DimensionError(f"mask domain {mask.total} != token count {n}")
-    if mode != "head" and mask.is_full_keep:
-        return mhsa_backward_full(layer, cache, upstream)
     if mode == "head":
         if head_keep is None:
             raise ConfigurationError("head mode needs head_keep (the surviving head indices)")
         if any(not 0 <= i < layer.heads for i in head_keep):
             raise ConfigurationError("head index out of range")
+    elif mask.total != n:
+        raise DimensionError(f"mask domain {mask.total} != token count {n}")
+    elif mask.is_full_keep:
+        return mhsa_backward_full(layer, cache, upstream)
     keep = mask.keep_array()
-    return mhsa_backward_kept(layer, restrict_mhsa_cache(cache, keep, mode, head_keep),
-                              upstream, keep, mode, head_keep)
+    rows = mode_selections(mode, keep, head_keep)[0]
+    grads = mhsa_backward_kept(layer, restrict_mhsa_cache(cache, keep, mode, head_keep),
+                               upstream if rows is None else upstream[:, rows],
+                               keep, mode, head_keep)
+    if rows is not None:  # dropped token rows get no input gradient
+        dx_k, grads.dx = grads.dx, np.zeros(upstream.shape)
+        grads.dx[:, rows] = dx_k
+    return grads
 
 
 # ---------------------------------------------------------------------------

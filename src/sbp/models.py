@@ -35,7 +35,10 @@ from .layers import (
     mhsa_backward_kept,
     mhsa_forward,
     mhsa_projections,
+    mode_selections,
     restrict_mhsa_cache,
+    row_gemm,
+    select_mhsa_cache,
 )
 from .masks import IndexMask
 
@@ -82,25 +85,15 @@ def _scatter(rows: Array, keep, n: int) -> Array:
     return out
 
 
-def _add_rows(base: Array, keep, rows: Array) -> Array:
-    """base plus rows added at the kept token rows (at every row when keep is None)."""
+def _add_rows(base: Array, keep, rows: Array, inplace: bool = False) -> Array:
+    """base plus rows added at the kept token rows (at every row when keep is
+    None), into base itself when inplace, else into a copy."""
+    out = base if inplace else base.copy()
     if keep is None:
-        return base + rows
-    out = base.copy()
-    out[:, keep, :] += rows
+        out += rows
+    else:
+        out[:, keep, :] += rows
     return out
-
-
-def _token_linear(x: Array, w: Array, b: Array) -> Array:
-    """x @ w + b on a B x N x C token batch, as one GEMM over all B x N rows.
-
-    A row's result does not depend on which other rows are present, so a
-    backward that rebuilds the product on a row subset gets those rows of the
-    forward's product, bit for bit (with one row in all, BLAS takes its
-    matrix-vector path and the last bit may differ).
-    """
-    bsz, n, c = x.shape
-    return (x.reshape(bsz * n, c) @ w + b).reshape(bsz, n, -1)
 
 
 def _rows_record(mask: IndexMask | None, x: Array) -> NodeRecord:
@@ -161,12 +154,9 @@ class TokenEmbedNode(Node):
         orig = x.shape
         if x.ndim == 4:  # B x H x W x C image grid -> token rows
             x = x.reshape(orig[0], orig[1] * orig[2], orig[3])
-        b, n, c = x.shape
-        if n != self.n_tokens:
-            raise DimensionError(f"expected {self.n_tokens} tokens, got {n}")
-        y = x.reshape(b * n, c) @ self.w + self.b
-        y = y.reshape(b, n, -1)
-        y = y + self.pos
+        if x.shape[1] != self.n_tokens:
+            raise DimensionError(f"expected {self.n_tokens} tokens, got {x.shape[1]}")
+        y = row_gemm(x, self.w, self.b) + self.pos
         return y, NodeRecord((x, orig), None, None, None, _nbytes_elems(x))
 
     def backward(self, rec, dy):
@@ -190,10 +180,10 @@ class TokenLinearNode(Node):
     The record holds the kept rows of the input only, so the masked backward
     gathers the upstream once, runs on kept rows only and scatters the input
     gradient once. The backward rebuilds the GELU input u from those rows
-    with the forward's `_token_linear`, so it gets the forward's bits. (With
-    one cached row in all, B = 1 and one kept token, the last bit may
-    differ; the gradient stays within the oracle, and a backward from an
-    exact tape still equals one from a masked forward.)
+    with the forward's `row_gemm`, so it gets the forward's bits. (With one
+    cached row in all, B = 1 and one kept token, the last bit may differ; the
+    gradient stays within the oracle, and a backward from an exact tape
+    still equals one from a masked forward.)
     """
 
     kind = "linear"
@@ -210,14 +200,14 @@ class TokenLinearNode(Node):
         return {"w": self.w, "b": self.b}
 
     def forward(self, x):
-        return gelu_forward(_token_linear(x, self.w, self.b)), _rows_record(None, x)
+        return gelu_forward(row_gemm(x, self.w, self.b)), _rows_record(None, x)
 
     def restrict(self, rec, mask, mode, head_keep):
         return _rows_record(mask, rec.cache[0])
 
     def backward(self, rec, dy):
         x_k, keep = rec.cache
-        dy_k = gelu_backward(_token_linear(x_k, self.w, self.b), _gather(dy, keep))
+        dy_k = gelu_backward(row_gemm(x_k, self.w, self.b), _gather(dy, keep))
         dw, db, dx_k = linear_backward_kept(x_k, dy_k, self.w, True)
         return {"w": dw, "b": db}, _scatter(dx_k, keep, dy.shape[1])
 
@@ -291,23 +281,22 @@ class TransformerBlockNode(Node):
         """MLP branch output; caches LN2's x_hat and 1/sigma and Phi(u). h2 and
         u are freed at their last use, g when it returns."""
         h2, cache["ln2"] = layer_norm_forward(x2, self.ln2_g, self.ln2_b)
-        u = _token_linear(h2, self.w1, self.b1)
+        u = row_gemm(h2, self.w1, self.b1)
         del h2
         cache["cdf"] = cdf = gelu_cdf(u)
         g = u * cdf
         del u
-        return _token_linear(g, self.w2, self.b2)
+        return row_gemm(g, self.w2, self.b2)
 
     def restrict(self, rec, mask, mode, head_keep):
         keep = _kept(mask)
         if keep is None:
             return rec
         full = rec.cache
-        # The MLP branch keeps kept token rows only, in every mode. The
-        # attention-input LN can be restricted only when the attention backward
-        # returns zero input-gradient at dropped rows (the qkv mode).
-        ln1_keep = keep if mode == "qkv" else None
-        cache = {"ln1": tuple(_gather(t, ln1_keep) for t in full["ln1"]),
+        # The MLP branch keeps kept token rows only, in every mode; LN1 keeps
+        # the rows the attention backward covers (the kept ones in qkv).
+        rows = mode_selections(mode, keep, head_keep)[0]
+        cache = {"ln1": tuple(_gather(t, rows) for t in full["ln1"]),
                  "mhsa": restrict_mhsa_cache(full["mhsa"], keep, mode, head_keep),
                  "ln2": tuple(_gather(t, keep) for t in full["ln2"]),
                  "cdf": _gather(full["cdf"], keep)}
@@ -317,35 +306,37 @@ class TransformerBlockNode(Node):
         cache = rec.cache
         keep = _kept(rec.mask)
         grads = {}
+        # dy can be the pool's read-only view; dx2 is the block's own.
         dx2 = _add_rows(dy, keep, self._mlp_backward(cache, _gather(dy, keep), grads))
-        mc = self._attention_cache(rec)
+        rows, queries, heads = ((None,) * 3 if keep is None
+                                else mode_selections(rec.mode, keep, rec.head_keep))
+        mc = self._attention_cache(rec, queries, heads)
         if keep is None:
             mg = mhsa_backward_full(self._mhsa(), mc, dx2)
         else:
-            mg = mhsa_backward_kept(self._mhsa(), mc, dx2, keep, rec.mode, rec.head_keep)
+            mg = mhsa_backward_kept(self._mhsa(), mc, _gather(dx2, rows), keep, rec.mode,
+                                    rec.head_keep)
         grads["w_q"], grads["w_k"], grads["w_v"], grads["w_o"] = (
             mg.dw_q, mg.dw_k, mg.dw_v, mg.dw_o)
-        ln1_keep = keep if rec.mode == "qkv" else None
         grads["ln1_g"], grads["ln1_b"], dxa = layer_norm_backward(
-            cache["ln1"], self.ln1_g, _gather(mg.dx, ln1_keep))
-        return grads, _add_rows(dx2, ln1_keep, dxa)
+            cache["ln1"], self.ln1_g, mg.dx)
+        return grads, _add_rows(dx2, rows, dxa, inplace=True)
 
-    def _attention_cache(self, rec):
-        """The attention cache the kernels read, on the rows and heads the
-        record covers: X, Q, K and V rebuilt from LN1's x_hat, S and A cached."""
+    def _attention_cache(self, rec, queries, heads):
+        """The attention cache the kernels read, on the rows, queries and heads
+        the record covers: X, Q, K and V rebuilt from LN1's x_hat (already on
+        the covered rows), S and A cached."""
         cached = rec.cache["mhsa"]
         x = self.ln1_g * rec.cache["ln1"][0] + self.ln1_b  # the forward's LN1 output
         mc = MhsaCache(x, *mhsa_projections(self._mhsa(), x), None, None)
-        if rec.mode in ("query_only", "head"):  # qkv's LN1 rows are the kept ones
-            mc = restrict_mhsa_cache(mc, _kept(rec.mask), rec.mode, rec.head_keep)
-        return replace(mc, s=cached.s, a=cached.a)
+        return replace(select_mhsa_cache(mc, None, queries, heads), s=cached.s, a=cached.a)
 
     def _mlp_backward(self, cache, dy_k, grads):
         """MLP branch on the cached rows: fills its grads, returns the input
         gradient through LN2. Its temporaries are freed before the attention
         backward, the block's largest, allocates its own."""
         h2 = self.ln2_g * cache["ln2"][0] + self.ln2_b  # the forward's LN2 output
-        u = _token_linear(h2, self.w1, self.b1)
+        u = row_gemm(h2, self.w1, self.b1)
         cdf = cache["cdf"]
         grads["w2"], grads["b2"], dg = linear_backward_kept(u * cdf, dy_k, self.w2, True)
         du = gelu_backward(u, dg, cdf)
@@ -356,24 +347,16 @@ class TransformerBlockNode(Node):
     def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         n, c, h, d, f = self.n_tokens, self.embed, self.heads, self.dim_head, self.hidden
         # Only S, A, both LNs' x_hat and 1/sigma, and Phi(u) are counted:
-        # the backward rebuilds the rest (see the class docstring).
-        if keep_count is None:
-            mhsa = h * n * n + h * n * d
-            return batch * ((n * c + n) * 2 + n * f + mhsa)
-        k = keep_count
-        mlp_side = (k * c + k) + k * f  # ln2, cdf on kept rows
-        if mode == "qkv":
-            ln1 = k * c + k
-            mhsa = h * k * k + h * k * d
-        elif mode == "query_only":
-            ln1 = n * c + n
-            mhsa = h * n * n + h * n * d
-        elif mode == "head":
-            ln1 = n * c + n
-            mhsa = head_keep_count * n * n + h * n * d
-        else:
-            raise ConfigurationError(f"unknown mode {mode!r}")
-        return batch * (ln1 + mhsa + mlp_side)
+        # the backward rebuilds the rest (see the class docstring). The MLP
+        # side caches k rows; the attention side r rows, and S on hs heads.
+        k, r, hs = n, n, h
+        if keep_count is not None:  # the mode's selections, on stand-in indices
+            rows, _, heads = mode_selections(mode, np.arange(keep_count),
+                                             range(head_keep_count or 0))
+            k = keep_count
+            r = n if rows is None else k
+            hs = h if heads is None else heads.size
+        return batch * ((r * c + r) + hs * r * r + h * r * d + (k * c + k) + k * f)
 
 
 class Conv2dNode(Node):
@@ -472,7 +455,7 @@ class ClassifierNode(Node):
         return {"w": self.w, "b": self.b}
 
     def forward(self, x):
-        return x @ self.w + self.b, NodeRecord(x, None, None, None, x.size)
+        return row_gemm(x, self.w, self.b), NodeRecord(x, None, None, None, x.size)
 
     def backward(self, rec, dy):
         dw, db, dx = linear_backward_kept(rec.cache, dy, self.w, True)

@@ -97,12 +97,16 @@ class TestMhsaMemoryRatio:
 
 
 class TestMemoryEstimate:
-    @pytest.mark.parametrize("mode", ["query_only", "qkv", "head"])
-    def test_estimate_matches_tape_vit(self, mode):
+    # Keep ratios 1/2, 1/4 and 1/16 of the 4x4 grid's tokens; at 1/16 one
+    # token and no head of two is kept.
+    @pytest.mark.parametrize("mode, keep_ratio", [
+        pytest.param(mode, r, id=mode if r == 0.5 else f"{mode}-{r}")
+        for r in (0.5, 0.25, 0.0625) for mode in ("query_only", "qkv", "head")])
+    def test_estimate_matches_tape_vit(self, mode, keep_ratio):
         spec = tiny_vit_spec(grid=(4, 4), in_channels=2, embed=8, heads=2,
                              depth=3, sbp_fraction=2 / 3)
         model = build_model(spec, 0)
-        sched = build_schedule("uniform", 0.5, len(model.sbp_layers()))
+        sched = build_schedule("uniform", keep_ratio, len(model.sbp_layers()))
         plan = make_mask_plan(model, sched, "grid", "shared", 0)
         rng = np.random.Generator(np.random.PCG64(1))
         x = rng.normal(size=(3, 4, 4, 2))

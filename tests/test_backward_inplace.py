@@ -175,9 +175,13 @@ class TestAttention:
         keep = token_masks(grid)[mask].keep_array()
         restricted = restrict_mhsa_cache(cache, keep, mode, None)
         before, before_full = snapshot(restricted), snapshot(cache)
-        new = mhsa_backward_kept(layer, restricted, up, keep, mode, None)
+        # In qkv the kernel's upstream and dX cover the kept rows only.
+        rows = keep if mode == "qkv" else slice(None)
+        new = mhsa_backward_kept(layer, restricted, up[:, rows], keep, mode, None)
         assert_cache_unchanged(restricted, before)
         assert_cache_unchanged(cache, before_full)
+        dx_rows, new.dx = new.dx, np.zeros(up.shape)
+        new.dx[:, rows] = dx_rows
         assert_grads_same(new, old_mhsa_backward_kept(layer, restricted, up, keep, mode, None))
 
     @pytest.mark.parametrize("head_keep", [(), (0,), (1,), (0, 1)])

@@ -241,8 +241,13 @@ class TestBackwardSbp:
         up = rng.normal(size=(2, 6, 6))
         _, cache = mhsa_forward(layer, x)
         keep = np.asarray(keep)
+        # In qkv the kernel's upstream and dX cover the kept rows only.
+        rows = keep if mode == "qkv" else slice(None)
         kept = grads_as_dict(mhsa_backward_kept(
-            layer, restrict_mhsa_cache(cache, keep, mode, head_keep), up, keep, mode, head_keep))
+            layer, restrict_mhsa_cache(cache, keep, mode, head_keep), up[:, rows], keep, mode,
+            head_keep))
+        dx_rows, kept["dx"] = kept["dx"], np.zeros(up.shape)
+        kept["dx"][:, rows] = dx_rows
         poison_dropped_slots(cache, keep, mode, head_keep)
         poisoned = grads_as_dict(mhsa_backward_sbp(
             layer, cache, up, IndexMask.from_keep((6,), keep), mode=mode, head_keep=head_keep))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import sbp.engine
+import sbp.models
 from sbp.cli import EXIT_OK, main
 from sbp.engine import backward, forward
 from sbp.layers import (
@@ -90,11 +91,11 @@ def cached_qkv_u_backward(block, x, dy, keep, mode, head_keep):
     if keep is None:
         mg = mhsa_backward_full(block._mhsa(), mc, dx2)
     else:
-        mg = mhsa_backward_kept(block._mhsa(), mc, dx2, keep, mode, head_keep)
+        # In qkv the kernel's upstream and dX cover the kept rows only.
+        mg = mhsa_backward_kept(block._mhsa(), mc, gather(dx2, ln1_keep), keep, mode, head_keep)
     grads["w_q"], grads["w_k"], grads["w_v"], grads["w_o"] = (
         mg.dw_q, mg.dw_k, mg.dw_v, mg.dw_o)
-    grads["ln1_g"], grads["ln1_b"], dxa = layer_norm_backward(
-        ln1c, block.ln1_g, gather(mg.dx, ln1_keep))
+    grads["ln1_g"], grads["ln1_b"], dxa = layer_norm_backward(ln1c, block.ln1_g, mg.dx)
     return grads, add_rows(dx2, ln1_keep, dxa)
 
 
@@ -126,6 +127,27 @@ class TestSlimBlockRecord:
         for key in ref:
             assert np.array_equal(grads[key], ref[key]), key
         assert np.array_equal(dx, dx_ref)
+
+    @pytest.mark.parametrize("mode, head_keep", [("qkv", None), ("query_only", None),
+                                                 ("head", (1,))])
+    def test_attention_backward_covers_record_rows(self, shape, mode, head_keep, monkeypatch):
+        """The block hands the attention kernel the upstream rows its record
+        covers and gets dX back on those rows: B x k x C in qkv, never a
+        B x N x C array that it would gather straight back."""
+        block, x, dy, grid = block_case(shape)
+        mask = sample_grid_mask(grid, 0.5, 3)
+        seen = []
+
+        def spy(layer, restricted, upstream, *args):
+            mg = mhsa_backward_kept(layer, restricted, upstream, *args)
+            seen.append((upstream.shape, mg.dx.shape))
+            return mg
+
+        monkeypatch.setattr(sbp.models, "mhsa_backward_kept", spy)
+        block.backward(block.restrict(block.forward(x)[1], mask, mode, head_keep), dy)
+        b, n, c = x.shape
+        rows = mask.keep_array().size if mode == "qkv" else n
+        assert seen == [((b, rows, c), (b, rows, c))]
 
 
 VIT_CONFIG = """
