@@ -133,6 +133,7 @@ from .analysis import (
     cosine_similarity,
     grad_similarity_experiment,
     l2_norm_trace,
+    measure_step_peaks,
     mhsa_memory_ratio,
     pointwise_stack_report,
     prediction_consistency,

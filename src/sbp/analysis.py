@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
@@ -186,10 +187,10 @@ class MemoryReport:
     per_node: dict          # node_id -> (estimated_elements, full_elements)
     estimated_total: int
     full_total: int
-    mhsa_breakdown: dict    # node_id -> {"io_2hdn", "qkv_3hdn", "maps_hnn"}: full-cache
-                            # terms per sample. The tape keeps S (one map, not the
-                            # logits) and the per-head output A, and not X, Q, K
-                            # or V: the block rebuilds those from LN1's x_hat
+    mhsa_breakdown: dict    # node_id -> {"ln1_xhat_nc", "ln1_inv_std_n", "s_hnn",
+                            # "a_hnd"}: per sample, the elements of each field the
+                            # unmasked attention record caches (LN1's x_hat and
+                            # 1/sigma, S, A); X, Q, K and V are rebuilt, not cached
 
     @property
     def ratio(self) -> float:
@@ -221,13 +222,40 @@ def activation_memory_estimate(model: Model, plan: MaskPlan | None, mode: str,
         if node.kind == "block":
             h, n, d = node.heads, node.n_tokens, node.dim_head
             breakdown[node.node_id] = {
-                "io_2hdn": 2 * h * d * n,
-                "qkv_3hdn": 3 * h * d * n,
-                "maps_hnn": h * n * n,
+                "ln1_xhat_nc": n * node.embed,
+                "ln1_inv_std_n": n,
+                "s_hnn": h * n * n,
+                "a_hnd": h * n * d,
             }
         est_total += est
         full_total += full
     return MemoryReport(per_node, est_total, full_total, breakdown)
+
+
+def measure_step_peaks(model: Model, x: Array, labels: Array, plan: MaskPlan | None,
+                       mode: str, step: int, head_seed: int) -> dict:
+    """Traced peaks of one training step, as `sbp train` runs it: `forward`
+    under `plan`, then `backward(consume=True)`.
+
+    Each peak is in bytes above what was live before the forward (tracemalloc
+    counts this process's Python and numpy allocations only). The backward
+    peak includes the tape it consumes (`tape_bytes`, its cached elements as
+    float64); the step peak is the larger of the two. It starts and stops
+    tracemalloc itself, so nothing else may be tracing.
+    """
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tape = forward(model, x, labels, plan=plan, mode=mode, step=step, head_seed=head_seed)
+        fwd = tracemalloc.get_traced_memory()[1] - start
+        tape_bytes = 8 * tape.cached_elements()
+        tracemalloc.reset_peak()
+        backward(tape, consume=True)
+        bwd = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return {"tape_bytes": tape_bytes, "forward_peak_bytes": fwd,
+            "backward_peak_bytes": bwd, "step_peak_bytes": max(fwd, bwd)}
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,8 @@ def cmd_gradsim(args):
 
 
 def cmd_memreport(args):
-    from .analysis import activation_memory_estimate, mhsa_memory_ratio, write_json
+    from .analysis import (activation_memory_estimate, measure_step_peaks,
+                           mhsa_memory_ratio, write_json)
     from .engine import forward
 
     cfg, cfg_hash = _load_config(args.config, args.seed)
@@ -263,6 +264,14 @@ def cmd_memreport(args):
         "ratio": report.ratio,
         "tape_cached_elements": tape.cached_elements(),
     }
+    if args.measure:
+        del tape
+        peaks = {name: measure_step_peaks(model, x, labels, p, cfg.sbp.mode, 0,
+                                          cfg.train.seed)
+                 for name, p in (("full", None), ("plan", plan))}
+        peaks["step_peak_ratio"] = (peaks["plan"]["step_peak_bytes"]
+                                    / peaks["full"]["step_peak_bytes"])
+        payload["measured"] = peaks
     if cfg.model.kind == "vit":
         n = int(cfg.model.grid[0] * cfg.model.grid[1])
         d = cfg.model.embed // cfg.model.heads
@@ -364,6 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("memreport", help="activation-memory estimate vs tape count")
     common(sp)
+    sp.add_argument("--measure", action="store_true",
+                    help="also trace the forward, backward and step peaks of one "
+                         "training step on the first batch, full and under the plan")
     sp.set_defaults(func=cmd_memreport)
 
     sp = sub.add_parser("chaindemo", help="stacked-mask chain-rule classification demo")

@@ -3,26 +3,27 @@
 The tape is built once per forward pass, and the forward is always exact.
 Whatever a node needs for its backward is cached while the activations are
 still live; no second forward happens. SBP restriction is a separate per-node
-step (`Node.restrict`), and this module alone decides when it runs. A forward
-under a plan restricts each record as soon as its node has run, so the tape
-holds kept-index slices only and its cached-element count is the honest
-memory figure. A backward under a plan restricts each record of an exact
-tape just before that node's backward, so one exact tape serves the exact
-gradient and any number of masked ones.
+step (`Node.restrict`), and this module alone decides when it runs. A
+forward under a plan runs each masked node over batch chunks and restricts
+each chunk's record at once, so the tape holds kept-index slices only, its
+cached-element count is the honest memory figure, and no node's full record
+of the whole batch is ever alive. A backward under a plan restricts each
+record of an exact tape just before that node's backward, so one exact tape
+serves the exact gradient and any number of masked ones.
 Evaluation needs no backward, so `predict` runs the same nodes without a tape.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericError
 from .layers import mse_loss, sample_head_keep, softmax_xent_loss
 from .masks import MaskPlan
-from .models import Model
+from .models import Model, NodeRecord, batch_chunks
 
 Array = np.ndarray
 
@@ -103,19 +104,85 @@ def sbp_context(node, masks: dict, mode: str, step: int, head_seed: int):
     return mask, mode, None
 
 
+def _activations(tree):
+    """The activations in a record's cache, in a fixed order: its float arrays,
+    each with the batch on its first axis. Kept-index arrays, shapes and None
+    are the same for every chunk of a batch and are skipped."""
+    if isinstance(tree, np.ndarray):
+        if tree.dtype.kind == "f":
+            yield tree
+    elif isinstance(tree, dict):
+        for value in tree.values():
+            yield from _activations(value)
+    elif isinstance(tree, tuple):
+        for value in tree:
+            yield from _activations(value)
+    elif is_dataclass(tree):
+        for f in fields(tree):
+            yield from _activations(getattr(tree, f.name))
+
+
+def _with_activations(tree, new):
+    """`tree` with each of its activations replaced by new(activation)."""
+    if isinstance(tree, np.ndarray):
+        return new(tree) if tree.dtype.kind == "f" else tree
+    if isinstance(tree, dict):
+        return {k: _with_activations(v, new) for k, v in tree.items()}
+    if isinstance(tree, tuple):
+        return tuple(_with_activations(v, new) for v in tree)
+    if is_dataclass(tree):
+        return replace(tree, **{f.name: _with_activations(getattr(tree, f.name), new)
+                                for f in fields(tree)})
+    return tree
+
+
+def _chunked_forward(node, x: Array, context) -> tuple[Array, NodeRecord]:
+    """A masked node's output and restricted record, run over batch chunks.
+
+    Each chunk's record is restricted as soon as the chunk has run, and the
+    chunk's output and restricted record are written into batch-sized
+    buffers allocated from the first chunk. So the node's full record of the
+    whole batch is never alive, and no concatenation doubles the tape. An
+    activation that is the chunk's input itself (a record caching its input
+    whole) becomes the whole input, not a copy. Every row-wise operation
+    gives the same bits on a chunk as on the whole batch.
+    """
+    out = rec = None
+    for part in batch_chunks(x.shape[0]):
+        x_part = x[part]
+        y, chunk = node.forward(x_part)
+        chunk = node.restrict(chunk, *context)
+        if rec is None:
+            out = np.empty((x.shape[0], *y.shape[1:]))
+            rec = replace(chunk, cache=_with_activations(
+                chunk.cache,
+                lambda a: x if a is x_part else np.empty((x.shape[0], *a.shape[1:]))))
+        out[part] = y
+        for buf, a in zip(_activations(rec.cache), _activations(chunk.cache)):
+            if buf is not x:
+                buf[part] = a
+        del y, chunk
+    rec.cached_elements = sum(a.size for a in _activations(rec.cache))
+    return out, rec
+
+
 def forward(model: Model, x: Array, labels: Array, plan: MaskPlan | None = None,
             mode: str = "qkv", step: int = 0, head_seed: int = 0) -> Tape:
     """Run the network, recording a tape. plan=None disables SBP entirely.
 
-    Under a plan each node's record is restricted as soon as the node has run.
+    Under a plan each masked node runs over batch chunks, each chunk's record
+    restricted as soon as it has run (`_chunked_forward`); the other nodes run
+    on the whole batch, as without a plan.
     """
     masks = dict(plan.per_layer) if plan is not None else {}
     h = np.asarray(x, dtype=np.float64)
     records = []
     for node in model.nodes:
-        h, rec = node.forward(h)
-        if masks:
-            rec = node.restrict(rec, *sbp_context(node, masks, mode, step, head_seed))
+        context = sbp_context(node, masks, mode, step, head_seed)
+        if context[0] is not None:
+            h, rec = _chunked_forward(node, h, context)
+        else:
+            h, rec = node.forward(h)
         records.append((node, rec))
     logits = h
     loss, dlogits = _loss_and_grad(model.loss, logits, np.asarray(labels))

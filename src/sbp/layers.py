@@ -429,21 +429,35 @@ def mhsa_backward_kept(layer: MhsaLayer, restricted: MhsaCache, upstream: Array,
         da, a, s = (t[:, :, queries] for t in (da, a, s))
     # Row sums of ds * s run over ALL keys: <dA_q, A_q> recovers them from
     # the cached per-head outputs without touching dropped columns of S.
+    # Each temporary is freed at its last use.
     rowsum = (da * a).sum(axis=-1, keepdims=True)
+    del a
     dm = _softmax_backward(s, da @ restricted.v.transpose(0, 1, 3, 2), rowsum)
+    del da, s
     dq = dm @ restricted.k
     dq *= scale
     dk = dm.transpose(0, 1, 3, 2) @ restricted.q
+    del dm
     dk *= scale
     if queries is not None:  # zero dQ at dropped queries, full-size to keep dW_Q's last bits
         dq_k, dq = dq, np.zeros(dk.shape)
         dq[:, :, queries] = dq_k
+        del dq_k
 
     x2 = restricted.x.reshape(b * rows, c)
-    dq_f, dk_f, dv_f = (_merge_heads(t).reshape(b * rows, -1) for t in (dq, dk, dv))
-    dx = (dq_f @ layer.w_q[:, cols].T + dk_f @ layer.w_k[:, cols].T
-          + dv_f @ layer.w_v[:, cols].T).reshape(b, rows, c)
-    dws = [x2.T @ t for t in (dq_f, dk_f, dv_f)]
+    per_head = [dq, dk, dv]
+    del dq, dk, dv
+    dws, dx = [], None
+    for w in (layer.w_q, layer.w_k, layer.w_v):
+        t = _merge_heads(per_head.pop(0)).reshape(b * rows, -1)
+        dws.append(x2.T @ t)
+        # dX = dQ W_q^T + dK W_k^T + dV W_v^T, summed in place in that order.
+        if dx is None:
+            dx = t @ w[:, cols].T
+        else:
+            dx += t @ w[:, cols].T
+        del t
+    dx = dx.reshape(b, rows, c)
     if heads is not None:
         for i, dw_kept in enumerate(dws):
             dws[i] = np.zeros((c, h * d))
@@ -472,6 +486,8 @@ def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
             raise ConfigurationError("head mode needs head_keep (the surviving head indices)")
         if any(not 0 <= i < layer.heads for i in head_keep):
             raise ConfigurationError("head index out of range")
+        if len(set(head_keep)) != len(head_keep):
+            raise ConfigurationError(f"repeated head index in {tuple(head_keep)}")
     elif mask.total != n:
         raise DimensionError(f"mask domain {mask.total} != token count {n}")
     elif mask.is_full_keep:

@@ -96,6 +96,21 @@ def _add_rows(base: Array, keep, rows: Array, inplace: bool = False) -> Array:
     return out
 
 
+# Samples per batch chunk: a planned forward runs each masked node, and the
+# token unit's backward its u rebuild, over chunks of this many samples, so
+# only one chunk's transients are alive at a time.
+BATCH_CHUNK = 4
+
+
+def batch_chunks(batch: int) -> list[slice]:
+    """Consecutive BATCH_CHUNK-sample slices covering `batch` samples; the last
+    one absorbs the remainder, so none is shorter than min(BATCH_CHUNK, batch).
+    Every row-wise product on a chunk is still a GEMM over all its rows."""
+    n = max(batch // BATCH_CHUNK, 1)
+    return [slice(i * BATCH_CHUNK, batch if i == n - 1 else (i + 1) * BATCH_CHUNK)
+            for i in range(n)]
+
+
 def _rows_record(mask: IndexMask | None, x: Array) -> NodeRecord:
     """Record caching the kept token rows of x and their indices."""
     keep = _kept(mask)
@@ -207,8 +222,15 @@ class TokenLinearNode(Node):
 
     def backward(self, rec, dy):
         x_k, keep = rec.cache
-        dy_k = gelu_backward(row_gemm(x_k, self.w, self.b), _gather(dy, keep))
+        # u is rebuilt and taken through the GELU backward chunk by chunk, so
+        # one chunk's u and temporaries are alive at a time; dW, db and dX
+        # stay one GEMM or sum over all cached rows.
+        dy_k = np.empty((*x_k.shape[:-1], self.w.shape[1]))
+        for part in batch_chunks(x_k.shape[0]):
+            dy_k[part] = gelu_backward(row_gemm(x_k[part], self.w, self.b),
+                                       _gather(dy[part], keep))
         dw, db, dx_k = linear_backward_kept(x_k, dy_k, self.w, True)
+        del dy_k
         return {"w": dw, "b": db}, _scatter(dx_k, keep, dy.shape[1])
 
     def estimate_cached(self, batch, keep_count, mode, head_keep_count):

@@ -130,6 +130,25 @@ class TestMemoryEstimate:
                                             head_seed=0)
         assert report.estimated_total == tape.cached_elements()
 
+    def test_mhsa_breakdown_counts_the_attention_record(self):
+        spec = tiny_vit_spec(grid=(4, 4), in_channels=2, embed=8, heads=2, depth=2)
+        model = build_model(spec, 0)
+        x = np.random.Generator(np.random.PCG64(3)).normal(size=(3, 4, 4, 2))
+        tape = forward(model, x, np.zeros(3, dtype=np.int64))
+        report = activation_memory_estimate(model, None, "qkv", batch_size=3, step=0,
+                                            head_seed=0)
+        blocks = [(node, rec) for node, rec in tape.records if node.kind == "block"]
+        assert set(report.mhsa_breakdown) == {node.node_id for node, _ in blocks}
+        for node, rec in blocks:
+            cache = rec.cache
+            terms = report.mhsa_breakdown[node.node_id]
+            assert 3 * terms["ln1_xhat_nc"] == cache["ln1"][0].size
+            assert 3 * terms["ln1_inv_std_n"] == cache["ln1"][1].size
+            assert 3 * terms["s_hnn"] == cache["mhsa"].s.size
+            assert 3 * terms["a_hnd"] == cache["mhsa"].a.size
+            assert 3 * sum(terms.values()) == (sum(t.size for t in cache["ln1"])
+                                               + cache["mhsa"].element_count())
+
     def test_no_plan_equals_full(self):
         model = build_model(mlp_spec(grid=(2, 2), in_channels=2, width=4, depth=1), 0)
         report = activation_memory_estimate(model, None, "qkv", batch_size=2, step=0,

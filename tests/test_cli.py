@@ -337,6 +337,24 @@ class TestMemreport:
         video = payload["closed_form_reference"]["video_like_n392_d32"]
         assert rounds_up_to(video["query_only"]["0.5"], 0.537, 3)
 
+    def test_measure_is_opt_in(self, tmp_path):
+        cfg = write_config(tmp_path, VIT_CONFIG)
+        plain, measured = tmp_path / "plain", tmp_path / "measured"
+        assert run(["memreport", "--config", cfg, "--out", plain]) == EXIT_OK
+        assert run(["memreport", "--config", cfg, "--out", measured, "--measure"]) == EXIT_OK
+        without = json.loads((plain / "memory.json").read_text())
+        payload = json.loads((measured / "memory.json").read_text())
+        assert "measured" not in without
+        peaks = payload.pop("measured")
+        assert payload == without
+        for run_kind in ("full", "plan"):
+            p = peaks[run_kind]
+            assert p["forward_peak_bytes"] > 0 and p["backward_peak_bytes"] > 0
+            assert p["step_peak_bytes"] == max(p["forward_peak_bytes"],
+                                               p["backward_peak_bytes"])
+        assert peaks["step_peak_ratio"] == (peaks["plan"]["step_peak_bytes"]
+                                            / peaks["full"]["step_peak_bytes"])
+
     def test_mlp_has_no_closed_form_block(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"

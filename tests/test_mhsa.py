@@ -300,6 +300,15 @@ class TestBackwardSbp:
             mhsa_backward_sbp(layer, cache, np.zeros((1, 4, 6)),
                               full_keep_mask((4,)), mode="head")
 
+    @pytest.mark.parametrize("head_keep", [(0, 0), (1, 0, 1)])
+    def test_head_mode_rejects_repeated_heads(self, head_keep):
+        rng = np.random.Generator(np.random.PCG64(9))
+        layer = make_layer(rng, 6, 2, 3)
+        _, cache = mhsa_forward(layer, rng.normal(size=(1, 4, 6)))
+        with pytest.raises(ConfigurationError, match="repeated head index"):
+            mhsa_backward_sbp(layer, cache, np.zeros((1, 4, 6)),
+                              full_keep_mask((4,)), mode="head", head_keep=head_keep)
+
     def test_unknown_mode_rejected(self):
         rng = np.random.Generator(np.random.PCG64(10))
         layer = make_layer(rng, 6, 2, 3)
