@@ -94,8 +94,7 @@ from .layers import (
     linear_backward_kept,
     linear_backward_sbp,
     linear_forward,
-    mhsa_backward_full,
-    mhsa_backward_kept,
+    mhsa_backward,
     mhsa_backward_sbp,
     mhsa_forward,
     mhsa_projections,

@@ -5,8 +5,9 @@ backward after zeroing the upstream activation gradient at dropped indices;
 the masked implementations additionally honor the memory contract where one
 is declared: they read only kept-index activations. For attention the contract
 holds by construction: `restrict_mhsa_cache` keeps only what a drop mode's
-backward reads, and `mhsa_backward_kept` computes that backward from the
-restricted cache alone, never rebuilding a full-shaped one.
+backward reads, and `mhsa_backward` computes that backward from the
+restricted cache alone, never rebuilding a full-shaped one. It is the one
+attention backward: with nothing dropped it is the exact one.
 
 Token masks address the flat spatial/token grid of a single sample; batched
 inputs share one mask across the batch.
@@ -89,8 +90,9 @@ def linear_backward_kept(x: Array, dy: Array, w: Array, has_bias: bool):
     db is None without a bias.
     """
     c_in, c_out = w.shape
-    dy2 = dy.reshape(-1, c_out)
-    dw = x.reshape(-1, c_in).T @ dy2
+    x2 = x.reshape(-1, c_in)
+    dy2 = dy.reshape(x2.shape[0], c_out)  # also when c_out is 0 (no head kept)
+    dw = x2.T @ dy2
     db = dy2.sum(axis=0) if has_bias else None
     dx = (dy2 @ w.T).reshape(*dy.shape[:-1], c_in)
     return dw, db, dx
@@ -269,11 +271,30 @@ def _merge_heads(t: Array) -> Array:
     return t.transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
 
-def mhsa_projections(layer: MhsaLayer, x: Array):
-    """Per-head Q, K and V (each B x h x N x d) of a B x N x C input, each
-    one `row_gemm` over all B x N rows."""
-    return tuple(_split_heads(row_gemm(x, w), layer.heads, layer.dim_head)
-                 for w in (layer.w_q, layer.w_k, layer.w_v))
+def _take(t: Array | None, index, axis: int) -> Array | None:
+    """t's entries at `index` along `axis`; t itself when either is None."""
+    return t if t is None or index is None else np.take(t, index, axis=axis)
+
+
+def _head_weights(layer: MhsaLayer, heads):
+    """(cols, (W_Q, W_K, W_V)): the projection columns of the heads `heads`
+    and each weight on them, gathered into a contiguous array (a strided
+    column view can change a product's last bit); (None, the weights
+    themselves) when heads is None."""
+    d = layer.dim_head
+    cols = None if heads is None else (heads[:, None] * d + np.arange(d)).ravel()
+    return cols, tuple(_take(w, cols, 1) for w in (layer.w_q, layer.w_k, layer.w_v))
+
+
+def mhsa_projections(layer: MhsaLayer, x: Array, queries=None, heads=None):
+    """Per-head Q, K and V (each B x h x N x d) of a B x N x C input: Q on the
+    query rows `queries` only, and all three on the heads `heads` only (None
+    keeps all). Each is one `row_gemm`, so a rebuild on a selection has the
+    bits of the whole product's entries."""
+    _, (w_q, w_k, w_v) = _head_weights(layer, heads)
+    hs = layer.heads if heads is None else heads.size
+    return tuple(_split_heads(row_gemm(t, w), hs, layer.dim_head)
+                 for t, w in ((_take(x, queries, 1), w_q), (x, w_k), (x, w_v)))
 
 
 def mhsa_forward(layer: MhsaLayer, x: Array):
@@ -312,44 +333,6 @@ def _check_cache(layer: MhsaLayer, cache: MhsaCache, upstream: Array):
         raise ContractViolationError("cache does not belong to this layer")
 
 
-def _softmax_backward(s: Array, ds: Array, rowsum: Array | None = None) -> Array:
-    """s * (ds - rowsum), the gradient through softmax weights s, computed in
-    place on ds; rowsum defaults to the row sums of ds * s."""
-    if rowsum is None:
-        rowsum = (ds * s).sum(axis=-1, keepdims=True)
-    ds -= rowsum
-    ds *= s
-    return ds
-
-
-def mhsa_backward_full(layer: MhsaLayer, cache: MhsaCache, upstream: Array) -> MhsaGrads:
-    upstream = as_tensor(upstream)
-    _check_cache(layer, cache, upstream)
-    h, d = layer.heads, layer.dim_head
-    b, n, c = cache.x.shape
-    x2 = cache.x.reshape(b * n, c)
-
-    a_c = _merge_heads(cache.a)
-    dw_o = a_c.reshape(b * n, h * d).T @ upstream.reshape(b * n, c)
-    da = _split_heads(upstream @ layer.w_o.T, h, d)
-
-    dv = cache.s.transpose(0, 1, 3, 2) @ da
-    dm = _softmax_backward(cache.s, da @ cache.v.transpose(0, 1, 3, 2))
-    dq = dm @ cache.k
-    dq /= math.sqrt(d)
-    dk = dm.transpose(0, 1, 3, 2) @ cache.q
-    dk /= math.sqrt(d)
-
-    dq_f = _merge_heads(dq).reshape(b * n, h * d)
-    dk_f = _merge_heads(dk).reshape(b * n, h * d)
-    dv_f = _merge_heads(dv).reshape(b * n, h * d)
-    dw_q = x2.T @ dq_f
-    dw_k = x2.T @ dk_f
-    dw_v = x2.T @ dv_f
-    dx = (dq_f @ layer.w_q.T + dk_f @ layer.w_k.T + dv_f @ layer.w_v.T).reshape(b, n, c)
-    return MhsaGrads(dw_q, dw_k, dw_v, dw_o, dx)
-
-
 def sample_head_keep(heads: int, keep_ratio, rng_seed: int) -> tuple[int, ...]:
     """Kept head indices for head-drop mode: ceil((1 - r) * h) heads are dropped."""
     r = float(keep_ratio)
@@ -365,7 +348,8 @@ def mode_selections(mode: str, keep, head_keep: tuple[int, ...] | None):
     """(rows, queries, heads) that `mode`'s masked attention backward keeps,
     each None where the mode keeps all of them: qkv keeps the kept token rows
     `keep`, query_only the kept query rows `keep`, and head the heads in
-    `head_keep` (as a sorted index array)."""
+    `head_keep` (as a sorted index array). keep is None when no token is
+    dropped."""
     if mode == "qkv":
         return keep, None, None
     if mode == "query_only":
@@ -375,90 +359,79 @@ def mode_selections(mode: str, keep, head_keep: tuple[int, ...] | None):
     raise ConfigurationError(f"unknown drop mode {mode!r}")
 
 
-def select_mhsa_cache(cache: MhsaCache, rows, queries, heads) -> MhsaCache:
-    """The cache cut to the given token rows (of X, Q, K, V, A and both axes
-    of S), query rows (of Q) and heads (of Q, K, V and S; A stays whole, so
-    dW_o stays exact). A selection or a field of None is left whole."""
-    def take(t, index, axis):
-        return t if t is None or index is None else np.take(t, index, axis=axis)
-
-    q, k, v, a = (take(t, rows, 2) for t in (cache.q, cache.k, cache.v, cache.a))
+def restrict_mhsa_cache(cache: MhsaCache, keep, mode: str,
+                        head_keep: tuple[int, ...] | None) -> MhsaCache:
+    """The part of a full cache that `mode`'s masked backward reads: the
+    `mode_selections` token rows (of X, Q, K, V, A and both axes of S), query
+    rows (of Q) and heads (of Q, K, V and S; A stays whole, so dW_O stays
+    exact). A field of None stays None."""
+    rows, queries, heads = mode_selections(mode, keep, head_keep)
+    q, k, v, a = (_take(t, rows, 2) for t in (cache.q, cache.k, cache.v, cache.a))
     s = cache.s
     if rows is not None and s is not None:
         # One gather over the flat kept x kept index of each N x N map.
         b, h, n, _ = s.shape
-        s = take(s.reshape(b, h, n * n), (rows[:, None] * n + rows).ravel(), 2)
+        s = np.take(s.reshape(b, h, n * n), (rows[:, None] * n + rows).ravel(), axis=2)
         s = s.reshape(b, h, rows.size, rows.size)
-    q = take(q, queries, 2)
-    q, k, v, s = (take(t, heads, 1) for t in (q, k, v, s))
-    return MhsaCache(take(cache.x, rows, 1), q, k, v, s, a)
+    q = _take(q, queries, 2)
+    q, k, v, s = (_take(t, heads, 1) for t in (q, k, v, s))
+    return MhsaCache(_take(cache.x, rows, 1), q, k, v, s, a)
 
 
-def restrict_mhsa_cache(cache: MhsaCache, keep, mode: str,
-                        head_keep: tuple[int, ...] | None) -> MhsaCache:
-    """The part of a full cache that `mode`'s masked backward reads."""
-    return select_mhsa_cache(cache, *mode_selections(mode, keep, head_keep))
+def mhsa_backward(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
+                  queries=None, heads=None) -> MhsaGrads:
+    """Attention backward on the token rows the cache covers, the query rows
+    `queries` of them and the heads `heads` (sorted index arrays, as
+    `mode_selections` returns them; None keeps all).
 
-
-def mhsa_backward_kept(layer: MhsaLayer, restricted: MhsaCache, upstream: Array,
-                       keep, mode: str, head_keep: tuple[int, ...] | None) -> MhsaGrads:
-    """Masked attention backward straight from `restrict_mhsa_cache`'s output.
-
-    `upstream` and the returned dX cover the token rows the restricted cache
-    covers: the kept rows in qkv, all N otherwise. The kept rows, queries
-    and heads come from `mode_selections(mode, keep, head_keep)`; the
-    dropped heads' weight gradients are zero.
+    `upstream` and the returned dX cover the cache's token rows: all N, or the
+    kept rows of a qkv cache. The cache holds Q on the query rows and Q, K, V
+    and S on the heads, as `restrict_mhsa_cache` leaves them; A is whole, so
+    dW_O is exact. dQ, and its shares of dW_Q and dX, cover the query rows
+    only; the dropped heads' weight gradients are zero. With both selections
+    None this is the exact backward.
     """
-    _, queries, heads = mode_selections(mode, keep, head_keep)
     h, d = layer.heads, layer.dim_head
-    if heads is not None and heads.size == h:
-        return mhsa_backward_full(layer, restricted, upstream)
     scale = 1.0 / math.sqrt(d)
     b, rows, c = upstream.shape
-    dw_o = _merge_heads(restricted.a).reshape(b * rows, h * d).T @ upstream.reshape(b * rows, c)
+    dw_o = _merge_heads(cache.a).reshape(b * rows, h * d).T @ upstream.reshape(b * rows, c)
     da = _split_heads(upstream @ layer.w_o.T, h, d)
-    a = restricted.a
-    # Projection columns of the heads whose dQ/dK/dV are computed.
-    cols = slice(None)
-    if heads is not None:
-        da, a = da[:, heads], a[:, heads]
-        cols = (heads[:, None] * d + np.arange(d)).ravel()
-    dv = restricted.s.transpose(0, 1, 3, 2) @ da
-    s = restricted.s
-    if queries is not None:
-        da, a, s = (t[:, :, queries] for t in (da, a, s))
-    # Row sums of ds * s run over ALL keys: <dA_q, A_q> recovers them from
-    # the cached per-head outputs without touching dropped columns of S.
-    # Each temporary is freed at its last use.
+    da, a = _take(da, heads, 1), _take(cache.a, heads, 1)
+    dv = cache.s.transpose(0, 1, 3, 2) @ da
+    da, a, s = (_take(t, queries, 2) for t in (da, a, cache.s))
+    # The softmax backward s * (ds - rowsum), in place on ds. The row sums of
+    # ds * s run over ALL keys: <dA_q, A_q> recovers them from the cached
+    # per-head outputs without touching dropped columns of S. Each temporary
+    # is freed at its last use.
     rowsum = (da * a).sum(axis=-1, keepdims=True)
     del a
-    dm = _softmax_backward(s, da @ restricted.v.transpose(0, 1, 3, 2), rowsum)
-    del da, s
-    dq = dm @ restricted.k
+    dm = da @ cache.v.transpose(0, 1, 3, 2)
+    del da
+    dm -= rowsum
+    dm *= s
+    del s
+    dq = dm @ cache.k
     dq *= scale
-    dk = dm.transpose(0, 1, 3, 2) @ restricted.q
+    dk = dm.transpose(0, 1, 3, 2) @ cache.q
     del dm
     dk *= scale
-    if queries is not None:  # zero dQ at dropped queries, full-size to keep dW_Q's last bits
-        dq_k, dq = dq, np.zeros(dk.shape)
-        dq[:, :, queries] = dq_k
-        del dq_k
 
-    x2 = restricted.x.reshape(b * rows, c)
-    per_head = [dq, dk, dv]
-    del dq, dk, dv
-    dws, dx = [], None
-    for w in (layer.w_q, layer.w_k, layer.w_v):
-        t = _merge_heads(per_head.pop(0)).reshape(b * rows, -1)
-        dws.append(x2.T @ t)
-        # dX = dQ W_q^T + dK W_k^T + dV W_v^T, summed in place in that order.
-        if dx is None:
-            dx = t @ w[:, cols].T
-        else:
-            dx += t @ w[:, cols].T
-        del t
-    dx = dx.reshape(b, rows, c)
-    if heads is not None:
+    # Each projection's weight gradient and dX share are the linear backward
+    # over the rows its gradient covers. dQ's share goes last, added onto the
+    # query rows of the dX that dK's and dV's shares cover in full.
+    cols, (w_q, w_k, w_v) = _head_weights(layer, heads)
+    x = cache.x
+    dw_k, _, dx = linear_backward_kept(x, _merge_heads(dk), w_k, False)
+    del dk
+    dw_v, _, dx_v = linear_backward_kept(x, _merge_heads(dv), w_v, False)
+    del dv
+    dx += dx_v
+    del dx_v
+    dw_q, _, dx_q = linear_backward_kept(_take(x, queries, 1), _merge_heads(dq), w_q, False)
+    del dq
+    dx[:, slice(None) if queries is None else queries] += dx_q
+    dws = [dw_q, dw_k, dw_v]
+    if cols is not None:  # the dropped heads' columns stay zero
         for i, dw_kept in enumerate(dws):
             dws[i] = np.zeros((c, h * d))
             dws[i][:, cols] = dw_kept
@@ -469,7 +442,7 @@ def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
                       mask: IndexMask, mode: str,
                       head_keep: tuple[int, ...] | None = None) -> MhsaGrads:
     """Masked attention backward from a full cache: restrict it, then run
-    `mhsa_backward_kept`, the same code the transformer block runs.
+    `mhsa_backward`, the same code the transformer block runs.
 
     query_only: zero dM rows at dropped queries; dV and dW_V stay exact.
     qkv: zero dM rows and columns at dropped tokens plus dV/dA rows, so every
@@ -490,13 +463,10 @@ def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
             raise ConfigurationError(f"repeated head index in {tuple(head_keep)}")
     elif mask.total != n:
         raise DimensionError(f"mask domain {mask.total} != token count {n}")
-    elif mask.is_full_keep:
-        return mhsa_backward_full(layer, cache, upstream)
-    keep = mask.keep_array()
-    rows = mode_selections(mode, keep, head_keep)[0]
-    grads = mhsa_backward_kept(layer, restrict_mhsa_cache(cache, keep, mode, head_keep),
-                               upstream if rows is None else upstream[:, rows],
-                               keep, mode, head_keep)
+    keep = None if mask.is_full_keep else mask.keep_array()
+    rows, queries, heads = mode_selections(mode, keep, head_keep)
+    grads = mhsa_backward(layer, restrict_mhsa_cache(cache, keep, mode, head_keep),
+                          _take(upstream, rows, 1), queries, heads)
     if rows is not None:  # dropped token rows get no input gradient
         dx_k, grads.dx = grads.dx, np.zeros(upstream.shape)
         grads.dx[:, rows] = dx_k

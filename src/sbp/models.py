@@ -31,14 +31,12 @@ from .layers import (
     layer_norm_backward,
     layer_norm_forward,
     linear_backward_kept,
-    mhsa_backward_full,
-    mhsa_backward_kept,
+    mhsa_backward,
     mhsa_forward,
     mhsa_projections,
     mode_selections,
     restrict_mhsa_cache,
     row_gemm,
-    select_mhsa_cache,
 )
 from .masks import IndexMask
 
@@ -332,12 +330,8 @@ class TransformerBlockNode(Node):
         dx2 = _add_rows(dy, keep, self._mlp_backward(cache, _gather(dy, keep), grads))
         rows, queries, heads = ((None,) * 3 if keep is None
                                 else mode_selections(rec.mode, keep, rec.head_keep))
-        mc = self._attention_cache(rec, queries, heads)
-        if keep is None:
-            mg = mhsa_backward_full(self._mhsa(), mc, dx2)
-        else:
-            mg = mhsa_backward_kept(self._mhsa(), mc, _gather(dx2, rows), keep, rec.mode,
-                                    rec.head_keep)
+        mg = mhsa_backward(self._mhsa(), self._attention_cache(rec, queries, heads),
+                           _gather(dx2, rows), queries, heads)
         grads["w_q"], grads["w_k"], grads["w_v"], grads["w_o"] = (
             mg.dw_q, mg.dw_k, mg.dw_v, mg.dw_o)
         grads["ln1_g"], grads["ln1_b"], dxa = layer_norm_backward(
@@ -345,13 +339,14 @@ class TransformerBlockNode(Node):
         return grads, _add_rows(dx2, rows, dxa, inplace=True)
 
     def _attention_cache(self, rec, queries, heads):
-        """The attention cache the kernels read, on the rows, queries and heads
-        the record covers: X, Q, K and V rebuilt from LN1's x_hat (already on
-        the covered rows), S and A cached."""
+        """The attention cache the kernel reads, on the rows, queries and heads
+        the record covers: X from LN1's x_hat (already on the covered rows),
+        Q, K and V rebuilt from X on the selected queries and heads only, S
+        and A cached."""
         cached = rec.cache["mhsa"]
         x = self.ln1_g * rec.cache["ln1"][0] + self.ln1_b  # the forward's LN1 output
-        mc = MhsaCache(x, *mhsa_projections(self._mhsa(), x), None, None)
-        return replace(select_mhsa_cache(mc, None, queries, heads), s=cached.s, a=cached.a)
+        return MhsaCache(x, *mhsa_projections(self._mhsa(), x, queries, heads),
+                         cached.s, cached.a)
 
     def _mlp_backward(self, cache, dy_k, grads):
         """MLP branch on the cached rows: fills its grads, returns the input
@@ -420,7 +415,7 @@ class Conv2dNode(Node):
         # GELU's backward is elementwise, so the dropped positions can be
         # zeroed after it, once, by conv2d_backward_sbp.
         dy = gelu_backward(u, dy)
-        if rec.mask is None or rec.mask.is_full_keep:
+        if rec.mask is None:
             dw, dx = conv2d_backward_full(self._layer(), x, dy)
         else:
             dw, dx = conv2d_backward_sbp(self._layer(), x, dy, rec.mask)

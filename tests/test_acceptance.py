@@ -39,7 +39,7 @@ from sbp.layers import (
     linear_backward_full,
     linear_backward_sbp,
     linear_forward,
-    mhsa_backward_full,
+    mhsa_backward,
     mhsa_backward_sbp,
     mhsa_forward,
 )
@@ -192,7 +192,7 @@ def test_criterion_2_gradient_correctness_finite_differences():
         return float((out * upa).sum())
 
     _, cache = mhsa_forward(att, xa)
-    g = mhsa_backward_full(att, cache, upa)
+    g = mhsa_backward(att, cache, upa)
     for got, param in [(g.dw_q, att.w_q), (g.dw_k, att.w_k),
                        (g.dw_v, att.w_v), (g.dw_o, att.w_o)]:
         worst = max(worst, _rel_err(got, fd_grad(loss, param, eps=1e-5)))

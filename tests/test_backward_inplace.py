@@ -1,9 +1,11 @@
-"""The in-place backward kernels give the same bytes as the out-of-place
-formulas they replaced, and write into no cached (tape) array.
+"""The in-place backward kernels agree with the out-of-place formulas they
+replaced, and write into no cached (tape) array.
 
 The references below are the kernels as they were before the rewrite: every
 temporary allocated fresh, and `head` mode computed over full B x h x N x d
-zero arrays.
+zero arrays. LayerNorm and GELU give the references' bytes. The attention
+kernel agrees within the oracle tolerance: it takes the softmax row sums as
+<dA, A> and sums dX in another order, so its last bits differ.
 """
 
 import math
@@ -21,9 +23,9 @@ from sbp.layers import (
     gelu_cdf,
     layer_norm_backward,
     layer_norm_forward,
-    mhsa_backward_full,
-    mhsa_backward_kept,
+    mhsa_backward,
     mhsa_forward,
+    mode_selections,
     restrict_mhsa_cache,
 )
 from sbp.masks import IndexMask, sample_grid_mask
@@ -124,9 +126,10 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_grads_same(new, old):
+def assert_grads_close(new, old):
     for name in ("dw_q", "dw_k", "dw_v", "dw_o", "dx"):
-        assert same_bytes(getattr(new, name), getattr(old, name)), name
+        np.testing.assert_allclose(getattr(new, name), getattr(old, name), rtol=0, atol=1e-12,
+                                   err_msg=name)
 
 
 def snapshot(cache: MhsaCache):
@@ -164,8 +167,8 @@ class TestAttention:
     def test_full(self, shape):
         layer, cache, up, _ = attention_case(shape)
         before = snapshot(cache)
-        assert_grads_same(mhsa_backward_full(layer, cache, up),
-                          old_mhsa_backward_full(layer, cache, up))
+        assert_grads_close(mhsa_backward(layer, cache, up),
+                           old_mhsa_backward_full(layer, cache, up))
         assert_cache_unchanged(cache, before)
 
     @pytest.mark.parametrize("mode", ["qkv", "query_only"])
@@ -176,13 +179,14 @@ class TestAttention:
         restricted = restrict_mhsa_cache(cache, keep, mode, None)
         before, before_full = snapshot(restricted), snapshot(cache)
         # In qkv the kernel's upstream and dX cover the kept rows only.
-        rows = keep if mode == "qkv" else slice(None)
-        new = mhsa_backward_kept(layer, restricted, up[:, rows], keep, mode, None)
+        rows, queries, _ = mode_selections(mode, keep, None)
+        rows = slice(None) if rows is None else rows
+        new = mhsa_backward(layer, restricted, up[:, rows], queries)
         assert_cache_unchanged(restricted, before)
         assert_cache_unchanged(cache, before_full)
         dx_rows, new.dx = new.dx, np.zeros(up.shape)
         new.dx[:, rows] = dx_rows
-        assert_grads_same(new, old_mhsa_backward_kept(layer, restricted, up, keep, mode, None))
+        assert_grads_close(new, old_mhsa_backward_kept(layer, restricted, up, keep, mode, None))
 
     @pytest.mark.parametrize("head_keep", [(), (0,), (1,), (0, 1)])
     def test_head_mode(self, shape, head_keep):
@@ -190,11 +194,12 @@ class TestAttention:
         keep = token_masks(grid)["grid"].keep_array()
         restricted = restrict_mhsa_cache(cache, keep, "head", head_keep)
         before, before_full = snapshot(restricted), snapshot(cache)
-        new = mhsa_backward_kept(layer, restricted, up, keep, "head", head_keep)
+        heads = mode_selections("head", keep, head_keep)[2]
+        new = mhsa_backward(layer, restricted, up, heads=heads)
         assert_cache_unchanged(restricted, before)
         assert_cache_unchanged(cache, before_full)
-        assert_grads_same(new, old_mhsa_backward_kept(layer, restricted, up, keep, "head",
-                                                      head_keep))
+        assert_grads_close(new, old_mhsa_backward_kept(layer, restricted, up, keep, "head",
+                                                       head_keep))
         d = layer.dim_head
         for h in set(range(layer.heads)) - set(head_keep):
             for dw in (new.dw_q, new.dw_k, new.dw_v):

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from sbp.errors import ConfigurationError, ContractViolationError, DimensionError
 from sbp.layers import (
     MhsaLayer,
-    mhsa_backward_full,
-    mhsa_backward_kept,
+    mhsa_backward,
     mhsa_backward_sbp,
     mhsa_forward,
+    mode_selections,
     restrict_mhsa_cache,
     sample_head_keep,
 )
@@ -125,7 +125,7 @@ class TestBackwardFull:
         x = rng.normal(size=(2, 5, 6))
         up = rng.normal(size=(2, 5, 6))
         _, cache = mhsa_forward(layer, x)
-        got = grads_as_dict(mhsa_backward_full(layer, cache, up))
+        got = grads_as_dict(mhsa_backward(layer, cache, up))
         ref = mhsa_full_reference(layer, x, up)
         for key in ref:
             np.testing.assert_allclose(got[key], ref[key], atol=1e-10)
@@ -141,7 +141,7 @@ class TestBackwardFull:
             return float((out * up).sum())
 
         _, cache = mhsa_forward(layer, x)
-        g = mhsa_backward_full(layer, cache, up)
+        g = mhsa_backward(layer, cache, up)
         np.testing.assert_allclose(g.dw_q, fd_grad(loss, layer.w_q), rtol=1e-4, atol=1e-6)
         np.testing.assert_allclose(g.dw_k, fd_grad(loss, layer.w_k), rtol=1e-4, atol=1e-6)
         np.testing.assert_allclose(g.dw_v, fd_grad(loss, layer.w_v), rtol=1e-4, atol=1e-6)
@@ -153,7 +153,7 @@ class TestBackwardFull:
         layer = make_layer(rng, 6, 2, 3)
         _, cache = mhsa_forward(layer, rng.normal(size=(1, 4, 6)))
         with pytest.raises(ContractViolationError):
-            mhsa_backward_full(layer, cache, np.zeros((1, 5, 6)))
+            mhsa_backward_sbp(layer, cache, np.zeros((1, 5, 6)), full_keep_mask((5,)), "qkv")
 
 
 class TestBackwardSbp:
@@ -197,7 +197,7 @@ class TestBackwardSbp:
         up = rng.normal(size=(2, 6, 6))
         _, cache = mhsa_forward(layer, x)
         mask = IndexMask.from_keep((6,), [0, 3, 4])
-        g_full = mhsa_backward_full(layer, cache, up)
+        g_full = mhsa_backward(layer, cache, up)
         g = mhsa_backward_sbp(layer, cache, up, mask, mode="query_only")
         np.testing.assert_allclose(g.dw_v, g_full.dw_v, atol=1e-12)
         np.testing.assert_allclose(g.dw_o, g_full.dw_o, atol=1e-12)
@@ -208,7 +208,7 @@ class TestBackwardSbp:
         x = rng.normal(size=(1, 4, 6))
         up = rng.normal(size=(1, 4, 6))
         _, cache = mhsa_forward(layer, x)
-        g_full = mhsa_backward_full(layer, cache, up)
+        g_full = mhsa_backward(layer, cache, up)
         g = mhsa_backward_sbp(layer, cache, up, full_keep_mask((4,)),
                               mode="head", head_keep=(1,))
         np.testing.assert_allclose(g.dw_o, g_full.dw_o, atol=1e-12)
@@ -242,10 +242,11 @@ class TestBackwardSbp:
         _, cache = mhsa_forward(layer, x)
         keep = np.asarray(keep)
         # In qkv the kernel's upstream and dX cover the kept rows only.
-        rows = keep if mode == "qkv" else slice(None)
-        kept = grads_as_dict(mhsa_backward_kept(
-            layer, restrict_mhsa_cache(cache, keep, mode, head_keep), up[:, rows], keep, mode,
-            head_keep))
+        rows, queries, heads = mode_selections(mode, keep, head_keep)
+        rows = slice(None) if rows is None else rows
+        kept = grads_as_dict(mhsa_backward(
+            layer, restrict_mhsa_cache(cache, keep, mode, head_keep), up[:, rows], queries,
+            heads))
         dx_rows, kept["dx"] = kept["dx"], np.zeros(up.shape)
         kept["dx"][:, rows] = dx_rows
         poison_dropped_slots(cache, keep, mode, head_keep)
@@ -280,7 +281,7 @@ class TestBackwardSbp:
         x = rng.normal(size=(1, 4, 6))
         up = rng.normal(size=(1, 4, 6))
         _, cache = mhsa_forward(layer, x)
-        g_full = grads_as_dict(mhsa_backward_full(layer, cache, up))
+        g_full = grads_as_dict(mhsa_backward(layer, cache, up))
         for mode in ("query_only", "qkv"):
             g = grads_as_dict(mhsa_backward_sbp(
                 layer, cache, up, full_keep_mask((4,)), mode=mode))

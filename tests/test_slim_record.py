@@ -24,9 +24,9 @@ from sbp.layers import (
     layer_norm_backward,
     layer_norm_forward,
     linear_backward_kept,
-    mhsa_backward_full,
-    mhsa_backward_kept,
+    mhsa_backward,
     mhsa_forward,
+    mode_selections,
     restrict_mhsa_cache,
 )
 from sbp.masks import IndexMask, build_schedule, make_mask_plan, sample_grid_mask
@@ -74,8 +74,9 @@ def cached_qkv_u_backward(block, x, dy, keep, mode, head_keep):
     h2, ln2c = layer_norm_forward(x + att, block.ln2_g, block.ln2_b)
     b, n, c = x.shape
     u = (h2.reshape(b * n, c) @ block.w1 + block.b1).reshape(b, n, -1)
-    ln1_keep = keep if mode == "qkv" else None
+    ln1_keep, queries, heads = (None,) * 3
     if keep is not None:
+        ln1_keep, queries, heads = mode_selections(mode, keep, head_keep)
         mc = restrict_mhsa_cache(mc, keep, mode, head_keep)
     ln1c = tuple(gather(t, ln1_keep) for t in ln1c)
     ln2c, h2, u = tuple(gather(t, keep) for t in ln2c), gather(h2, keep), gather(u, keep)
@@ -88,11 +89,8 @@ def cached_qkv_u_backward(block, x, dy, keep, mode, head_keep):
                                                          block.w1, True)
     grads["ln2_g"], grads["ln2_b"], dxm = layer_norm_backward(ln2c, block.ln2_g, dh2)
     dx2 = add_rows(dy, keep, dxm)
-    if keep is None:
-        mg = mhsa_backward_full(block._mhsa(), mc, dx2)
-    else:
-        # In qkv the kernel's upstream and dX cover the kept rows only.
-        mg = mhsa_backward_kept(block._mhsa(), mc, gather(dx2, ln1_keep), keep, mode, head_keep)
+    # In qkv the kernel's upstream and dX cover the kept rows only.
+    mg = mhsa_backward(block._mhsa(), mc, gather(dx2, ln1_keep), queries, heads)
     grads["w_q"], grads["w_k"], grads["w_v"], grads["w_o"] = (
         mg.dw_q, mg.dw_k, mg.dw_v, mg.dw_o)
     grads["ln1_g"], grads["ln1_b"], dxa = layer_norm_backward(ln1c, block.ln1_g, mg.dx)
@@ -129,22 +127,28 @@ class TestSlimBlockRecord:
         assert np.array_equal(dx, dx_ref)
 
     @pytest.mark.parametrize("mode, head_keep", [("qkv", None), ("query_only", None),
-                                                 ("head", (1,))])
+                                                 ("head", (1,)), (None, None),
+                                                 ("head", (0, 1))])
     def test_attention_backward_covers_record_rows(self, shape, mode, head_keep, monkeypatch):
-        """The block hands the attention kernel the upstream rows its record
-        covers and gets dX back on those rows: B x k x C in qkv, never a
-        B x N x C array that it would gather straight back."""
+        """Exact and masked records alike run the one attention kernel. The
+        block hands it the upstream rows its record covers and gets dX back
+        on those rows: B x k x C in qkv, never a B x N x C array that it
+        would gather straight back; B x N x C for an exact record and in the
+        other modes, every head kept included."""
         block, x, dy, grid = block_case(shape)
         mask = sample_grid_mask(grid, 0.5, 3)
         seen = []
 
-        def spy(layer, restricted, upstream, *args):
-            mg = mhsa_backward_kept(layer, restricted, upstream, *args)
+        def spy(layer, cache, upstream, *args):
+            mg = mhsa_backward(layer, cache, upstream, *args)
             seen.append((upstream.shape, mg.dx.shape))
             return mg
 
-        monkeypatch.setattr(sbp.models, "mhsa_backward_kept", spy)
-        block.backward(block.restrict(block.forward(x)[1], mask, mode, head_keep), dy)
+        monkeypatch.setattr(sbp.models, "mhsa_backward", spy)
+        rec = block.forward(x)[1]
+        if mode is not None:
+            rec = block.restrict(rec, mask, mode, head_keep)
+        block.backward(rec, dy)
         b, n, c = x.shape
         rows = mask.keep_array().size if mode == "qkv" else n
         assert seen == [((b, rows, c), (b, rows, c))]
