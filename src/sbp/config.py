@@ -138,8 +138,17 @@ def validate_config(cfg: TrainConfig):
         raise ConfigurationError("train.steps and train.batch_size must be >= 1")
     if cfg.train.lr <= 0:
         raise ConfigurationError("train.lr must be positive")
-    if len(cfg.model.grid) != 2:
-        raise ConfigurationError("model.grid must be HxW")
+    if len(cfg.model.grid) != 2 or min(cfg.model.grid) < 1:
+        raise ConfigurationError("model.grid must be HxW with H and W >= 1")
+    for key in ("in_channels", "width", "embed", "heads", "mlp_ratio", "channels", "kernel"):
+        if getattr(cfg.model, key) < 1:
+            raise ConfigurationError(f"model.{key} must be >= 1")
+    if not (0 <= cfg.model.sbp_fraction <= 1):
+        raise ConfigurationError("model.sbp_fraction must be in [0, 1]")
+    if cfg.data.count < 1:
+        raise ConfigurationError("data.count must be >= 1")
+    if cfg.gradsim.batches < 0:
+        raise ConfigurationError("gradsim.batches must be >= 0 (0 reuses train.steps)")
 
 
 def config_to_text(cfg: TrainConfig) -> str:

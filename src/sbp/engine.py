@@ -16,7 +16,7 @@ Evaluation needs no backward, so `predict` runs the same nodes without a tape.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,48 +104,17 @@ def sbp_context(node, masks: dict, mode: str, step: int, head_seed: int):
     return mask, mode, None
 
 
-def _activations(tree):
-    """The activations in a record's cache, in a fixed order: its float arrays,
-    each with the batch on its first axis. Kept-index arrays, shapes and None
-    are the same for every chunk of a batch and are skipped."""
-    if isinstance(tree, np.ndarray):
-        if tree.dtype.kind == "f":
-            yield tree
-    elif isinstance(tree, dict):
-        for value in tree.values():
-            yield from _activations(value)
-    elif isinstance(tree, tuple):
-        for value in tree:
-            yield from _activations(value)
-    elif is_dataclass(tree):
-        for f in fields(tree):
-            yield from _activations(getattr(tree, f.name))
-
-
-def _with_activations(tree, new):
-    """`tree` with each of its activations replaced by new(activation)."""
-    if isinstance(tree, np.ndarray):
-        return new(tree) if tree.dtype.kind == "f" else tree
-    if isinstance(tree, dict):
-        return {k: _with_activations(v, new) for k, v in tree.items()}
-    if isinstance(tree, tuple):
-        return tuple(_with_activations(v, new) for v in tree)
-    if is_dataclass(tree):
-        return replace(tree, **{f.name: _with_activations(getattr(tree, f.name), new)
-                                for f in fields(tree)})
-    return tree
-
-
 def _chunked_forward(node, x: Array, context) -> tuple[Array, NodeRecord]:
     """A masked node's output and restricted record, run over batch chunks.
 
     Each chunk's record is restricted as soon as the chunk has run, and the
     chunk's output and restricted record are written into batch-sized
-    buffers allocated from the first chunk. So the node's full record of the
-    whole batch is never alive, and no concatenation doubles the tape. An
-    activation that is the chunk's input itself (a record caching its input
-    whole) becomes the whole input, not a copy. Every row-wise operation
-    gives the same bits on a chunk as on the whole batch.
+    buffers allocated from the first chunk, activation by activation under
+    its name. So the node's full record of the whole batch is never alive,
+    and no concatenation doubles the tape. An activation that is the chunk's
+    input itself (a record caching its input whole) becomes the whole input,
+    not a copy. Every row-wise operation gives the same bits on a chunk as on
+    the whole batch.
     """
     out = rec = None
     for part in batch_chunks(x.shape[0]):
@@ -154,15 +123,14 @@ def _chunked_forward(node, x: Array, context) -> tuple[Array, NodeRecord]:
         chunk = node.restrict(chunk, *context)
         if rec is None:
             out = np.empty((x.shape[0], *y.shape[1:]))
-            rec = replace(chunk, cache=_with_activations(
-                chunk.cache,
-                lambda a: x if a is x_part else np.empty((x.shape[0], *a.shape[1:]))))
+            rec = replace(chunk, cache={
+                name: x if a is x_part else np.empty((x.shape[0], *a.shape[1:]))
+                for name, a in chunk.cache.items()})
         out[part] = y
-        for buf, a in zip(_activations(rec.cache), _activations(chunk.cache)):
-            if buf is not x:
-                buf[part] = a
+        for name, a in chunk.cache.items():
+            if rec.cache[name] is not x:
+                rec.cache[name][part] = a
         del y, chunk
-    rec.cached_elements = sum(a.size for a in _activations(rec.cache))
     return out, rec
 
 

@@ -248,17 +248,14 @@ class MhsaLayer:
 
 @dataclass
 class MhsaCache:
-    # X, Q, K and V are None while a caller that can rebuild them holds the cache.
+    # X, Q, K and V are None only in the cache the transformer block's
+    # `restrict` wraps around its cached S and A to restrict them.
     x: Array | None  # B x N x C
     q: Array | None  # B x h x N x d
     k: Array | None
     v: Array | None
     s: Array | None  # B x h x N x N (attention weights; no backward reads the logits)
     a: Array | None  # B x h x N x d (per-head attention output)
-
-    def element_count(self) -> int:
-        return sum(t.size for t in (self.x, self.q, self.k, self.v, self.s, self.a)
-                   if t is not None)
 
 
 def _split_heads(t: Array, heads: int, dim_head: int) -> Array:

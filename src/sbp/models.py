@@ -3,14 +3,15 @@
 A Model is an ordered list of nodes. Each node's forward is exact and records
 the activations its backward will need; `restrict` cuts such a full record down
 to the kept indices of a mask, and the backward runs from either kind of
-record. Node records are what the tape stores.
+record. Node records are what the tape stores: each is a flat dict of named
+float activations, batch first, and its cached-element count is the sum of
+their sizes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any
 
 import numpy as np
 
@@ -45,23 +46,17 @@ Array = np.ndarray
 
 @dataclass
 class NodeRecord:
-    """One tape entry: whatever a node cached, plus the mask context it ran under."""
+    """One tape entry: the float activations a node's backward reads, by name,
+    each with the batch on axis 0, plus the mask context it ran under."""
 
-    cache: Any
-    mask: IndexMask | None
-    mode: str | None
-    head_keep: tuple[int, ...] | None
-    cached_elements: int
+    cache: dict[str, Array]
+    mask: IndexMask | None = None
+    mode: str | None = None
+    head_keep: tuple[int, ...] | None = None
 
-
-def _nbytes_elems(*arrays) -> int:
-    return sum(int(a.size) for a in arrays if a is not None)
-
-
-def _cache_elements(cache: dict) -> int:
-    """Cached elements of a transformer block's record."""
-    return (_nbytes_elems(*cache["ln1"], *cache["ln2"], cache["cdf"])
-            + cache["mhsa"].element_count())
+    @property
+    def cached_elements(self) -> int:
+        return sum(a.size for a in self.cache.values())
 
 
 def _kept(mask: IndexMask | None):
@@ -107,14 +102,6 @@ def batch_chunks(batch: int) -> list[slice]:
     n = max(batch // BATCH_CHUNK, 1)
     return [slice(i * BATCH_CHUNK, batch if i == n - 1 else (i + 1) * BATCH_CHUNK)
             for i in range(n)]
-
-
-def _rows_record(mask: IndexMask | None, x: Array) -> NodeRecord:
-    """Record caching the kept token rows of x and their indices."""
-    keep = _kept(mask)
-    x_k = _gather(x, keep)
-    return NodeRecord((x_k, keep), None if keep is None else mask, None, None,
-                      _nbytes_elems(x_k))
 
 
 class Node:
@@ -164,23 +151,20 @@ class TokenEmbedNode(Node):
         return {"w": self.w, "b": self.b, "pos": self.pos}
 
     def forward(self, x):
-        orig = x.shape
-        if x.ndim == 4:  # B x H x W x C image grid -> token rows
-            x = x.reshape(orig[0], orig[1] * orig[2], orig[3])
-        if x.shape[1] != self.n_tokens:
-            raise DimensionError(f"expected {self.n_tokens} tokens, got {x.shape[1]}")
-        y = row_gemm(x, self.w, self.b) + self.pos
-        return y, NodeRecord((x, orig), None, None, None, _nbytes_elems(x))
+        rows = x.reshape(x.shape[0], -1, x.shape[-1])  # a B x H x W x C grid to token rows
+        if rows.shape[1] != self.n_tokens:
+            raise DimensionError(f"expected {self.n_tokens} tokens, got {rows.shape[1]}")
+        return row_gemm(rows, self.w, self.b) + self.pos, NodeRecord({"x": x})
 
     def backward(self, rec, dy):
-        x, orig = rec.cache
+        x = rec.cache["x"]
         grads = {}
         # The pos gradient is taken first on purpose. Taken after dx, peak RSS
         # on the train-mlp16-random benchmark workload rose by about 2 MB:
         # a glibc heap-layout effect, the live bytes are the same.
         grads["pos"] = dy.sum(axis=0)
         grads["w"], grads["b"], dx = linear_backward_kept(x, dy, self.w, True)
-        return grads, dx.reshape(orig)
+        return grads, dx.reshape(x.shape)
 
     def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         return batch * self.n_tokens * self.w.shape[0]
@@ -213,13 +197,13 @@ class TokenLinearNode(Node):
         return {"w": self.w, "b": self.b}
 
     def forward(self, x):
-        return gelu_forward(row_gemm(x, self.w, self.b)), _rows_record(None, x)
+        return gelu_forward(row_gemm(x, self.w, self.b)), NodeRecord({"x": x})
 
     def restrict(self, rec, mask, mode, head_keep):
-        return _rows_record(mask, rec.cache[0])
+        return NodeRecord({"x": _gather(rec.cache["x"], _kept(mask))}, mask)
 
     def backward(self, rec, dy):
-        x_k, keep = rec.cache
+        x_k, keep = rec.cache["x"], _kept(rec.mask)
         # u is rebuilt and taken through the GELU backward chunk by chunk, so
         # one chunk's u and temporaries are alive at a time; dW, db and dX
         # stay one GEMM or sum over all cached rows.
@@ -286,21 +270,22 @@ class TransformerBlockNode(Node):
     def forward(self, x):
         cache = {}
         x2 = x + self._attention_forward(x, cache)
-        return (x2 + self._mlp_forward(x2, cache),
-                NodeRecord(cache, None, None, None, _cache_elements(cache)))
+        return x2 + self._mlp_forward(x2, cache), NodeRecord(cache)
 
     def _attention_forward(self, x, cache):
         """Attention branch output; caches LN1's x_hat and 1/sigma, S and A.
         The attention input and Q, K and V die when it returns."""
-        h1, cache["ln1"] = layer_norm_forward(x, self.ln1_g, self.ln1_b)
+        h1, (cache["ln1_xhat"], cache["ln1_inv_std"]) = layer_norm_forward(
+            x, self.ln1_g, self.ln1_b)
         att, mc = mhsa_forward(self._mhsa(), h1)
-        cache["mhsa"] = replace(mc, x=None, q=None, k=None, v=None)
+        cache["s"], cache["a"] = mc.s, mc.a
         return att
 
     def _mlp_forward(self, x2, cache):
         """MLP branch output; caches LN2's x_hat and 1/sigma and Phi(u). h2 and
         u are freed at their last use, g when it returns."""
-        h2, cache["ln2"] = layer_norm_forward(x2, self.ln2_g, self.ln2_b)
+        h2, (cache["ln2_xhat"], cache["ln2_inv_std"]) = layer_norm_forward(
+            x2, self.ln2_g, self.ln2_b)
         u = row_gemm(h2, self.w1, self.b1)
         del h2
         cache["cdf"] = cdf = gelu_cdf(u)
@@ -316,11 +301,13 @@ class TransformerBlockNode(Node):
         # The MLP branch keeps kept token rows only, in every mode; LN1 keeps
         # the rows the attention backward covers (the kept ones in qkv).
         rows = mode_selections(mode, keep, head_keep)[0]
-        cache = {"ln1": tuple(_gather(t, rows) for t in full["ln1"]),
-                 "mhsa": restrict_mhsa_cache(full["mhsa"], keep, mode, head_keep),
-                 "ln2": tuple(_gather(t, keep) for t in full["ln2"]),
-                 "cdf": _gather(full["cdf"], keep)}
-        return NodeRecord(cache, mask, mode, head_keep, _cache_elements(cache))
+        cache = {name: _gather(full[name], rows) for name in ("ln1_xhat", "ln1_inv_std")}
+        mc = restrict_mhsa_cache(MhsaCache(None, None, None, None, full["s"], full["a"]),
+                                 keep, mode, head_keep)
+        cache["s"], cache["a"] = mc.s, mc.a
+        for name in ("ln2_xhat", "ln2_inv_std", "cdf"):
+            cache[name] = _gather(full[name], keep)
+        return NodeRecord(cache, mask, mode, head_keep)
 
     def backward(self, rec, dy):
         cache = rec.cache
@@ -335,7 +322,7 @@ class TransformerBlockNode(Node):
         grads["w_q"], grads["w_k"], grads["w_v"], grads["w_o"] = (
             mg.dw_q, mg.dw_k, mg.dw_v, mg.dw_o)
         grads["ln1_g"], grads["ln1_b"], dxa = layer_norm_backward(
-            cache["ln1"], self.ln1_g, mg.dx)
+            (cache["ln1_xhat"], cache["ln1_inv_std"]), self.ln1_g, mg.dx)
         return grads, _add_rows(dx2, rows, dxa, inplace=True)
 
     def _attention_cache(self, rec, queries, heads):
@@ -343,22 +330,23 @@ class TransformerBlockNode(Node):
         the record covers: X from LN1's x_hat (already on the covered rows),
         Q, K and V rebuilt from X on the selected queries and heads only, S
         and A cached."""
-        cached = rec.cache["mhsa"]
-        x = self.ln1_g * rec.cache["ln1"][0] + self.ln1_b  # the forward's LN1 output
+        cache = rec.cache
+        x = self.ln1_g * cache["ln1_xhat"] + self.ln1_b  # the forward's LN1 output
         return MhsaCache(x, *mhsa_projections(self._mhsa(), x, queries, heads),
-                         cached.s, cached.a)
+                         cache["s"], cache["a"])
 
     def _mlp_backward(self, cache, dy_k, grads):
         """MLP branch on the cached rows: fills its grads, returns the input
         gradient through LN2. Its temporaries are freed before the attention
         backward, the block's largest, allocates its own."""
-        h2 = self.ln2_g * cache["ln2"][0] + self.ln2_b  # the forward's LN2 output
+        h2 = self.ln2_g * cache["ln2_xhat"] + self.ln2_b  # the forward's LN2 output
         u = row_gemm(h2, self.w1, self.b1)
         cdf = cache["cdf"]
         grads["w2"], grads["b2"], dg = linear_backward_kept(u * cdf, dy_k, self.w2, True)
         du = gelu_backward(u, dg, cdf)
         grads["w1"], grads["b1"], dh2 = linear_backward_kept(h2, du, self.w1, True)
-        grads["ln2_g"], grads["ln2_b"], dx = layer_norm_backward(cache["ln2"], self.ln2_g, dh2)
+        grads["ln2_g"], grads["ln2_b"], dx = layer_norm_backward(
+            (cache["ln2_xhat"], cache["ln2_inv_std"]), self.ln2_g, dh2)
         return dx
 
     def estimate_cached(self, batch, keep_count, mode, head_keep_count):
@@ -404,14 +392,13 @@ class Conv2dNode(Node):
         u = conv2d_forward(self._layer(), x)
         # General conv keeps the full input cached: with kernel > stride the
         # kept outputs' receptive fields overlap nearly everything.
-        cache = (x, u)
-        return gelu_forward(u), NodeRecord(cache, None, None, None, _nbytes_elems(*cache))
+        return gelu_forward(u), NodeRecord({"x": x, "u": u})
 
     def restrict(self, rec, mask, mode, head_keep):
-        return replace(rec, mask=mask, mode=mode)
+        return replace(rec, mask=mask)
 
     def backward(self, rec, dy):
-        x, u = rec.cache
+        x, u = rec.cache["x"], rec.cache["u"]
         # GELU's backward is elementwise, so the dropped positions can be
         # zeroed after it, once, by conv2d_backward_sbp.
         dy = gelu_backward(u, dy)
@@ -429,30 +416,27 @@ class Conv2dNode(Node):
 
 
 class MeanPoolNode(Node):
-    """Mean over the token axis: B x N x C -> B x C."""
+    """Mean over the token axis: B x N x C (or B x H x W x C) -> B x C.
+    Its record caches nothing; `in_shape` is the per-sample input shape."""
 
     kind = "pool"
 
-    def __init__(self, node_id):
+    def __init__(self, node_id, in_shape):
         self.node_id = node_id
+        self.in_shape = tuple(in_shape)
 
     def params(self):
         return {}
 
     def forward(self, x):
-        orig = x.shape
-        if x.ndim == 4:
-            b, h, w, c = x.shape
-            x = x.reshape(b, h * w, c)
-        return x.mean(axis=1), NodeRecord(orig, None, None, None, 0)
+        return x.reshape(x.shape[0], -1, x.shape[-1]).mean(axis=1), NodeRecord({})
 
     def backward(self, rec, dy):
-        shape = rec.cache
-        n = int(np.prod(shape[1:-1]))
+        n = math.prod(self.in_shape[:-1])
         # A read-only broadcast view, not n copies of each row: no node writes
         # into its upstream, and one that tried would raise.
-        dx = np.broadcast_to((dy / n)[:, None, :], (shape[0], n, shape[-1]))
-        return {}, dx.reshape(shape)
+        dx = np.broadcast_to((dy / n)[:, None, :], (dy.shape[0], n, dy.shape[1]))
+        return {}, dx.reshape(dy.shape[0], *self.in_shape)
 
     def estimate_cached(self, batch, keep_count, mode, head_keep_count):
         return 0
@@ -472,10 +456,10 @@ class ClassifierNode(Node):
         return {"w": self.w, "b": self.b}
 
     def forward(self, x):
-        return row_gemm(x, self.w, self.b), NodeRecord(x, None, None, None, x.size)
+        return row_gemm(x, self.w, self.b), NodeRecord({"x": x})
 
     def backward(self, rec, dy):
-        dw, db, dx = linear_backward_kept(rec.cache, dy, self.w, True)
+        dw, db, dx = linear_backward_kept(rec.cache["x"], dy, self.w, True)
         return {"w": dw, "b": db}, dx
 
     def estimate_cached(self, batch, keep_count, mode, head_keep_count):
@@ -578,12 +562,12 @@ def build_model(spec: NetworkSpec, seed: int) -> Model:
     """Deterministically initialize a Model from its NetworkSpec."""
     rng = np.random.Generator(np.random.PCG64(seed))
     nodes = []
-    width = None
-    n_tokens = None
+    width = n_tokens = tokens = None  # tokens: the per-sample token shape, (N,) or a grid
     for entry in spec.layers:
         o = entry.options
         if entry.kind == "embed":
             n_tokens = int(np.prod(o["grid"]))
+            tokens = (n_tokens,)
             width = o["width"]
             nodes.append(TokenEmbedNode(entry.layer_id, n_tokens, o["in_channels"], width, rng))
         elif entry.kind == "mlp_layer":
@@ -595,14 +579,15 @@ def build_model(spec: NetworkSpec, seed: int) -> Model:
                                               o["mlp_ratio"], rng,
                                               sbp_enabled=entry.sbp_enabled, grid=o["grid"]))
         elif entry.kind == "conv":
-            conv = Conv2dNode(entry.layer_id, o["grid"], o["in_channels"], o["channels"], rng,
-                              kernel=o["kernel"], stride=o["stride"], padding=o["padding"],
-                              sbp_enabled=entry.sbp_enabled)
+            # A conv after a conv reads its output grid, which an even kernel changes.
+            conv = Conv2dNode(entry.layer_id, tokens or o["grid"], o["in_channels"],
+                              o["channels"], rng, kernel=o["kernel"], stride=o["stride"],
+                              padding=o["padding"], sbp_enabled=entry.sbp_enabled)
             width = o["channels"]
-            n_tokens = int(np.prod(conv.out_grid))
+            tokens = conv.out_grid
             nodes.append(conv)
         elif entry.kind == "pool":
-            nodes.append(MeanPoolNode(entry.layer_id))
+            nodes.append(MeanPoolNode(entry.layer_id, (*tokens, width)))
         elif entry.kind == "classifier":
             nodes.append(ClassifierNode(entry.layer_id, width, o["n_classes"], rng))
         else:

@@ -142,12 +142,12 @@ class TestMemoryEstimate:
         for node, rec in blocks:
             cache = rec.cache
             terms = report.mhsa_breakdown[node.node_id]
-            assert 3 * terms["ln1_xhat_nc"] == cache["ln1"][0].size
-            assert 3 * terms["ln1_inv_std_n"] == cache["ln1"][1].size
-            assert 3 * terms["s_hnn"] == cache["mhsa"].s.size
-            assert 3 * terms["a_hnd"] == cache["mhsa"].a.size
-            assert 3 * sum(terms.values()) == (sum(t.size for t in cache["ln1"])
-                                               + cache["mhsa"].element_count())
+            assert 3 * terms["ln1_xhat_nc"] == cache["ln1_xhat"].size
+            assert 3 * terms["ln1_inv_std_n"] == cache["ln1_inv_std"].size
+            assert 3 * terms["s_hnn"] == cache["s"].size
+            assert 3 * terms["a_hnd"] == cache["a"].size
+            assert 3 * sum(terms.values()) == sum(cache[name].size for name in
+                                                  ("ln1_xhat", "ln1_inv_std", "s", "a"))
 
     def test_no_plan_equals_full(self):
         model = build_model(mlp_spec(grid=(2, 2), in_channels=2, width=4, depth=1), 0)

@@ -228,6 +228,15 @@ class TestTrain:
                     "--out", tmp_path / "out"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, line", [("train", "model.heads = 0"),
+                                               ("gradsim", "gradsim.batches = -2")])
+    def test_malformed_size_exits_config(self, tmp_path, capsys, command, line):
+        cfg = write_config(tmp_path, VIT_CONFIG + line + "\n")
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_head_mode_needs_attention_model(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + "sbp.mode = head\n")
         assert run(["train", "--config", cfg,

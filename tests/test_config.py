@@ -67,6 +67,19 @@ class TestValidate:
         "train.steps = 0",
         "train.lr = -0.1",
         "model.grid = 4x4x4",
+        "model.grid = 0x4",
+        "model.grid = 4x0",
+        "model.in_channels = 0",
+        "model.width = 0",
+        "model.embed = 0",
+        "model.heads = 0",
+        "model.mlp_ratio = 0",
+        "model.channels = 0",
+        "model.kernel = 0",
+        "model.sbp_fraction = -0.1",
+        "model.sbp_fraction = 1.5",
+        "data.count = 0",
+        "gradsim.batches = -2",
     ])
     def test_invalid_values_rejected(self, line):
         with pytest.raises(ConfigurationError):

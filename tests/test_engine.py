@@ -110,13 +110,19 @@ class TestSbpEngine:
         sched = build_schedule("uniform", ratio, len(model.sbp_layers()))
         return make_mask_plan(model, sched, sampler, sharing, seed)
 
-    def test_mlp_equals_zero_then_full(self):
+    # The conv batches cross the planned forward's chunk boundaries.
+    @pytest.mark.parametrize("spec, b", [
+        (mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=2, sbp_fraction=1.0), 3),
+        *((tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=2), b)
+          for b in (3, 5, 9)),
+    ], ids=["mlp-B3", "conv-B3", "conv-B5", "conv-B9"])
+    def test_mlp_equals_zero_then_full(self, spec, b):
         """Engine SBP gradients match a full backward whose upstream is zeroed
-        at dropped token rows at each masked unit boundary."""
-        model = self.make_mlp()
+        at dropped token rows (conv: output positions) at each masked node."""
+        model = build_model(spec, seed=4)
         rng = np.random.Generator(np.random.PCG64(5))
-        x = rng.normal(size=(3, 4, 4, 2))
-        labels = rng.integers(0, 2, size=3)
+        x = rng.normal(size=(b, 4, 4, 2))
+        labels = rng.integers(0, 2, size=b)
         plan = self.plan_for(model, seed=7)
         masks = dict(plan.per_layer)
 
@@ -128,8 +134,8 @@ class TestSbpEngine:
         ref = {}
         for node, rec in reversed(tape_full.records):
             if node.node_id in masks:
-                dy = dy.copy()
-                dy[:, masks[node.node_id].drop_array(), :] = 0.0
+                dy = dy.copy()  # B x N x C, or B x H x W x C zeroed through a B x HW x C view
+                dy.reshape(b, -1, dy.shape[-1])[:, masks[node.node_id].drop_array(), :] = 0.0
             node_grads, dy = node.backward(rec, dy)
             for name, g in node_grads.items():
                 ref[f"{node.node_id}.{name}"] = g
@@ -366,10 +372,9 @@ class TestNodeRestrict:
             assert rec.cached_elements == expected
             assert rec.cached_elements == node.estimate_cached(2, 4, None, None)
             if node.kind == "linear":
-                # The unit caches the kept rows of its input and their indices.
-                x_k, keep = rec.cache
-                assert x_k.shape == (2, 4, node.w.shape[0])
-                assert keep.tolist() == [0, 5, 6, 15]
+                # The unit caches the kept rows of its input; the mask gives their indices.
+                assert rec.cache["x"].shape == (2, 4, node.w.shape[0])
+                assert rec.mask.keep_array().tolist() == [0, 5, 6, 15]
 
 
 class TestGradientStore:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sbp.engine import forward
+from sbp.analysis import activation_memory_estimate
+from sbp.engine import backward, forward
 from sbp.errors import ConfigurationError
 from sbp.layers import gelu_backward, gelu_forward, linear_backward_kept
 from sbp.masks import IndexMask
@@ -48,6 +49,22 @@ class TestBuildModel:
 
         with pytest.raises(ConfigurationError):
             build_model(NetworkSpec((LayerSpecEntry("warp", "w"),), "xent"), 0)
+
+    def test_even_kernel_convs_chain_their_grids(self):
+        """An even kernel grows the grid by one per conv. Each conv reads the
+        grid the one before it wrote, so the pool's input shape and the
+        memory estimate follow the real activations."""
+        spec = tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=3, kernel=2,
+                              sbp_fraction=0.0)
+        model = build_model(spec, 0)
+        assert [n.out_grid for n in model.nodes if n.kind == "conv"] == [(5, 5), (6, 6), (7, 7)]
+        rng = np.random.Generator(np.random.PCG64(1))
+        x = rng.normal(size=(2, 4, 4, 2))
+        tape = forward(model, x, rng.integers(0, 2, size=2))
+        _, dx = backward(tape, want_input_grad=True)
+        assert dx.shape == x.shape
+        report = activation_memory_estimate(model, None, "qkv", 2, 0, 0)
+        assert report.estimated_total == tape.cached_elements()
 
     def test_embed_must_divide_heads(self):
         rng = np.random.Generator(np.random.PCG64(0))

@@ -102,10 +102,8 @@ class TestSlimBlockRecord:
     def test_full_record_holds_no_qkv_or_u(self, shape):
         block, x, _, _ = block_case(shape)
         cache = block.forward(x)[1].cache
-        assert sorted(cache) == ["cdf", "ln1", "ln2", "mhsa"]
-        mc = cache["mhsa"]
-        assert (mc.x, mc.q, mc.k, mc.v) == (None, None, None, None)
-        assert mc.s is not None and mc.a is not None
+        assert sorted(cache) == ["a", "cdf", "ln1_inv_std", "ln1_xhat", "ln2_inv_std",
+                                 "ln2_xhat", "s"]
 
     @pytest.mark.parametrize("mode, head_keep, mask_kind", CASES,
                              ids=[f"{m}-{hk}-{k}" for m, hk, k in CASES])
@@ -188,7 +186,7 @@ class TestConsumedTape:
         seen = []
 
         def spy(tape, *args, **kwargs):
-            refs = [weakref.ref(rec.cache["ln1"][0]) for node, rec in tape.records
+            refs = [weakref.ref(rec.cache["ln1_xhat"]) for node, rec in tape.records
                     if node.kind == "block"]
             store = real_backward(tape, *args, **kwargs)
             seen.append((len(refs), sum(ref() is not None for ref in refs),

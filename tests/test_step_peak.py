@@ -3,11 +3,9 @@
 Each chunk's record is restricted as soon as the chunk has run, so the
 forward's peak stays below the backward's. The chunked forward must give the
 bytes of an exact forward followed by `restrict`: the same outputs, the same
-record arrays and the same cached-element counts. A training step's traced
+named record arrays and the same cached-element counts. A training step's traced
 peak, above what was live before it, is checked against the full step's.
 """
-
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -51,24 +49,20 @@ def case(name, b):
     return model, x, labels, plan, mode
 
 
-def assert_same_tree(got, want):
-    """Same structure, with every array equal in shape, dtype and bits."""
-    assert type(got) is type(want)
-    if isinstance(want, np.ndarray):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    elif isinstance(want, dict):
-        assert got.keys() == want.keys()
-        for key in want:
-            assert_same_tree(got[key], want[key])
-    elif isinstance(want, tuple):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert_same_tree(g, w)
-    elif is_dataclass(want):
-        for f in fields(want):
-            assert_same_tree(getattr(got, f.name), getattr(want, f.name))
-    else:
-        assert got == want
+def assert_same_cache(got, want):
+    """The same names, each array equal in shape, dtype and bits."""
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].shape == want[name].shape, name
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+
+
+def assert_activations(cache, b):
+    """Every cached value is a float64 activation with the batch on axis 0."""
+    for name, a in cache.items():
+        assert isinstance(a, np.ndarray) and a.dtype == np.float64, name
+        assert a.shape[0] == b, name
 
 
 @pytest.mark.parametrize("b", range(1, 14))
@@ -94,11 +88,13 @@ def test_chunked_forward_equals_exact_then_restrict(name, b):
             y, rec = _chunked_forward(node, h, context)
             ref = node.restrict(full, *context)
             assert np.array_equal(y, y_ref)
-            assert_same_tree(rec.cache, ref.cache)
+            for record in (full, ref, rec):
+                assert_activations(record.cache, b)
+            assert_same_cache(rec.cache, ref.cache)
             assert (rec.mask, rec.mode, rec.head_keep) == (ref.mask, ref.mode, ref.head_keep)
             assert rec.cached_elements == ref.cached_elements
             if node.kind == "conv":  # a record caching its input holds it, not a copy
-                assert rec.cache[0] is h
+                assert rec.cache["x"] is h
         h = y_ref
     assert masked == len(model.sbp_layers())
     tape = forward(model, x, labels, plan=plan, mode=mode, step=STEP, head_seed=HEAD_SEED)
