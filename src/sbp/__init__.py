@@ -81,6 +81,7 @@ from .layers import (
     MhsaGrads,
     MhsaLayer,
     NetworkSpec,
+    Selection,
     as_tensor,
     conv2d_backward_full,
     conv2d_backward_sbp,
@@ -101,6 +102,7 @@ from .layers import (
     mse_loss,
     restrict_mhsa_cache,
     sample_head_keep,
+    select,
     softmax_xent_loss,
 )
 from .models import (

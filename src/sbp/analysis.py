@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .engine import GradientStore, Tape, backward, forward, predict, sbp_context
+from .layers import EXACT, conv2d_output_grid
 from .masks import IndexMask, MaskPlan
 from .models import Model
 
@@ -201,7 +202,7 @@ def activation_memory_estimate(model: Model, plan: MaskPlan | None, mode: str,
                                batch_size: int, step: int, head_seed: int) -> MemoryReport:
     """Analytic cached-element count per node, next to the no-SBP figure.
 
-    Each node's mask, mode and kept heads come from `sbp_context`, as in
+    Each node's selection comes from `sbp_context`, as in
     `forward(model, x, labels, plan, mode, step, head_seed)`, so the estimate
     must match that tape's cached_elements().
     """
@@ -211,13 +212,8 @@ def activation_memory_estimate(model: Model, plan: MaskPlan | None, mode: str,
     est_total = 0
     full_total = 0
     for node in model.nodes:
-        full = node.estimate_cached(batch_size, None, None, None)
-        mask, node_mode, head_keep = sbp_context(node, masks, mode, step, head_seed)
-        if mask is None or mask.is_full_keep:
-            est = full
-        else:
-            est = node.estimate_cached(batch_size, len(mask.keep), node_mode,
-                                       None if head_keep is None else len(head_keep))
+        full = node.estimate_cached(batch_size, EXACT)
+        est = node.estimate_cached(batch_size, sbp_context(node, masks, mode, step, head_seed))
         per_node[node.node_id] = (est, full)
         if node.kind == "block":
             h, n, d = node.heads, node.n_tokens, node.dim_head
@@ -285,11 +281,7 @@ class ConvStage:
 
     @property
     def out_grid(self) -> tuple:
-        h, w = self.in_grid
-        k, s, p = self.kernel, self.stride, self.padding
-        if (h + 2 * p - k) % s or (w + 2 * p - k) % s:
-            raise ConfigurationError("conv stage output size is not integral")
-        return ((h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
+        return conv2d_output_grid(self, *self.in_grid)
 
 
 @dataclass

@@ -140,9 +140,12 @@ def validate_config(cfg: TrainConfig):
         raise ConfigurationError("train.lr must be positive")
     if len(cfg.model.grid) != 2 or min(cfg.model.grid) < 1:
         raise ConfigurationError("model.grid must be HxW with H and W >= 1")
-    for key in ("in_channels", "width", "embed", "heads", "mlp_ratio", "channels", "kernel"):
+    for key in ("in_channels", "width", "embed", "heads", "mlp_ratio", "channels", "kernel",
+                "n_classes"):
         if getattr(cfg.model, key) < 1:
             raise ConfigurationError(f"model.{key} must be >= 1")
+    if cfg.model.depth < (1 if cfg.model.kind == "conv" else 0):
+        raise ConfigurationError("model.depth must be >= 0 (>= 1 for conv)")
     if not (0 <= cfg.model.sbp_fraction <= 1):
         raise ConfigurationError("model.sbp_fraction must be in [0, 1]")
     if cfg.data.count < 1:

@@ -3,14 +3,15 @@
 The tape is built once per forward pass, and the forward is always exact.
 Whatever a node needs for its backward is cached while the activations are
 still live; no second forward happens. SBP restriction is a separate per-node
-step (`Node.restrict`), and this module alone decides when it runs. A
-forward under a plan runs each masked node over batch chunks and restricts
-each chunk's record at once, so the tape holds kept-index slices only, its
-cached-element count is the honest memory figure, and no node's full record
-of the whole batch is ever alive. A backward under a plan restricts each
-record of an exact tape just before that node's backward, so one exact tape
-serves the exact gradient and any number of masked ones.
-Evaluation needs no backward, so `predict` runs the same nodes without a tape.
+step (`Node.restrict`), and this module alone decides when it runs. It also
+resolves each node's mask and drop mode, once, into the `Selection` the node
+runs under (`sbp_context`); no node sees a drop mode. A forward under a plan
+runs each masked node over batch chunks and restricts each chunk's record at
+once, so the tape holds kept-index slices only, its cached-element count is
+the honest memory figure, and no node's full record of the whole batch is
+ever alive. A backward under a plan restricts each record of an exact tape
+just before that node's backward, so one exact tape serves the exact
+gradient and any number of masked ones. Evaluation needs no backward, so `predict` runs the same nodes without a tape.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericError
-from .layers import mse_loss, sample_head_keep, softmax_xent_loss
+from .layers import Selection, mse_loss, sample_head_keep, select, softmax_xent_loss
 from .masks import MaskPlan
 from .models import Model, NodeRecord, batch_chunks
 
@@ -37,7 +38,6 @@ class Tape:
     loss: float
     logits: Array
     dlogits: Array
-    batch_size: int
     plan: MaskPlan | None = None  # the plan the records were restricted under
 
     def cached_elements(self) -> int:
@@ -89,22 +89,24 @@ def head_keep_for(node, ratio, step: int, seed: int):
     return sample_head_keep(node.heads, ratio, mix)
 
 
-def sbp_context(node, masks: dict, mode: str, step: int, head_seed: int):
-    """(mask, mode, head_keep) that `node` runs under; all None without a mask.
+def sbp_context(node, masks: dict, mode: str, step: int, head_seed: int) -> Selection:
+    """The selection `node` runs under, built once per node and step.
 
     `masks` maps a plan's layer ids to their masks, and a node runs under
-    the mask of its own node id. Only transformer blocks take a drop mode,
-    and only head mode draws the kept heads.
+    the mask of its own node id. Without a mask, or under one that drops
+    nothing, it keeps everything: the exact backward. Only transformer
+    blocks draw kept heads, and only in head mode.
     """
     mask = masks.get(node.node_id) if node.sbp_enabled else None
-    if mask is None or node.kind != "block":
-        return mask, None, None
-    if mode == "head":
-        return mask, mode, head_keep_for(node, mask.keep_ratio, step, head_seed)
-    return mask, mode, None
+    if mask is None or mask.is_full_keep:
+        return Selection(mask)
+    head_keep = None
+    if mode == "head" and node.kind == "block":
+        head_keep = head_keep_for(node, mask.keep_ratio, step, head_seed)
+    return select(mask, mode, head_keep)
 
 
-def _chunked_forward(node, x: Array, context) -> tuple[Array, NodeRecord]:
+def _chunked_forward(node, x: Array, sel: Selection) -> tuple[Array, NodeRecord]:
     """A masked node's output and restricted record, run over batch chunks.
 
     Each chunk's record is restricted as soon as the chunk has run, and the
@@ -120,7 +122,7 @@ def _chunked_forward(node, x: Array, context) -> tuple[Array, NodeRecord]:
     for part in batch_chunks(x.shape[0]):
         x_part = x[part]
         y, chunk = node.forward(x_part)
-        chunk = node.restrict(chunk, *context)
+        chunk = node.restrict(chunk, sel)
         if rec is None:
             out = np.empty((x.shape[0], *y.shape[1:]))
             rec = replace(chunk, cache={
@@ -146,9 +148,9 @@ def forward(model: Model, x: Array, labels: Array, plan: MaskPlan | None = None,
     h = np.asarray(x, dtype=np.float64)
     records = []
     for node in model.nodes:
-        context = sbp_context(node, masks, mode, step, head_seed)
-        if context[0] is not None:
-            h, rec = _chunked_forward(node, h, context)
+        sel = sbp_context(node, masks, mode, step, head_seed)
+        if sel.mask is not None:
+            h, rec = _chunked_forward(node, h, sel)
         else:
             h, rec = node.forward(h)
         records.append((node, rec))
@@ -156,7 +158,7 @@ def forward(model: Model, x: Array, labels: Array, plan: MaskPlan | None = None,
     loss, dlogits = _loss_and_grad(model.loss, logits, np.asarray(labels))
     if not np.isfinite(loss):
         raise NumericError("loss is non-finite")
-    return Tape(model, records, float(loss), logits, dlogits, x.shape[0], plan)
+    return Tape(model, records, float(loss), logits, dlogits, plan)
 
 
 def predict(model: Model, x: Array) -> Array:
@@ -196,7 +198,7 @@ def backward(tape: Tape, plan: MaskPlan | None = None, mode: str = "qkv", step: 
     while records:
         node, rec = records.pop()
         if masks:
-            rec = node.restrict(rec, *sbp_context(node, masks, mode, step, head_seed))
+            rec = node.restrict(rec, sbp_context(node, masks, mode, step, head_seed))
         node_grads, dy = node.backward(rec, dy)
         for name, g in node_grads.items():
             grads[f"{node.node_id}.{name}"] = g

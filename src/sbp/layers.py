@@ -341,28 +341,44 @@ def sample_head_keep(heads: int, keep_ratio, rng_seed: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in rng.choice(heads, size=n_keep, replace=False)))
 
 
-def mode_selections(mode: str, keep, head_keep: tuple[int, ...] | None):
-    """(rows, queries, heads) that `mode`'s masked attention backward keeps,
-    each None where the mode keeps all of them: qkv keeps the kept token rows
-    `keep`, query_only the kept query rows `keep`, and head the heads in
-    `head_keep` (as a sorted index array). keep is None when no token is
-    dropped."""
-    if mode == "qkv":
-        return keep, None, None
-    if mode == "query_only":
-        return None, keep, None
-    if mode == "head":
-        return None, None, np.asarray(sorted(head_keep or ()), dtype=np.int64)
-    raise ConfigurationError(f"unknown drop mode {mode!r}")
+@dataclass(frozen=True, eq=False)
+class Selection:
+    """What a node's masked backward keeps: the mask it runs under, the kept
+    token indices, and the token rows, query rows and heads of the attention
+    backward. Each is a sorted int64 index array, or None where everything
+    is kept."""
+
+    mask: IndexMask | None = None
+    keep: Array | None = None
+    rows: Array | None = None
+    queries: Array | None = None
+    heads: Array | None = None
 
 
-def restrict_mhsa_cache(cache: MhsaCache, keep, mode: str,
-                        head_keep: tuple[int, ...] | None) -> MhsaCache:
-    """The part of a full cache that `mode`'s masked backward reads: the
-    `mode_selections` token rows (of X, Q, K, V, A and both axes of S), query
-    rows (of Q) and heads (of Q, K, V and S; A stays whole, so dW_O stays
-    exact). A field of None stays None."""
-    rows, queries, heads = mode_selections(mode, keep, head_keep)
+EXACT = Selection()  # no mask: every index, row, query and head is kept
+
+
+def select(mask: IndexMask, mode: str, head_keep: tuple[int, ...] | None = None) -> Selection:
+    """The selection `mode` keeps under `mask`: the kept token indices (None
+    when the mask drops nothing), and for the attention backward the kept
+    token rows in qkv, the kept query rows in query_only, and the heads in
+    `head_keep` in head mode (None keeps every head)."""
+    if mode not in SBP_MODES:
+        raise ConfigurationError(f"unknown drop mode {mode!r}")
+    keep = None if mask.is_full_keep else mask.keep_array()
+    heads = None
+    if mode == "head" and head_keep is not None:
+        heads = np.asarray(sorted(head_keep), dtype=np.int64)
+    return Selection(mask, keep, keep if mode == "qkv" else None,
+                     keep if mode == "query_only" else None, heads)
+
+
+def restrict_mhsa_cache(cache: MhsaCache, sel: Selection) -> MhsaCache:
+    """The part of a full cache that the masked backward under `sel` reads:
+    its token rows (of X, Q, K, V, A and both axes of S), query rows (of Q)
+    and heads (of Q, K, V and S; A stays whole, so dW_O stays exact). A
+    field of None stays None."""
+    rows, queries, heads = sel.rows, sel.queries, sel.heads
     q, k, v, a = (_take(t, rows, 2) for t in (cache.q, cache.k, cache.v, cache.a))
     s = cache.s
     if rows is not None and s is not None:
@@ -378,8 +394,8 @@ def restrict_mhsa_cache(cache: MhsaCache, keep, mode: str,
 def mhsa_backward(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
                   queries=None, heads=None) -> MhsaGrads:
     """Attention backward on the token rows the cache covers, the query rows
-    `queries` of them and the heads `heads` (sorted index arrays, as
-    `mode_selections` returns them; None keeps all).
+    `queries` of them and the heads `heads` (sorted index arrays, as a
+    `Selection` holds them; None keeps all).
 
     `upstream` and the returned dX cover the cache's token rows: all N, or the
     kept rows of a qkv cache. The cache holds Q on the query rows and Q, K, V
@@ -446,8 +462,6 @@ def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
          weight gradient is a kept-subset estimate.
     head: zero the whole gradient of dropped heads (head_keep lists survivors).
     """
-    if mode not in SBP_MODES:
-        raise ConfigurationError(f"unknown drop mode {mode!r}")
     upstream = as_tensor(upstream)
     _check_cache(layer, cache, upstream)
     n = cache.x.shape[1]
@@ -460,13 +474,12 @@ def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
             raise ConfigurationError(f"repeated head index in {tuple(head_keep)}")
     elif mask.total != n:
         raise DimensionError(f"mask domain {mask.total} != token count {n}")
-    keep = None if mask.is_full_keep else mask.keep_array()
-    rows, queries, heads = mode_selections(mode, keep, head_keep)
-    grads = mhsa_backward(layer, restrict_mhsa_cache(cache, keep, mode, head_keep),
-                          _take(upstream, rows, 1), queries, heads)
-    if rows is not None:  # dropped token rows get no input gradient
+    sel = select(mask, mode, head_keep)
+    grads = mhsa_backward(layer, restrict_mhsa_cache(cache, sel), _take(upstream, sel.rows, 1),
+                          sel.queries, sel.heads)
+    if sel.rows is not None:  # dropped token rows get no input gradient
         dx_k, grads.dx = grads.dx, np.zeros(upstream.shape)
-        grads.dx[:, rows] = dx_k
+        grads.dx[:, sel.rows] = dx_k
     return grads
 
 
@@ -597,11 +610,3 @@ class NetworkSpec:
         if not any(e.kind in ("embed", "block", "mlp_layer", "conv", "classifier")
                    for e in self.layers):
             raise ConfigurationError("network needs at least one parameterized layer")
-
-    def sbp_layers(self):
-        """(layer_id, grid_shape) for every SBP-enabled layer, in network order."""
-        out = []
-        for e in self.layers:
-            if e.sbp_enabled:
-                out.append((e.layer_id, tuple(e.options["grid"])))
-        return out

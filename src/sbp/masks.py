@@ -210,6 +210,8 @@ def downsample_mask(mask: IndexMask, factor: int) -> IndexMask:
     resolution change."""
     if len(mask.domain_shape) != 2:
         raise ConfigurationError("downsample_mask needs a 2-D domain")
+    if factor < 1:
+        raise ConfigurationError(f"downsample factor must be >= 1, got {factor}")
     h, w = mask.domain_shape
     if h % factor or w % factor:
         raise ConfigurationError(f"grid {mask.domain_shape} not divisible by {factor}")
@@ -247,7 +249,7 @@ def make_mask_plan(network, schedule: KeepRatioSchedule, sampler: str, sharing: 
     `network` must expose `sbp_layers() -> [(layer_id, domain_shape), ...]`.
     Shared mode requires a uniform schedule; a single mask is sampled at the
     first layer's resolution and reused (lattice-downsampled if a later layer
-    runs at a coarser grid).
+    runs at a grid coarser by an integer factor; any other grid is an error).
     """
     if sampler not in ("grid", "random"):
         raise ConfigurationError(f"unknown sampler {sampler!r}")
@@ -259,15 +261,16 @@ def make_mask_plan(network, schedule: KeepRatioSchedule, sampler: str, sharing: 
     if sharing == "shared":
         if schedule.kind != "uniform":
             raise ConfigurationError("shared masks cannot realize a non-uniform schedule")
-        base_shape = layers[0][1]
+        base_shape = tuple(layers[0][1])
         base = sample(base_shape, schedule.ratios[0], rng_seed)
         per_layer = []
         for lid, shape in layers:
-            if tuple(shape) == tuple(base_shape):
-                per_layer.append((lid, base))
-            else:
-                factor = base_shape[0] // shape[0]
-                per_layer.append((lid, downsample_mask(base, factor)))
+            factor = base_shape[0] // shape[0]
+            if factor < 1 or tuple(d * factor for d in shape) != base_shape:
+                raise ConfigurationError(
+                    f"shared plan: layer {lid} grid {tuple(shape)} is not grid "
+                    f"{base_shape} divided by an integer factor")
+            per_layer.append((lid, base if factor == 1 else downsample_mask(base, factor)))
         return MaskPlan(tuple(per_layer), "shared")
     per_layer = tuple(
         (lid, sample(shape, ratio, rng_seed + 1000003 * i))

@@ -2,10 +2,10 @@
 
 A Model is an ordered list of nodes. Each node's forward is exact and records
 the activations its backward will need; `restrict` cuts such a full record down
-to the kept indices of a mask, and the backward runs from either kind of
-record. Node records are what the tape stores: each is a flat dict of named
-float activations, batch first, and its cached-element count is the sum of
-their sizes.
+to what a `Selection` keeps, and the backward runs from either kind of record.
+Node records are what the tape stores: each is a flat dict of named float
+activations, batch first, and its cached-element count is the sum of their
+sizes. The selection comes from the engine; no node knows the drop modes.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .layers import (
+    EXACT,
     Conv2dLayer,
     LayerSpecEntry,
     MhsaCache,
     MhsaLayer,
     NetworkSpec,
+    Selection,
     conv2d_backward_full,
     conv2d_backward_sbp,
     conv2d_forward,
@@ -35,11 +37,9 @@ from .layers import (
     mhsa_backward,
     mhsa_forward,
     mhsa_projections,
-    mode_selections,
     restrict_mhsa_cache,
     row_gemm,
 )
-from .masks import IndexMask
 
 Array = np.ndarray
 
@@ -47,21 +47,14 @@ Array = np.ndarray
 @dataclass
 class NodeRecord:
     """One tape entry: the float activations a node's backward reads, by name,
-    each with the batch on axis 0, plus the mask context it ran under."""
+    each with the batch on axis 0, plus the selection they were cut to."""
 
     cache: dict[str, Array]
-    mask: IndexMask | None = None
-    mode: str | None = None
-    head_keep: tuple[int, ...] | None = None
+    sel: Selection = EXACT
 
     @property
     def cached_elements(self) -> int:
         return sum(a.size for a in self.cache.values())
-
-
-def _kept(mask: IndexMask | None):
-    """Kept token indices, or None when nothing is dropped."""
-    return None if mask is None or mask.is_full_keep else mask.keep_array()
 
 
 def _gather(t: Array, keep) -> Array:
@@ -108,7 +101,7 @@ class Node:
     node_id: str
     kind: str
     sbp_enabled: bool = False
-    grid: tuple[int, ...] | None = None  # mask domain, when sbp_enabled
+    grid: tuple[int, ...] | None = None  # the mask domain, when sbp_enabled
 
     def params(self) -> dict[str, Array]:
         raise NotImplementedError
@@ -117,21 +110,20 @@ class Node:
         setattr(self, name, value)
 
     def forward(self, x):
-        """Exact output and the full record; `restrict` cuts it down under a mask."""
+        """Exact output and the full record; `restrict` cuts it down to a selection."""
         raise NotImplementedError
 
-    def restrict(self, rec: NodeRecord, mask, mode, head_keep) -> NodeRecord:
-        """The part of a full (unmasked) record that the masked backward reads."""
-        return rec
+    def restrict(self, rec: NodeRecord, sel: Selection) -> NodeRecord:
+        """The part of a full (unmasked) record that the backward under `sel`
+        reads; by default all of it."""
+        return replace(rec, sel=sel)
 
     def backward(self, rec: NodeRecord, dy):
         raise NotImplementedError
 
-    def estimate_cached(self, batch: int, keep_count: int | None, mode: str | None,
-                        head_keep_count: int | None) -> int:
+    def estimate_cached(self, batch: int, sel: Selection) -> int:
         """Analytic cached-element count of the record `restrict` leaves under
-        (keep_count, mode, head_keep_count), as `sbp_context` hands them out;
-        keep_count None means no mask (full)."""
+        `sel` (EXACT: the full record)."""
         raise NotImplementedError
 
 
@@ -166,7 +158,7 @@ class TokenEmbedNode(Node):
         grads["w"], grads["b"], dx = linear_backward_kept(x, dy, self.w, True)
         return grads, dx.reshape(x.shape)
 
-    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
+    def estimate_cached(self, batch, sel):
         return batch * self.n_tokens * self.w.shape[0]
 
 
@@ -199,11 +191,11 @@ class TokenLinearNode(Node):
     def forward(self, x):
         return gelu_forward(row_gemm(x, self.w, self.b)), NodeRecord({"x": x})
 
-    def restrict(self, rec, mask, mode, head_keep):
-        return NodeRecord({"x": _gather(rec.cache["x"], _kept(mask))}, mask)
+    def restrict(self, rec, sel):
+        return NodeRecord({"x": _gather(rec.cache["x"], sel.keep)}, sel)
 
     def backward(self, rec, dy):
-        x_k, keep = rec.cache["x"], _kept(rec.mask)
+        x_k, keep = rec.cache["x"], rec.sel.keep
         # u is rebuilt and taken through the GELU backward chunk by chunk, so
         # one chunk's u and temporaries are alive at a time; dW, db and dX
         # stay one GEMM or sum over all cached rows.
@@ -215,8 +207,8 @@ class TokenLinearNode(Node):
         del dy_k
         return {"w": dw, "b": db}, _scatter(dx_k, keep, dy.shape[1])
 
-    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
-        rows = self.n_tokens if keep_count is None else keep_count
+    def estimate_cached(self, batch, sel):
+        rows = self.n_tokens if sel.keep is None else sel.keep.size
         return batch * rows * self.w.shape[0]
 
 
@@ -293,30 +285,23 @@ class TransformerBlockNode(Node):
         del u
         return row_gemm(g, self.w2, self.b2)
 
-    def restrict(self, rec, mask, mode, head_keep):
-        keep = _kept(mask)
-        if keep is None:
-            return rec
+    def restrict(self, rec, sel):
         full = rec.cache
         # The MLP branch keeps kept token rows only, in every mode; LN1 keeps
         # the rows the attention backward covers (the kept ones in qkv).
-        rows = mode_selections(mode, keep, head_keep)[0]
-        cache = {name: _gather(full[name], rows) for name in ("ln1_xhat", "ln1_inv_std")}
-        mc = restrict_mhsa_cache(MhsaCache(None, None, None, None, full["s"], full["a"]),
-                                 keep, mode, head_keep)
+        cache = {name: _gather(full[name], sel.rows) for name in ("ln1_xhat", "ln1_inv_std")}
+        mc = restrict_mhsa_cache(MhsaCache(None, None, None, None, full["s"], full["a"]), sel)
         cache["s"], cache["a"] = mc.s, mc.a
         for name in ("ln2_xhat", "ln2_inv_std", "cdf"):
-            cache[name] = _gather(full[name], keep)
-        return NodeRecord(cache, mask, mode, head_keep)
+            cache[name] = _gather(full[name], sel.keep)
+        return NodeRecord(cache, sel)
 
     def backward(self, rec, dy):
-        cache = rec.cache
-        keep = _kept(rec.mask)
+        cache, sel = rec.cache, rec.sel
+        keep, rows, queries, heads = sel.keep, sel.rows, sel.queries, sel.heads
         grads = {}
         # dy can be the pool's read-only view; dx2 is the block's own.
         dx2 = _add_rows(dy, keep, self._mlp_backward(cache, _gather(dy, keep), grads))
-        rows, queries, heads = ((None,) * 3 if keep is None
-                                else mode_selections(rec.mode, keep, rec.head_keep))
         mg = mhsa_backward(self._mhsa(), self._attention_cache(rec, queries, heads),
                            _gather(dx2, rows), queries, heads)
         grads["w_q"], grads["w_k"], grads["w_v"], grads["w_o"] = (
@@ -349,18 +334,13 @@ class TransformerBlockNode(Node):
             (cache["ln2_xhat"], cache["ln2_inv_std"]), self.ln2_g, dh2)
         return dx
 
-    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
+    def estimate_cached(self, batch, sel):
         n, c, h, d, f = self.n_tokens, self.embed, self.heads, self.dim_head, self.hidden
         # Only S, A, both LNs' x_hat and 1/sigma, and Phi(u) are counted:
         # the backward rebuilds the rest (see the class docstring). The MLP
         # side caches k rows; the attention side r rows, and S on hs heads.
-        k, r, hs = n, n, h
-        if keep_count is not None:  # the mode's selections, on stand-in indices
-            rows, _, heads = mode_selections(mode, np.arange(keep_count),
-                                             range(head_keep_count or 0))
-            k = keep_count
-            r = n if rows is None else k
-            hs = h if heads is None else heads.size
+        k, r = (n if a is None else a.size for a in (sel.keep, sel.rows))
+        hs = h if sel.heads is None else sel.heads.size
         return batch * ((r * c + r) + hs * r * r + h * r * d + (k * c + k) + k * f)
 
 
@@ -394,21 +374,18 @@ class Conv2dNode(Node):
         # kept outputs' receptive fields overlap nearly everything.
         return gelu_forward(u), NodeRecord({"x": x, "u": u})
 
-    def restrict(self, rec, mask, mode, head_keep):
-        return replace(rec, mask=mask)
-
     def backward(self, rec, dy):
         x, u = rec.cache["x"], rec.cache["u"]
         # GELU's backward is elementwise, so the dropped positions can be
         # zeroed after it, once, by conv2d_backward_sbp.
         dy = gelu_backward(u, dy)
-        if rec.mask is None:
+        if rec.sel.keep is None:
             dw, dx = conv2d_backward_full(self._layer(), x, dy)
         else:
-            dw, dx = conv2d_backward_sbp(self._layer(), x, dy, rec.mask)
+            dw, dx = conv2d_backward_sbp(self._layer(), x, dy, rec.sel.mask)
         return {"w": dw}, dx
 
-    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
+    def estimate_cached(self, batch, sel):
         h, w = self.in_grid
         ho, wo = self.out_grid
         c_in, c_out = self.w.shape[2], self.w.shape[3]
@@ -438,7 +415,7 @@ class MeanPoolNode(Node):
         dx = np.broadcast_to((dy / n)[:, None, :], (dy.shape[0], n, dy.shape[1]))
         return {}, dx.reshape(dy.shape[0], *self.in_shape)
 
-    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
+    def estimate_cached(self, batch, sel):
         return 0
 
 
@@ -462,7 +439,7 @@ class ClassifierNode(Node):
         dw, db, dx = linear_backward_kept(rec.cache["x"], dy, self.w, True)
         return {"w": dw, "b": db}, dx
 
-    def estimate_cached(self, batch, keep_count, mode, head_keep_count):
+    def estimate_cached(self, batch, sel):
         return batch * self.w.shape[0]
 
 
@@ -491,7 +468,9 @@ class Model:
         return sum(v.size for v in self.params().values())
 
     def sbp_layers(self):
-        return self.spec.sbp_layers()
+        """(node_id, grid) of every SBP-enabled node, in network order: a
+        node's own grid is the domain of its mask."""
+        return [(node.node_id, node.grid) for node in self.nodes if node.sbp_enabled]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sbp.engine import backward, forward
-from sbp.layers import gelu_backward, gelu_forward, linear_backward_kept
+from sbp.layers import gelu_backward, gelu_forward, linear_backward_kept, select
 from sbp.masks import IndexMask, MaskPlan, sample_grid_mask, sample_random_mask
 from sbp.models import (
     MeanPoolNode,
@@ -73,10 +73,10 @@ class TestTokenUnitRecord:
         if mask_kind is not None:
             mask = make_mask(mask_kind, grid)
             keep = mask.keep_array()
-            rec = node.restrict(rec, mask, None, None)
+            rec = node.restrict(rec, select(mask, "qkv"))
         x_k = rec.cache["x"]
         assert x_k.shape == (x.shape[0], x.shape[1] if keep is None else len(keep), x.shape[2])
-        assert (rec.mask is None) == (keep is None)
+        assert (rec.sel.mask is None) == (keep is None)
         grads, dx = node.backward(rec, dy)
         y_ref, ref, dx_ref = cached_u_unit(node, x, dy, keep)
         assert np.array_equal(y, y_ref)

@@ -192,6 +192,13 @@ class TestChainRule:
         assert set(report.input_classes) == {"exact", "zero"}
         assert report.per_layer_sparsity["c0"] == 0.5
 
+    def test_non_integral_conv_stage_rejected(self):
+        stage = ConvStage("c0", (5, 5), kernel=2, stride=2)
+        with pytest.raises(ConfigurationError, match="not integral"):
+            stage.out_grid
+        with pytest.raises(ConfigurationError):
+            chain_rule_report([stage])
+
     def test_unmasked_stack_all_exact(self):
         report = chain_rule_report([PointwiseStage("l0", (2, 2)),
                                     PointwiseStage("l1", (2, 2))])

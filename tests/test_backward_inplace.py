@@ -25,8 +25,8 @@ from sbp.layers import (
     layer_norm_forward,
     mhsa_backward,
     mhsa_forward,
-    mode_selections,
     restrict_mhsa_cache,
+    select,
 )
 from sbp.masks import IndexMask, sample_grid_mask
 
@@ -175,13 +175,13 @@ class TestAttention:
     @pytest.mark.parametrize("mask", ["grid", "keep_first", "keep_last"])
     def test_token_modes(self, shape, mode, mask):
         layer, cache, up, grid = attention_case(shape, seed=1)
-        keep = token_masks(grid)[mask].keep_array()
-        restricted = restrict_mhsa_cache(cache, keep, mode, None)
+        sel = select(token_masks(grid)[mask], mode)
+        keep = sel.keep
+        restricted = restrict_mhsa_cache(cache, sel)
         before, before_full = snapshot(restricted), snapshot(cache)
         # In qkv the kernel's upstream and dX cover the kept rows only.
-        rows, queries, _ = mode_selections(mode, keep, None)
-        rows = slice(None) if rows is None else rows
-        new = mhsa_backward(layer, restricted, up[:, rows], queries)
+        rows = slice(None) if sel.rows is None else sel.rows
+        new = mhsa_backward(layer, restricted, up[:, rows], sel.queries)
         assert_cache_unchanged(restricted, before)
         assert_cache_unchanged(cache, before_full)
         dx_rows, new.dx = new.dx, np.zeros(up.shape)
@@ -191,11 +191,11 @@ class TestAttention:
     @pytest.mark.parametrize("head_keep", [(), (0,), (1,), (0, 1)])
     def test_head_mode(self, shape, head_keep):
         layer, cache, up, grid = attention_case(shape, seed=2)
-        keep = token_masks(grid)["grid"].keep_array()
-        restricted = restrict_mhsa_cache(cache, keep, "head", head_keep)
+        sel = select(token_masks(grid)["grid"], "head", head_keep)
+        keep = sel.keep
+        restricted = restrict_mhsa_cache(cache, sel)
         before, before_full = snapshot(restricted), snapshot(cache)
-        heads = mode_selections("head", keep, head_keep)[2]
-        new = mhsa_backward(layer, restricted, up, heads=heads)
+        new = mhsa_backward(layer, restricted, up, heads=sel.heads)
         assert_cache_unchanged(restricted, before)
         assert_cache_unchanged(cache, before_full)
         assert_grads_close(new, old_mhsa_backward_kept(layer, restricted, up, keep, "head",

@@ -44,6 +44,19 @@ train.batch_size = 8
 data.count = 16
 """
 
+EVEN_KERNEL_CONV_CONFIG = """
+model.kind = conv
+model.grid = 4x4
+model.in_channels = 2
+model.channels = 3
+model.depth = 2
+model.kernel = 2
+sbp.keep_ratio = 0.75
+train.steps = 2
+train.batch_size = 4
+data.count = 8
+"""
+
 
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -229,7 +242,10 @@ class TestTrain:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, line", [("train", "model.heads = 0"),
-                                               ("gradsim", "gradsim.batches = -2")])
+                                               ("gradsim", "gradsim.batches = -2"),
+                                               ("train", "model.n_classes = 0"),
+                                               ("train", "model.depth = -2"),
+                                               ("train", "model.kind = conv\nmodel.depth = 0")])
     def test_malformed_size_exits_config(self, tmp_path, capsys, command, line):
         cfg = write_config(tmp_path, VIT_CONFIG + line + "\n")
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == EXIT_CONFIG
@@ -241,6 +257,25 @@ class TestTrain:
         cfg = write_config(tmp_path, BASE_CONFIG + "sbp.mode = head\n")
         assert run(["train", "--config", cfg,
                     "--out", tmp_path / "out"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind", ["mlp", "vit"])
+    def test_depth_zero_trains(self, tmp_path, kind):
+        base = BASE_CONFIG if kind == "mlp" else VIT_CONFIG
+        cfg = write_config(tmp_path, base + "model.depth = 0\n")
+        assert run(["train", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_OK
+
+    def test_even_kernel_conv_trains_under_sbp(self, tmp_path):
+        """Each conv's mask lives on the grid it writes: 5x5, then 6x6."""
+        cfg = write_config(tmp_path, EVEN_KERNEL_CONV_CONFIG)
+        assert run(["train", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_OK
+
+    def test_even_kernel_conv_shared_plan_exits_config(self, tmp_path, capsys):
+        """One shared mask cannot cover grids that grow from conv to conv."""
+        cfg = write_config(tmp_path, EVEN_KERNEL_CONV_CONFIG + "sbp.sharing = shared\n")
+        assert run(["train", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "divided by an integer factor" in err
 
 
 class TestGradsim:

@@ -76,6 +76,9 @@ class TestValidate:
         "model.mlp_ratio = 0",
         "model.channels = 0",
         "model.kernel = 0",
+        "model.n_classes = 0",
+        "model.depth = -2",
+        "model.kind = conv\nmodel.depth = 0",
         "model.sbp_fraction = -0.1",
         "model.sbp_fraction = 1.5",
         "data.count = 0",

@@ -12,7 +12,7 @@ from sbp.engine import (
     sgd_step,
 )
 from sbp.errors import ConfigurationError, ContractViolationError, NumericError
-from sbp.layers import gelu_backward, layer_norm_backward
+from sbp.layers import gelu_backward, layer_norm_backward, select
 from sbp.masks import IndexMask, MaskPlan, build_schedule, full_keep_mask, make_mask_plan
 from sbp.models import build_model, mlp_spec, tiny_conv_spec, tiny_vit_spec
 
@@ -244,7 +244,7 @@ class TestBlockSbp:
         block, x, dy = self.setup_block(seed=20)
         mask = IndexMask.from_keep((4, 4), list(range(0, 16, 2)))
         head_keep = (1,) if mode == "head" else None
-        rec = block.restrict(block.forward(x)[1], mask, mode, head_keep)
+        rec = block.restrict(block.forward(x)[1], select(mask, mode, head_keep))
         got, dx = block.backward(rec, dy)
         ref, dx_ref = self.block_reference(block, x, dy, mask, mode, head_keep)
         for key in ref:
@@ -258,7 +258,7 @@ class TestBlockSbp:
         block, x, dy = self.setup_block(seed=21)
         mask = IndexMask.from_keep((4, 4), [0, 3, 5, 9, 12, 14])
         head_keep = (0,) if mode == "head" else None
-        rec = block.restrict(block.forward(x)[1], mask, mode, head_keep)
+        rec = block.restrict(block.forward(x)[1], select(mask, mode, head_keep))
         got, dx = block.backward(rec, dy)
         for key, g in got.items():
             assert np.all(np.isfinite(g)), key
@@ -314,8 +314,8 @@ class TestRestrictAtBackward:
             plan = keep_one_plan(model)
             if mode == "head":
                 tape = forward(model, x, labels, plan=plan, mode=mode)
-                assert [rec.head_keep for node, rec in tape.records
-                        if node.kind == "block" and node.sbp_enabled] == [(), ()]
+                assert [rec.sel.heads.tolist() for node, rec in tape.records
+                        if node.kind == "block" and node.sbp_enabled] == [[], []]
         for step in (0, 1):
             self.check(model, x, labels, plan, mode=mode, step=step, head_seed=7)
 
@@ -347,11 +347,11 @@ class TestNodeRestrict:
         block, x, _ = TestBlockSbp().setup_block(seed=22)
         mask = IndexMask.from_keep((4, 4), [2, 7, 11])
         _, full = block.forward(x)
-        rec = block.restrict(full, mask, mode, head_keep)
-        assert (rec.mask, rec.mode, rec.head_keep) == (mask, mode, head_keep)
+        sel = select(mask, mode, head_keep)
+        rec = block.restrict(full, sel)
+        assert rec.sel is sel
         assert rec.cached_elements < full.cached_elements
-        hk = None if head_keep is None else len(head_keep)
-        assert rec.cached_elements == block.estimate_cached(2, 3, mode, hk)
+        assert rec.cached_elements == block.estimate_cached(2, sel)
 
     @pytest.mark.parametrize("spec", [
         mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=1),
@@ -365,16 +365,17 @@ class TestNodeRestrict:
             h, full = node.forward(h)
             if not node.sbp_enabled:
                 continue
-            rec = node.restrict(full, mask, None, None)
-            assert rec.mask is mask
+            sel = select(mask, "qkv")
+            rec = node.restrict(full, sel)
+            assert rec.sel.mask is mask
             # Token nodes keep 4 of 16 rows; conv keeps its whole record.
             expected = full.cached_elements if node.kind == "conv" else full.cached_elements // 4
             assert rec.cached_elements == expected
-            assert rec.cached_elements == node.estimate_cached(2, 4, None, None)
+            assert rec.cached_elements == node.estimate_cached(2, sel)
             if node.kind == "linear":
                 # The unit caches the kept rows of its input; the mask gives their indices.
                 assert rec.cache["x"].shape == (2, 4, node.w.shape[0])
-                assert rec.mask.keep_array().tolist() == [0, 5, 6, 15]
+                assert rec.sel.keep.tolist() == [0, 5, 6, 15]
 
 
 class TestGradientStore:

@@ -187,6 +187,11 @@ class TestDownsample:
         with pytest.raises(ConfigurationError):
             downsample_mask(checkerboard_mask(4, 4), 3)
 
+    @pytest.mark.parametrize("factor", [0, -1])
+    def test_factor_below_one_rejected(self, factor):
+        with pytest.raises(ConfigurationError, match="factor must be >= 1"):
+            downsample_mask(checkerboard_mask(4, 4), factor)
+
 
 class TestMaskPlan:
     def test_shared_requires_uniform(self):
@@ -217,6 +222,17 @@ class TestMaskPlan:
                               "grid", "shared", 0)
         masks = dict(plan.per_layer)
         assert masks["b"].domain_shape == (2, 2)
+
+    @pytest.mark.parametrize("grids", [[(5, 5), (6, 6)], [(4, 4), (3, 3)], [(4, 6), (2, 2)]],
+                             ids=["finer", "not-a-divisor", "uneven"])
+    def test_shared_rejects_grid_without_integer_factor(self, grids):
+        """A shared mask reaches another grid only by an integer coarsening."""
+        class Net:
+            def sbp_layers(self):
+                return [("a", grids[0]), ("b", grids[1])]
+
+        with pytest.raises(ConfigurationError, match="layer b grid"):
+            make_mask_plan(Net(), build_schedule("uniform", 0.75, 2), "grid", "shared", 0)
 
     def test_independent_layers_get_distinct_seeds(self):
         class Net:

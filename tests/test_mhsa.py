@@ -10,9 +10,9 @@ from sbp.layers import (
     mhsa_backward,
     mhsa_backward_sbp,
     mhsa_forward,
-    mode_selections,
     restrict_mhsa_cache,
     sample_head_keep,
+    select,
 )
 from sbp.masks import IndexMask, full_keep_mask
 
@@ -240,13 +240,12 @@ class TestBackwardSbp:
         x = rng.normal(size=(2, 6, 6))
         up = rng.normal(size=(2, 6, 6))
         _, cache = mhsa_forward(layer, x)
+        sel = select(IndexMask.from_keep((6,), keep), mode, head_keep)
         keep = np.asarray(keep)
         # In qkv the kernel's upstream and dX cover the kept rows only.
-        rows, queries, heads = mode_selections(mode, keep, head_keep)
-        rows = slice(None) if rows is None else rows
+        rows = slice(None) if sel.rows is None else sel.rows
         kept = grads_as_dict(mhsa_backward(
-            layer, restrict_mhsa_cache(cache, keep, mode, head_keep), up[:, rows], queries,
-            heads))
+            layer, restrict_mhsa_cache(cache, sel), up[:, rows], sel.queries, sel.heads))
         dx_rows, kept["dx"] = kept["dx"], np.zeros(up.shape)
         kept["dx"][:, rows] = dx_rows
         poison_dropped_slots(cache, keep, mode, head_keep)
@@ -261,7 +260,7 @@ class TestBackwardSbp:
         rng = np.random.Generator(np.random.PCG64(13))
         b, n, c, h, d = 2, 6, 6, 3, 2
         _, cache = mhsa_forward(make_layer(rng, c, h, d), rng.normal(size=(b, n, c)))
-        r = restrict_mhsa_cache(cache, np.asarray(keep), mode, head_keep)
+        r = restrict_mhsa_cache(cache, select(IndexMask.from_keep((n,), keep), mode, head_keep))
         got = {name: None if t is None else t.shape
                for name, t in zip("xqkvsa", (r.x, r.q, r.k, r.v, r.s, r.a))}
         nk, hk = len(keep), len(head_keep or ())

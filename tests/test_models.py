@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from sbp.analysis import activation_memory_estimate
-from sbp.engine import backward, forward
+from sbp.engine import backward, forward, sgd_step
 from sbp.errors import ConfigurationError
-from sbp.layers import gelu_backward, gelu_forward, linear_backward_kept
-from sbp.masks import IndexMask
+from sbp.layers import gelu_backward, gelu_forward, linear_backward_kept, select
+from sbp.masks import IndexMask, build_schedule, make_mask_plan
 from sbp.models import (
     TokenLinearNode,
     TransformerBlockNode,
@@ -65,6 +65,24 @@ class TestBuildModel:
         assert dx.shape == x.shape
         report = activation_memory_estimate(model, None, "qkv", 2, 0, 0)
         assert report.estimated_total == tape.cached_elements()
+
+    def test_even_kernel_convs_mask_their_own_grids(self):
+        """Under SBP each even-kernel conv's mask lives on the grid that conv
+        writes, so a plan of independent masks trains."""
+        spec = tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=2, kernel=2,
+                              sbp_fraction=1.0)
+        model = build_model(spec, 0)
+        plan = make_mask_plan(model, build_schedule("uniform", 0.75, 2), "grid",
+                              "independent", 3)
+        assert [m.domain_shape for _, m in plan.per_layer] == [(5, 5), (6, 6)]
+        rng = np.random.Generator(np.random.PCG64(1))
+        x, labels = rng.normal(size=(2, 4, 4, 2)), rng.integers(0, 2, size=2)
+        tape = forward(model, x, labels, plan=plan, step=2)
+        report = activation_memory_estimate(model, plan, "qkv", 2, 2, 0)
+        assert report.estimated_total == tape.cached_elements()
+        grads = backward(tape)
+        assert set(grads.keys()) == set(model.params())
+        sgd_step(model, grads, 0.1)
 
     def test_embed_must_divide_heads(self):
         rng = np.random.Generator(np.random.PCG64(0))
@@ -132,7 +150,7 @@ class TestTokenMlpUnit:
         dy = rng.normal(size=(2, 16, 5))
         y, rec = node.forward(x)
         if keep is not None:
-            rec = node.restrict(rec, IndexMask.from_keep((4, 4), keep), None, None)
+            rec = node.restrict(rec, select(IndexMask.from_keep((4, 4), keep), "qkv"))
         grads, dx = node.backward(rec, dy)
         y_ref, dw_ref, db_ref, dx_ref = _two_step_unit(node, x, dy, keep)
         assert np.array_equal(y, y_ref)

@@ -19,6 +19,7 @@ import sbp.models
 from sbp.cli import EXIT_OK, main
 from sbp.engine import backward, forward
 from sbp.layers import (
+    EXACT,
     gelu_backward,
     gelu_cdf,
     layer_norm_backward,
@@ -26,8 +27,8 @@ from sbp.layers import (
     linear_backward_kept,
     mhsa_backward,
     mhsa_forward,
-    mode_selections,
     restrict_mhsa_cache,
+    select,
 )
 from sbp.masks import IndexMask, build_schedule, make_mask_plan, sample_grid_mask
 from sbp.models import build_model, tiny_vit_spec
@@ -66,18 +67,17 @@ def add_rows(base, keep, rows):
     return out
 
 
-def cached_qkv_u_backward(block, x, dy, keep, mode, head_keep):
+def cached_qkv_u_backward(block, x, dy, sel):
     """(grads, dx) of the block from a record that caches Q, K, V and u, and
-    the attention and MLP inputs, as the forward computed them."""
+    the attention and MLP inputs, as the forward computed them, cut to the
+    selection `sel`."""
     h1, ln1c = layer_norm_forward(x, block.ln1_g, block.ln1_b)
     att, mc = mhsa_forward(block._mhsa(), h1)
     h2, ln2c = layer_norm_forward(x + att, block.ln2_g, block.ln2_b)
     b, n, c = x.shape
     u = (h2.reshape(b * n, c) @ block.w1 + block.b1).reshape(b, n, -1)
-    ln1_keep, queries, heads = (None,) * 3
-    if keep is not None:
-        ln1_keep, queries, heads = mode_selections(mode, keep, head_keep)
-        mc = restrict_mhsa_cache(mc, keep, mode, head_keep)
+    keep, ln1_keep, queries, heads = sel.keep, sel.rows, sel.queries, sel.heads
+    mc = restrict_mhsa_cache(mc, sel)
     ln1c = tuple(gather(t, ln1_keep) for t in ln1c)
     ln2c, h2, u = tuple(gather(t, keep) for t in ln2c), gather(h2, keep), gather(u, keep)
 
@@ -110,15 +110,14 @@ class TestSlimBlockRecord:
     def test_rebuild_is_bitwise(self, shape, mode, head_keep, mask_kind):
         block, x, dy, grid = block_case(shape)
         if mode == "full":
-            keep, rec = None, block.forward(x)[1]
+            sel, rec = EXACT, block.forward(x)[1]
         else:
             mask = (sample_grid_mask(grid, 0.5, 3) if mask_kind == "grid"
                     else IndexMask.from_keep(grid, [grid[0] * grid[1] // 3]))
-            keep = mask.keep_array()
-            rec = block.restrict(block.forward(x)[1], mask, mode, head_keep)
+            sel = select(mask, mode, head_keep)
+            rec = block.restrict(block.forward(x)[1], sel)
         grads, dx = block.backward(rec, dy)
-        ref, dx_ref = cached_qkv_u_backward(block, x, dy, keep,
-                                            None if mode == "full" else mode, head_keep)
+        ref, dx_ref = cached_qkv_u_backward(block, x, dy, sel)
         assert set(grads) == set(ref)
         for key in ref:
             assert np.array_equal(grads[key], ref[key]), key
@@ -145,7 +144,7 @@ class TestSlimBlockRecord:
         monkeypatch.setattr(sbp.models, "mhsa_backward", spy)
         rec = block.forward(x)[1]
         if mode is not None:
-            rec = block.restrict(rec, mask, mode, head_keep)
+            rec = block.restrict(rec, select(mask, mode, head_keep))
         block.backward(rec, dy)
         b, n, c = x.shape
         rows = mask.keep_array().size if mode == "qkv" else n

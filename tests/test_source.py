@@ -1,14 +1,19 @@
-"""Source hygiene: every name a module of the package imports is used there.
+"""Source hygiene: every name a module of the package imports is used there,
+and the model nodes never decide by drop mode.
 
 No linter ships with the project, so this walks the syntax trees itself. An
 import inside a function must be used in that function; a module-level one
 anywhere in the module. `sbp/__init__.py` only re-exports and is skipped.
+A node runs under the `Selection` the engine resolves for it, so `models.py`
+holds no drop-mode string.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from sbp.config import SBP_MODES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sbp"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -49,3 +54,34 @@ def test_checker_sees_unused_names():
               "def f():\n    from math import pi, tau\n    return np.sqrt(pi)\n"
               "@dataclass\nclass A:\n    pass\n")
     assert unused_imports(source) == ["line 1: field", "line 4: tau"]
+
+
+def drop_mode_uses(source: str) -> list[str]:
+    """String constants naming a drop mode, and names, arguments and
+    attributes called `mode` or `head_keep`. The second argument of a
+    `LayerSpecEntry(...)` call is a layer id, not a mode: the classifier's
+    id is "head"."""
+    tree = ast.parse(source)
+    layer_ids = {id(node.args[1]) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LayerSpecEntry"
+                 and len(node.args) > 1}
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "arg", None) or getattr(node, "attr", None)
+        if name in ("mode", "head_keep"):
+            found.append(f"line {node.lineno}: {name}")
+        elif (isinstance(node, ast.Constant) and node.value in SBP_MODES
+              and id(node) not in layer_ids):
+            found.append(f"line {node.lineno}: {node.value!r}")
+    return sorted(found)
+
+
+def test_models_hold_no_drop_mode():
+    assert drop_mode_uses((PACKAGE / "models.py").read_text()) == []
+
+
+def test_checker_sees_drop_modes():
+    source = ('LayerSpecEntry("classifier", "head", {})\n'
+              'def f(rec, head_keep):\n    return rec.mode == "qkv" or head_keep\n')
+    assert drop_mode_uses(source) == ["line 2: head_keep", "line 3: 'qkv'", "line 3: head_keep",
+                                      "line 3: mode"]

@@ -81,17 +81,17 @@ def test_chunked_forward_equals_exact_then_restrict(name, b):
     h = x
     masked = 0
     for node in model.nodes:
-        context = sbp_context(node, masks, mode, STEP, HEAD_SEED)
+        sel = sbp_context(node, masks, mode, STEP, HEAD_SEED)
         y_ref, full = node.forward(h)
-        if context[0] is not None:
+        if sel.mask is not None:
             masked += 1
-            y, rec = _chunked_forward(node, h, context)
-            ref = node.restrict(full, *context)
+            y, rec = _chunked_forward(node, h, sel)
+            ref = node.restrict(full, sel)
             assert np.array_equal(y, y_ref)
             for record in (full, ref, rec):
                 assert_activations(record.cache, b)
             assert_same_cache(rec.cache, ref.cache)
-            assert (rec.mask, rec.mode, rec.head_keep) == (ref.mask, ref.mode, ref.head_keep)
+            assert rec.sel is ref.sel is sel
             assert rec.cached_elements == ref.cached_elements
             if node.kind == "conv":  # a record caching its input holds it, not a copy
                 assert rec.cache["x"] is h
