@@ -80,7 +80,6 @@ from .layers import (
     MhsaCache,
     MhsaGrads,
     MhsaLayer,
-    NetworkSpec,
     Selection,
     as_tensor,
     conv2d_backward_full,
@@ -141,6 +140,6 @@ from .analysis import (
     weight_similarity,
 )
 from .data import Dataset, make_blobs, read_sbpd, write_sbpd
-from .config import TrainConfig, default_config, parse_config
+from .config import ModelConfig, TrainConfig, default_config, parse_config
 
 __version__ = "0.1.0"

@@ -30,24 +30,6 @@ def _load_config(path, seed_override):
     return cfg, hashlib.sha256(text.encode()).hexdigest()
 
 
-def _build_model(cfg, seed=None):
-    from .models import build_model, mlp_spec, tiny_conv_spec, tiny_vit_spec
-
-    m = cfg.model
-    if m.kind == "mlp":
-        spec = mlp_spec(grid=m.grid, in_channels=m.in_channels, width=m.width,
-                        depth=m.depth, n_classes=m.n_classes, sbp_fraction=m.sbp_fraction)
-    elif m.kind == "vit":
-        spec = tiny_vit_spec(grid=m.grid, in_channels=m.in_channels, embed=m.embed,
-                             heads=m.heads, depth=m.depth, mlp_ratio=m.mlp_ratio,
-                             n_classes=m.n_classes, sbp_fraction=m.sbp_fraction)
-    else:
-        spec = tiny_conv_spec(grid=m.grid, in_channels=m.in_channels, channels=m.channels,
-                              depth=m.depth, kernel=m.kernel, n_classes=m.n_classes,
-                              sbp_fraction=m.sbp_fraction)
-    return build_model(spec, cfg.train.seed if seed is None else seed)
-
-
 def _load_dataset(cfg):
     from .data import make_blobs, read_sbpd
 
@@ -112,10 +94,11 @@ def cmd_train(args):
     from .analysis import accuracy, write_csv, write_json
     from .engine import backward, forward, sgd_step
     from .errors import NumericError
+    from .models import build_model
 
     cfg, cfg_hash = _load_config(args.config, args.seed)
     out = _outdir(args)
-    model = _build_model(cfg)
+    model = build_model(cfg.model, cfg.train.seed)
     dataset = _load_dataset(cfg)
     batches = list(dataset.batches(cfg.train.batch_size))
     rows = []
@@ -185,11 +168,12 @@ def cmd_gradsim(args):
     import numpy as np
     from .analysis import (bootstrap_mean_diff, exact_reference,
                            grad_similarity_experiment, write_gradsim_csv, write_json)
+    from .models import build_model
 
     cfg, cfg_hash = _load_config(args.config, args.seed)
     variants = _variant_tokens(cfg)
     out = _outdir(args)
-    model = _build_model(cfg)
+    model = build_model(cfg.model, cfg.train.seed)
     dataset = _load_dataset(cfg)
     n_batches = cfg.gradsim.batches or cfg.train.steps
     batches = list(dataset.batches(cfg.train.batch_size))
@@ -243,10 +227,11 @@ def cmd_memreport(args):
     from .analysis import (activation_memory_estimate, measure_step_peaks,
                            mhsa_memory_ratio, write_json)
     from .engine import forward
+    from .models import build_model
 
     cfg, cfg_hash = _load_config(args.config, args.seed)
     out = _outdir(args)
-    model = _build_model(cfg)
+    model = build_model(cfg.model, cfg.train.seed)
     dataset = _load_dataset(cfg)
     x, labels = next(dataset.batches(cfg.train.batch_size))
     plan = _make_plan(model, cfg, 0)

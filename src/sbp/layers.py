@@ -19,7 +19,7 @@ operation: they surface in the loss, the logits and the gradient store.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -582,31 +582,3 @@ def mse_loss(pred: Array, target: Array):
     n = pred.shape[0]
     diff = pred - target
     return 0.5 * float((diff * diff).sum()) / n, diff / n
-
-
-# ---------------------------------------------------------------------------
-# Network description
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LayerSpecEntry:
-    kind: str               # "embed" | "block" | "mlp_layer" | "conv" | "pool" | "classifier"
-    layer_id: str
-    options: dict = field(default_factory=dict)
-    sbp_enabled: bool = False
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Ordered layer descriptors plus the loss kind; the model builder realizes it."""
-
-    layers: tuple[LayerSpecEntry, ...]
-    loss: str = "xent"  # "xent" | "mse"
-
-    def __post_init__(self):
-        if self.loss not in ("xent", "mse"):
-            raise ConfigurationError(f"unknown loss {self.loss!r}")
-        if not any(e.kind in ("embed", "block", "mlp_layer", "conv", "classifier")
-                   for e in self.layers):
-            raise ConfigurationError("network needs at least one parameterized layer")

@@ -99,17 +99,12 @@ def _grid_keep(total: int, ratio: Fraction, phase: int) -> list[int]:
     return sorted({(phase + (t * total) // m) % total for t in range(m)})
 
 
-def _check_divisible(shape_dims, ratio: Fraction):
-    total = int(np.prod(shape_dims))
-    if ratio.numerator == 1 and total % ratio.denominator != 0:
-        raise ConfigurationError(
-            f"grid total {total} (dims {tuple(shape_dims)}) is not divisible by "
-            f"the keep-ratio denominator {ratio.denominator}"
-        )
+def _kept_count(total: int, ratio: Fraction) -> int:
+    """floor(r * total); a ratio that keeps no index is an error."""
     m = (total * ratio.numerator) // ratio.denominator
     if m < 1:
         raise ConfigurationError(f"keep_ratio {ratio} keeps no index on a grid of {total}")
-    return total, m
+    return m
 
 
 def sample_grid_mask(shape, keep_ratio, rng_seed: int, phase: int | None = None) -> IndexMask:
@@ -121,7 +116,14 @@ def sample_grid_mask(shape, keep_ratio, rng_seed: int, phase: int | None = None)
     """
     dims = tuple(int(d) for d in shape)
     ratio = _as_ratio(keep_ratio)
-    total, m = _check_divisible(dims, ratio)
+    total = math.prod(dims)
+    # A 1/q lattice covers the grid in q phases only when q divides its total.
+    if ratio.numerator == 1 and total % ratio.denominator:
+        raise ConfigurationError(
+            f"grid total {total} (dims {dims}) is not divisible by "
+            f"the keep-ratio denominator {ratio.denominator}"
+        )
+    m = _kept_count(total, ratio)
     if ratio == 1:
         return full_keep_mask(dims)
     if phase is None:
@@ -135,7 +137,8 @@ def sample_random_mask(shape, keep_ratio, rng_seed: int) -> IndexMask:
     """Uniform subset of floor(r * total) indices, drawn without replacement."""
     dims = tuple(int(d) for d in shape)
     ratio = _as_ratio(keep_ratio)
-    total, m = _check_divisible(dims, ratio)
+    total = math.prod(dims)
+    m = _kept_count(total, ratio)
     if ratio == 1:
         return full_keep_mask(dims)
     rng = np.random.Generator(np.random.PCG64(rng_seed))

@@ -1,4 +1,4 @@
-"""Network nodes and desk-scale model builders (token MLP, tiny ViT, tiny conv net).
+"""Network nodes and the model builder (token MLP, tiny ViT, tiny conv net).
 
 A Model is an ordered list of nodes. Each node's forward is exact and records
 the activations its backward will need; `restrict` cuts such a full record down
@@ -15,14 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import ModelConfig
 from .errors import ConfigurationError, DimensionError
 from .layers import (
     EXACT,
     Conv2dLayer,
-    LayerSpecEntry,
     MhsaCache,
     MhsaLayer,
-    NetworkSpec,
     Selection,
     conv2d_backward_full,
     conv2d_backward_sbp,
@@ -345,28 +344,26 @@ class TransformerBlockNode(Node):
 
 
 class Conv2dNode(Node):
-    """Conv + GELU on a B x H x W x C grid; mask lives on the output grid."""
+    """Conv (stride 1, padding kernel // 2) + GELU on a B x H x W x C grid;
+    mask lives on the output grid."""
 
     kind = "conv"
 
-    def __init__(self, node_id, in_grid, c_in, c_out, rng, kernel=3, stride=1,
-                 padding=1, sbp_enabled=False):
+    def __init__(self, node_id, in_grid, c_in, c_out, rng, kernel=3, sbp_enabled=False):
         self.node_id = node_id
         self.in_grid = tuple(in_grid)
-        w = rng.normal(0.0, 1.0 / math.sqrt(kernel * kernel * c_in),
-                       (kernel, kernel, c_in, c_out))
-        self.w = w
-        self.stride = stride
-        self.padding = padding
+        self.w = rng.normal(0.0, 1.0 / math.sqrt(kernel * kernel * c_in),
+                            (kernel, kernel, c_in, c_out))
+        self.padding = kernel // 2
         self.sbp_enabled = sbp_enabled
-        self.out_grid = conv2d_output_grid(Conv2dLayer(w, stride, padding), *self.in_grid)
+        self.out_grid = conv2d_output_grid(self._layer(), *self.in_grid)
         self.grid = self.out_grid
 
     def params(self):
         return {"w": self.w}
 
     def _layer(self):
-        return Conv2dLayer(self.w, self.stride, self.padding)
+        return Conv2dLayer(self.w, 1, self.padding)
 
     def forward(self, x):
         u = conv2d_forward(self._layer(), x)
@@ -445,9 +442,8 @@ class ClassifierNode(Node):
 
 @dataclass
 class Model:
-    spec: NetworkSpec
     nodes: list
-    loss: str
+    loss: str  # "xent" | "mse"
 
     def params(self) -> dict[str, Array]:
         out = {}
@@ -474,7 +470,7 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# Spec builders
+# Model builders
 # ---------------------------------------------------------------------------
 
 
@@ -486,34 +482,21 @@ def _sbp_flags(depth: int, fraction: float) -> list[bool]:
 
 
 def mlp_spec(grid=(8, 8), in_channels=3, width=32, depth=3, n_classes=2,
-             sbp_fraction=1.0, loss="xent") -> NetworkSpec:
+             sbp_fraction=1.0) -> ModelConfig:
     """Token-wise MLP: embed, depth x (linear then GELU) units, mean pool, classifier."""
-    flags = _sbp_flags(depth, sbp_fraction)
-    layers = [LayerSpecEntry("embed", "embed", {"grid": tuple(grid), "in_channels": in_channels,
-                                                "width": width})]
-    for i, flag in enumerate(flags):
-        layers.append(LayerSpecEntry("mlp_layer", f"mlp{i}",
-                                     {"grid": tuple(grid), "width": width}, flag))
-    layers.append(LayerSpecEntry("pool", "pool"))
-    layers.append(LayerSpecEntry("classifier", "head", {"n_classes": n_classes}))
-    return NetworkSpec(tuple(layers), loss)
+    return ModelConfig(kind="mlp", grid=tuple(grid), in_channels=in_channels, width=width,
+                       depth=depth, n_classes=n_classes, sbp_fraction=sbp_fraction)
 
 
 def tiny_vit_spec(grid=(8, 8), in_channels=3, embed=32, heads=2, depth=6,
-                  mlp_ratio=2, n_classes=2, sbp_fraction=2 / 3, loss="xent") -> NetworkSpec:
-    flags = _sbp_flags(depth, sbp_fraction)
-    layers = [LayerSpecEntry("embed", "embed", {"grid": tuple(grid), "in_channels": in_channels,
-                                                "width": embed})]
-    for i, flag in enumerate(flags):
-        layers.append(LayerSpecEntry("block", f"block{i}",
-                                     {"grid": tuple(grid), "embed": embed, "heads": heads,
-                                      "mlp_ratio": mlp_ratio}, flag))
-    layers.append(LayerSpecEntry("pool", "pool"))
-    layers.append(LayerSpecEntry("classifier", "head", {"n_classes": n_classes}))
-    return NetworkSpec(tuple(layers), loss)
+                  mlp_ratio=2, n_classes=2, sbp_fraction=2 / 3) -> ModelConfig:
+    """Tiny ViT: embed, depth transformer blocks, mean pool, classifier."""
+    return ModelConfig(kind="vit", grid=tuple(grid), in_channels=in_channels, embed=embed,
+                       heads=heads, depth=depth, mlp_ratio=mlp_ratio, n_classes=n_classes,
+                       sbp_fraction=sbp_fraction)
 
 
-def vit_tiny_preset(n_classes=1000) -> NetworkSpec:
+def vit_tiny_preset(n_classes=1000) -> ModelConfig:
     """The full-size 12-block, embed-192 configuration. Far too large for
     finite-difference checks; provided as a named preset only."""
     return tiny_vit_spec(grid=(14, 14), in_channels=3, embed=192, heads=3,
@@ -522,53 +505,43 @@ def vit_tiny_preset(n_classes=1000) -> NetworkSpec:
 
 
 def tiny_conv_spec(grid=(8, 8), in_channels=3, channels=16, depth=3, kernel=3,
-                   n_classes=2, sbp_fraction=1.0, loss="xent") -> NetworkSpec:
-    flags = _sbp_flags(depth, sbp_fraction)
-    layers = []
-    c_prev = in_channels
-    for i, flag in enumerate(flags):
-        layers.append(LayerSpecEntry("conv", f"conv{i}",
-                                     {"grid": tuple(grid), "in_channels": c_prev,
-                                      "channels": channels, "kernel": kernel,
-                                      "stride": 1, "padding": kernel // 2}, flag))
-        c_prev = channels
-    layers.append(LayerSpecEntry("pool", "pool"))
-    layers.append(LayerSpecEntry("classifier", "head", {"n_classes": n_classes}))
-    return NetworkSpec(tuple(layers), "xent" if n_classes else "mse")
+                   n_classes=2, sbp_fraction=1.0) -> ModelConfig:
+    """Tiny CNN: depth conv + GELU layers, mean pool, classifier."""
+    return ModelConfig(kind="conv", grid=tuple(grid), in_channels=in_channels,
+                       channels=channels, depth=depth, kernel=kernel, n_classes=n_classes,
+                       sbp_fraction=sbp_fraction)
 
 
-def build_model(spec: NetworkSpec, seed: int) -> Model:
-    """Deterministically initialize a Model from its NetworkSpec."""
+def build_model(m: ModelConfig, seed: int) -> Model:
+    """Deterministically initialize a Model from its ModelConfig: the kind's
+    units in order, SBP on the last ones (`sbp_fraction`), then a mean pool
+    and the classifier."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    nodes = []
-    width = n_tokens = tokens = None  # tokens: the per-sample token shape, (N,) or a grid
-    for entry in spec.layers:
-        o = entry.options
-        if entry.kind == "embed":
-            n_tokens = int(np.prod(o["grid"]))
-            tokens = (n_tokens,)
-            width = o["width"]
-            nodes.append(TokenEmbedNode(entry.layer_id, n_tokens, o["in_channels"], width, rng))
-        elif entry.kind == "mlp_layer":
-            nodes.append(TokenLinearNode(entry.layer_id, n_tokens, width, o["width"], rng,
-                                         sbp_enabled=entry.sbp_enabled, grid=o["grid"]))
-            width = o["width"]
-        elif entry.kind == "block":
-            nodes.append(TransformerBlockNode(entry.layer_id, n_tokens, o["embed"], o["heads"],
-                                              o["mlp_ratio"], rng,
-                                              sbp_enabled=entry.sbp_enabled, grid=o["grid"]))
-        elif entry.kind == "conv":
-            # A conv after a conv reads its output grid, which an even kernel changes.
-            conv = Conv2dNode(entry.layer_id, tokens or o["grid"], o["in_channels"],
-                              o["channels"], rng, kernel=o["kernel"], stride=o["stride"],
-                              padding=o["padding"], sbp_enabled=entry.sbp_enabled)
-            width = o["channels"]
-            tokens = conv.out_grid
+    flags = _sbp_flags(m.depth, m.sbp_fraction)
+    n_tokens = math.prod(m.grid)
+    if m.kind == "mlp":
+        nodes = [TokenEmbedNode("embed", n_tokens, m.in_channels, m.width, rng)]
+        nodes += [TokenLinearNode(f"mlp{i}", n_tokens, m.width, m.width, rng,
+                                  sbp_enabled=flag, grid=m.grid)
+                  for i, flag in enumerate(flags)]
+        tokens, width = (n_tokens,), m.width
+    elif m.kind == "vit":
+        nodes = [TokenEmbedNode("embed", n_tokens, m.in_channels, m.embed, rng)]
+        nodes += [TransformerBlockNode(f"block{i}", n_tokens, m.embed, m.heads, m.mlp_ratio,
+                                       rng, sbp_enabled=flag, grid=m.grid)
+                  for i, flag in enumerate(flags)]
+        tokens, width = (n_tokens,), m.embed
+    elif m.kind == "conv":
+        nodes = []
+        tokens, width = m.grid, m.in_channels
+        for i, flag in enumerate(flags):
+            # Each conv reads the grid the one before it wrote, which an even kernel changes.
+            conv = Conv2dNode(f"conv{i}", tokens, width, m.channels, rng, kernel=m.kernel,
+                              sbp_enabled=flag)
             nodes.append(conv)
-        elif entry.kind == "pool":
-            nodes.append(MeanPoolNode(entry.layer_id, (*tokens, width)))
-        elif entry.kind == "classifier":
-            nodes.append(ClassifierNode(entry.layer_id, width, o["n_classes"], rng))
-        else:
-            raise ConfigurationError(f"unknown layer kind {entry.kind!r}")
-    return Model(spec, nodes, spec.loss)
+            tokens, width = conv.out_grid, m.channels
+    else:
+        raise ConfigurationError(f"unknown model kind {m.kind!r}")
+    nodes.append(MeanPoolNode("pool", (*tokens, width)))
+    nodes.append(ClassifierNode("head", width, m.n_classes, rng))
+    return Model(nodes, "xent")

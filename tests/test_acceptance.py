@@ -18,6 +18,7 @@ from sbp.analysis import (
     accuracy,
     bootstrap_mean_diff,
     chain_rule_report,
+    exact_reference,
     grad_similarity_experiment,
     l2_norm_trace,
     mhsa_memory_ratio,
@@ -28,10 +29,8 @@ from sbp.data import make_blobs
 from sbp.engine import backward, finite_difference_grad, forward, grad, sgd_step
 from sbp.layers import (
     Conv2dLayer,
-    LayerSpecEntry,
     LinearLayer,
     MhsaLayer,
-    NetworkSpec,
     conv2d_backward_full,
     conv2d_backward_sbp,
     conv2d_forward,
@@ -225,17 +224,10 @@ def test_criterion_2_gradient_correctness_finite_differences():
 
 def _linear_stack_model(depth=3, n_tokens=16, width=6, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
-    entries = []
-    nodes = []
-    for i in range(depth):
-        lid = f"lin{i}"
-        entries.append(LayerSpecEntry("mlp_layer", lid,
-                                      {"grid": (4, 4), "width": width}, True))
-        node = TokenLinearNode(lid, n_tokens, width, width, rng,
-                               sbp_enabled=True, grid=(4, 4))
-        node.mask_group = lid
-        nodes.append(node)
-    return Model(NetworkSpec(tuple(entries), "mse"), nodes, "mse")
+    nodes = [TokenLinearNode(f"lin{i}", n_tokens, width, width, rng,
+                             sbp_enabled=True, grid=(4, 4))
+             for i in range(depth)]
+    return Model(nodes, "mse")
 
 
 def test_criterion_3_memory_contract():
@@ -401,7 +393,16 @@ def test_criterion_5_chain_rule():
 # ---------------------------------------------------------------------------
 
 
-def _cosines_for_variant(model, batches, schedule_kind, sampler, mode):
+CRITERION_6_VARIANTS = {  # name: (schedule, sampler, mode)
+    "uniform_grid_qkv": ("uniform", "grid", "qkv"),
+    "increasing_grid_qkv": ("increasing", "grid", "qkv"),
+    "decreasing_grid_qkv": ("decreasing", "grid", "qkv"),
+    "uniform_random_qkv": ("uniform", "random", "qkv"),
+    "uniform_grid_head": ("uniform", "grid", "head"),
+}
+
+
+def _plan_fn(model, schedule_kind, sampler):
     n_layers = len(model.sbp_layers())
     sharing = "shared" if schedule_kind == "uniform" else "independent"
 
@@ -409,9 +410,7 @@ def _cosines_for_variant(model, batches, schedule_kind, sampler, mode):
         sched = build_schedule(schedule_kind, 0.5, n_layers)
         return make_mask_plan(model, sched, sampler, sharing, 1000 + step * 13)
 
-    reports = grad_similarity_experiment(model, batches, plan_fn, mode=mode,
-                                         head_seed=5)
-    return np.array([r.cosine for r in reports])
+    return plan_fn
 
 
 def test_criterion_6_statistical_orderings():
@@ -422,18 +421,17 @@ def test_criterion_6_statistical_orderings():
     batches = list(data.batches(8))
     assert len(batches) == 200
 
-    cos = {
-        "uniform_grid_qkv": _cosines_for_variant(model, batches, "uniform",
-                                                 "grid", "qkv"),
-        "increasing_grid_qkv": _cosines_for_variant(model, batches, "increasing",
-                                                    "grid", "qkv"),
-        "decreasing_grid_qkv": _cosines_for_variant(model, batches, "decreasing",
-                                                    "grid", "qkv"),
-        "uniform_random_qkv": _cosines_for_variant(model, batches, "uniform",
-                                                   "random", "qkv"),
-        "uniform_grid_head": _cosines_for_variant(model, batches, "uniform",
-                                                  "grid", "head"),
-    }
+    # One exact forward and backward per batch, shared by every variant.
+    plans = {name: _plan_fn(model, schedule_kind, sampler)
+             for name, (schedule_kind, sampler, _) in CRITERION_6_VARIANTS.items()}
+    cos = {name: [] for name in CRITERION_6_VARIANTS}
+    for step, batch in enumerate(batches):
+        exact = [exact_reference(model, *batch)]
+        for name, (_, _, mode) in CRITERION_6_VARIANTS.items():
+            cos[name].append(grad_similarity_experiment(
+                model, [batch], plans[name], mode=mode, head_seed=5, exact=exact,
+                start=step)[0].cosine)
+    cos = {name: np.array(values) for name, values in cos.items()}
     ci = lambda a, b: bootstrap_mean_diff(cos[a], cos[b], seed=3)
     lo_ui, _ = ci("uniform_grid_qkv", "increasing_grid_qkv")
     lo_ud, _ = ci("uniform_grid_qkv", "decreasing_grid_qkv")

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbp.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
@@ -269,6 +273,13 @@ class TestTrain:
         cfg = write_config(tmp_path, EVEN_KERNEL_CONV_CONFIG)
         assert run(["train", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_OK
 
+    def test_even_kernel_conv_random_sampler_trains(self, tmp_path):
+        """The random sampler keeps floor(r * total) positions on any grid, so
+        r = 1/2 trains on the 5x5 grid a kernel-2 conv writes."""
+        cfg = write_config(tmp_path, EVEN_KERNEL_CONV_CONFIG
+                           + "sbp.sampler = random\nsbp.keep_ratio = 0.5\n")
+        assert run(["train", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_OK
+
     def test_even_kernel_conv_shared_plan_exits_config(self, tmp_path, capsys):
         """One shared mask cannot cover grids that grow from conv to conv."""
         cfg = write_config(tmp_path, EVEN_KERNEL_CONV_CONFIG + "sbp.sharing = shared\n")
@@ -437,6 +448,58 @@ class TestGendata:
         cfg = write_config(tmp_path, BASE_CONFIG + f"data.path = {data_path}\n")
         assert run(["train", "--config", cfg,
                     "--out", tmp_path / "out"]) == EXIT_CONFIG
+
+
+@st.composite
+def small_runs(draw):
+    """A command and a one-step config of small, sometimes invalid, sizes."""
+    pick = lambda *values: draw(st.sampled_from(values))
+    lines = {
+        "model.kind": pick("mlp", "vit", "conv"),
+        "model.grid": f"{draw(st.integers(1, 4))}x{draw(st.integers(1, 4))}",
+        "model.in_channels": draw(st.integers(1, 3)),
+        "model.width": draw(st.integers(1, 4)),
+        "model.embed": draw(st.integers(1, 8)),
+        "model.heads": draw(st.integers(1, 3)),
+        "model.depth": draw(st.integers(-1, 3)),
+        "model.mlp_ratio": draw(st.integers(1, 2)),
+        "model.channels": draw(st.integers(1, 3)),
+        "model.kernel": draw(st.integers(1, 3)),
+        "model.n_classes": draw(st.integers(1, 3)),
+        "model.sbp_fraction": pick(0.0, 0.5, 1.0),
+        "sbp.enabled": pick("true", "false"),
+        "sbp.mode": pick("qkv", "query_only", "head"),
+        "sbp.sampler": pick("grid", "random"),
+        "sbp.sharing": pick("shared", "independent"),
+        "sbp.schedule": pick("uniform", "increasing", "decreasing"),
+        "sbp.keep_ratio": pick(0.25, 0.5, 0.75, 1.0),
+        "sbp.resample_each_step": pick("true", "false"),
+        "train.steps": 1,
+        "train.batch_size": draw(st.integers(1, 4)),
+        "train.lr": pick(0.05, 0.5),
+        "train.seed": draw(st.integers(0, 3)),
+        "data.count": draw(st.integers(1, 6)),
+        "gradsim.batches": 1,
+    }
+    text = "".join(f"{key} = {value}\n" for key, value in lines.items())
+    return pick("train", "gradsim", "memreport"), text
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_args=small_runs())
+def test_fuzzed_config_ends_in_a_documented_exit(run_args):
+    """Any small model, SBP and training description ends in exit 0, 2 or
+    3 with a one-line diagnostic, never in an uncaught exception."""
+    command, text = run_args
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with np.errstate(all="ignore"), contextlib.redirect_stderr(err):
+            code = run([command, "--config", cfg, "--out", Path(tmp) / "out"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), text
+    assert "Traceback" not in err.getvalue(), text
+    assert code == EXIT_OK or err.getvalue().startswith("error:"), text
 
 
 # Run in a fresh interpreter with the BLAS variables unset: importing the CLI

@@ -34,8 +34,7 @@ class TestFullBackward:
     def test_matches_finite_differences(self, spec):
         model = build_model(spec, seed=0)
         rng = np.random.Generator(np.random.PCG64(1))
-        grid = spec.layers[0].options["grid"]
-        x, labels = small_batch(rng, grid=grid)
+        x, labels = small_batch(rng, grid=spec.grid)
         _, store = grad(model, x, labels)
         fd = finite_difference_grad(model, x, labels)
         for key in store.keys():
@@ -88,7 +87,7 @@ class TestPredict:
     def test_equals_tape_logits(self, spec):
         model = build_model(spec, seed=0)
         rng = np.random.Generator(np.random.PCG64(2))
-        x, labels = small_batch(rng, grid=spec.layers[0].options["grid"], batch=5)
+        x, labels = small_batch(rng, grid=spec.grid, batch=5)
         np.testing.assert_array_equal(predict(model, x), forward(model, x, labels).logits)
 
     def test_nonfinite_logits_raise(self):

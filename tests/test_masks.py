@@ -106,6 +106,13 @@ class TestRandomSampler:
     def test_ratio_one_full_keep(self):
         assert sample_random_mask((4, 4), 1.0, 0).is_full_keep
 
+    def test_indivisible_grid_keeps_floor(self):
+        """The lattice's divisibility rule is the grid sampler's only: on 25
+        positions r = 1/2 keeps floor(25 / 2) = 12."""
+        m = sample_random_mask((5, 5), 0.5, 0)
+        assert len(m.keep) == 12
+        assert m.domain_shape == (5, 5)
+
 
 class TestSchedules:
     def test_uniform_constant(self):

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sbp.analysis import activation_memory_estimate
+from sbp.config import ModelConfig
 from sbp.engine import backward, forward, sgd_step
 from sbp.errors import ConfigurationError
 from sbp.layers import gelu_backward, gelu_forward, linear_backward_kept, select
@@ -32,23 +35,40 @@ class TestBuildModel:
         b = build_model(spec, 1).params()
         assert any(not np.array_equal(a[k], b[k]) for k in a)
 
+    @pytest.mark.parametrize("spec, ids, digest", [
+        (mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=2),
+         ["embed", "mlp0", "mlp1", "pool", "head"], "c1184dca3d04f556"),
+        (tiny_vit_spec(grid=(4, 4), in_channels=2, embed=8, heads=2, depth=3),
+         ["embed", "block0", "block1", "block2", "pool", "head"], "abd7f7a98d890b55"),
+        (tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=3, kernel=2),
+         ["conv0", "conv1", "conv2", "pool", "head"], "2eac0c5a057b8c5b"),
+    ], ids=["mlp", "vit", "conv"])
+    def test_initialisation_is_pinned(self, spec, ids, digest):
+        """Node ids, parameter keys and the RNG draw order (embed, the units
+        in order, then the classifier) fix every parameter's bytes, so a
+        checkpoint written by one version loads into the next."""
+        model = build_model(spec, 7)
+        assert [n.node_id for n in model.nodes] == ids
+        h = hashlib.sha256()
+        for key, value in sorted(model.params().items()):
+            h.update(key.encode())
+            h.update(value.tobytes())
+        assert h.hexdigest()[:16] == digest
+
     def test_fd_scale_vit_under_2000_params(self):
         spec = tiny_vit_spec(grid=(4, 4), in_channels=2, embed=8, heads=2,
                              depth=3, mlp_ratio=2)
         assert build_model(spec, 0).n_params() <= 2000
 
     def test_preset_structure(self):
-        spec = vit_tiny_preset()
-        blocks = [e for e in spec.layers if e.kind == "block"]
+        blocks = [n for n in build_model(vit_tiny_preset(), 0).nodes if n.kind == "block"]
         assert len(blocks) == 12
-        assert blocks[0].options["embed"] == 192
-        assert sum(e.sbp_enabled for e in blocks) == 8
+        assert blocks[0].embed == 192
+        assert sum(n.sbp_enabled for n in blocks) == 8
 
     def test_unknown_layer_kind(self):
-        from sbp.layers import LayerSpecEntry, NetworkSpec
-
         with pytest.raises(ConfigurationError):
-            build_model(NetworkSpec((LayerSpecEntry("warp", "w"),), "xent"), 0)
+            build_model(ModelConfig(kind="warp"), 0)
 
     def test_even_kernel_convs_chain_their_grids(self):
         """An even kernel grows the grid by one per conv. Each conv reads the
@@ -93,12 +113,12 @@ class TestBuildModel:
 class TestSbpFlags:
     def test_last_layers_flagged(self):
         spec = tiny_vit_spec(depth=6, sbp_fraction=2 / 3)
-        flags = [e.sbp_enabled for e in spec.layers if e.kind == "block"]
+        flags = [n.sbp_enabled for n in build_model(spec, 0).nodes if n.kind == "block"]
         assert flags == [False, False, True, True, True, True]
 
     def test_zero_fraction_disables_all(self):
         spec = mlp_spec(depth=3, sbp_fraction=0.0)
-        assert not any(e.sbp_enabled for e in spec.layers if e.kind == "mlp_layer")
+        assert not any(n.sbp_enabled for n in build_model(spec, 0).nodes if n.kind == "linear")
 
     def test_sbp_layers_lists_flagged_groups(self):
         spec = tiny_vit_spec(grid=(4, 4), depth=3, sbp_fraction=2 / 3)
@@ -187,9 +207,7 @@ class TestForwardShapes:
     def test_logits_shape(self, spec, n_classes):
         model = build_model(spec, 0)
         rng = np.random.Generator(np.random.PCG64(0))
-        grid = spec.layers[0].options["grid"]
-        channels = spec.layers[0].options["in_channels"]
-        x = rng.normal(size=(5, grid[0], grid[1], channels))
+        x = rng.normal(size=(5, spec.grid[0], spec.grid[1], spec.in_channels))
         labels = rng.integers(0, n_classes, size=5)
         tape = forward(model, x, labels)
         assert tape.logits.shape == (5, n_classes)

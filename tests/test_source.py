@@ -58,20 +58,20 @@ def test_checker_sees_unused_names():
 
 def drop_mode_uses(source: str) -> list[str]:
     """String constants naming a drop mode, and names, arguments and
-    attributes called `mode` or `head_keep`. The second argument of a
-    `LayerSpecEntry(...)` call is a layer id, not a mode: the classifier's
+    attributes called `mode` or `head_keep`. The first argument of a
+    `ClassifierNode(...)` call is a node id, not a mode: the classifier's
     id is "head"."""
     tree = ast.parse(source)
-    layer_ids = {id(node.args[1]) for node in ast.walk(tree)
-                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LayerSpecEntry"
-                 and len(node.args) > 1}
+    node_ids = {id(node.args[0]) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ClassifierNode"
+                 and node.args}
     found = []
     for node in ast.walk(tree):
         name = getattr(node, "id", None) or getattr(node, "arg", None) or getattr(node, "attr", None)
         if name in ("mode", "head_keep"):
             found.append(f"line {node.lineno}: {name}")
         elif (isinstance(node, ast.Constant) and node.value in SBP_MODES
-              and id(node) not in layer_ids):
+              and id(node) not in node_ids):
             found.append(f"line {node.lineno}: {node.value!r}")
     return sorted(found)
 
@@ -81,7 +81,7 @@ def test_models_hold_no_drop_mode():
 
 
 def test_checker_sees_drop_modes():
-    source = ('LayerSpecEntry("classifier", "head", {})\n'
+    source = ('ClassifierNode("head", 4, 2, rng)\n'
               'def f(rec, head_keep):\n    return rec.mode == "qkv" or head_keep\n')
     assert drop_mode_uses(source) == ["line 2: head_keep", "line 3: 'qkv'", "line 3: head_keep",
                                       "line 3: mode"]
