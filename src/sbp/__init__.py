@@ -136,8 +136,6 @@ from .analysis import (
     measure_step_peaks,
     mhsa_memory_ratio,
     pointwise_stack_report,
-    prediction_consistency,
-    weight_similarity,
 )
 from .data import Dataset, make_blobs, read_sbpd, write_sbpd
 from .config import ModelConfig, TrainConfig, default_config, parse_config

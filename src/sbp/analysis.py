@@ -156,6 +156,14 @@ def mhsa_memory_ratio(r, d: int, n: int, mode: str = "query_only"):
     three projections linearly and both maps quadratically. Head mode has no
     closed form here; the engine's per-node estimate covers it.
 
+    The two forms do not count the same cache. Per head, in elements,
+    query_only's full cache is 3·n·d for Q, K and V plus 2·n² for the two
+    maps (n² each): the physical count. qkv weights its maps by 2·r²·c
+    against 3·r for the projections, so its full cache is 3·n·d + 2·d²: each
+    map counts d², not n². Both forms reproduce the published figures, so
+    neither is changed here. `activation_memory_estimate` is the physical
+    count, the one the tape matches.
+
     The published reference figures are these exact values rounded up at
     their printed precision, so a figure never understates memory:
 
@@ -397,22 +405,6 @@ def l2_norm_trace(grad_stores, flag_window: int = 50):
                 flagged.append(nid)
                 break
     return per_node, flagged
-
-
-def flat_params(model: Model) -> Array:
-    p = model.params()
-    return np.concatenate([p[k].ravel() for k in sorted(p)])
-
-
-def weight_similarity(model_a: Model, model_b: Model) -> float:
-    return cosine_similarity(flat_params(model_a), flat_params(model_b))
-
-
-def prediction_consistency(model_a: Model, model_b: Model, x: Array) -> float:
-    """Fraction of samples where the two models pick the same class."""
-    la = predict(model_a, x).argmax(axis=1)
-    lb = predict(model_b, x).argmax(axis=1)
-    return float((la == lb).mean())
 
 
 def accuracy(model: Model, x: Array, labels) -> float:

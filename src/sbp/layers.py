@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .config import SBP_MODES
 from .errors import ConfigurationError, ContractViolationError, DimensionError
@@ -492,9 +491,13 @@ def layer_norm_forward(x: Array, gamma: Array, beta: Array):
     """Per-token normalization over the last axis; returns (y, cache)."""
     x = as_tensor(x)
     mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # The input is centred once: the variance is np.var's own formula on the
+    # centred copy, and x_hat is built in place on it, so the bytes are those
+    # of x.var() and (x - mean) * inv_std.
+    x_hat = x - mean
+    var = (x_hat * x_hat).sum(axis=-1, keepdims=True) / x.shape[-1]
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    x_hat = (x - mean) * inv_std
+    x_hat *= inv_std
     y = gamma * x_hat + beta
     return y, (x_hat, inv_std)
 
@@ -518,11 +521,139 @@ def layer_norm_backward(cache, gamma: Array, upstream: Array):
     return dgamma, dbeta, dxhat
 
 
+def _coefficients(*values: float) -> tuple[Array, ...]:
+    # 0-d arrays: an in-place ufunc takes them with less per-call work than
+    # Python floats, and erf's blocks make many such calls.
+    return tuple(np.array(v) for v in values)
+
+
+# The cephes rational approximations that scipy.special.erf runs, leading
+# 1 of U and Q implied: erf(x) = x T(x²)/U(x²) for |x| <= 1, and
+# erfc(x) = exp(-x²) P(x)/Q(x) for 1 < x < 8.
+_ERF_T = _coefficients(9.60497373987051638749e0, 9.00260197203842689217e1,
+                       2.23200534594684319226e3, 7.00332514112805075473e3,
+                       5.55923013010394962768e4)
+_ERF_U = _coefficients(3.35617141647503099647e1, 5.21357949780152679795e2,
+                       4.59432382970980127987e3, 2.26290000613890934246e4,
+                       4.92673942608635921086e4)
+_ERFC_P = _coefficients(2.46196981473530512524e-10, 5.64189564831068821977e-1,
+                        7.46321056442269912687e0, 4.86371970985681366614e1,
+                        1.96520832956077098242e2, 5.26445194995477358631e2,
+                        9.34528527171957607540e2, 1.02755188689515710272e3,
+                        5.57535335369399327526e2)
+_ERFC_Q = _coefficients(1.32281951154744992508e1, 8.67072140885989742329e1,
+                        3.54937778887819891062e2, 9.75708501743205489753e2,
+                        1.82390916687909736289e3, 2.24633760818710981792e3,
+                        1.65666309194161350182e3, 5.57535340817727675546e2)
+# Beyond ±6, 1 - erfc(|x|) already rounds to 1 in float64.
+_ERF_SATURATES = 6.0
+# Elements per block. A call's scratch is four float64 buffers of this size
+# (x², the numerator, and the queue of |x| > 1 elements with their indices):
+# 256 KiB, which stays in L2 and inside the transformer block forward's
+# transient-memory budget on the small ViT.
+ERF_BLOCK = 8192
+
+
+def _polevl(x: Array, coef: tuple[Array, ...], out: Array) -> Array:
+    """coef[0] x^n + ... + coef[n], by Horner's rule into `out`."""
+    np.multiply(x, coef[0], out=out)
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x: Array, coef: tuple[Array, ...], out: Array) -> Array:
+    """x^n + coef[0] x^(n-1) + ... + coef[n-1], by Horner's rule into `out`."""
+    np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def erf(x: Array, out: Array | None = None) -> Array:
+    """The error function, computed as cephes (and so scipy.special.erf) does.
+
+    Same coefficients, Horner order and |x| > 1 split, so the result is
+    cephes' bit for bit where |x| <= 1. Where |x| > 1, np.exp may differ from
+    the C library's exp in the last bit, and so may the result (1 ulp). Those
+    elements are queued and finished in batches by `_erf_tail`, which clamps
+    |x| at 6, where the result is already ±1, so infinities need no branch of
+    their own. Signed zeros keep their sign, nan stays nan, and no floating
+    point warning is raised.
+
+    Works block by block; `out` may be x itself, since each block of x is
+    read before its part of `out` is written.
+    """
+    x = as_tensor(x)
+    if out is None:
+        out = np.empty_like(x)
+    elif out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise DimensionError(f"erf out {out.shape} does not fit input {x.shape}")
+    src, dst = x.reshape(-1), out.reshape(-1)
+    m = min(src.size, ERF_BLOCK)
+    z, w = np.empty(m), np.empty(m)
+    flags = np.empty(m, dtype=bool)
+    queued_x, queued_at = np.empty(m), np.empty(m, dtype=np.intp)
+    n_queued = 0
+    # A huge or infinite x makes the main formula nan; the tail overwrites it.
+    with np.errstate(all="ignore"):
+        for i in range(0, src.size, ERF_BLOCK):
+            blk, dk = src[i:i + ERF_BLOCK], dst[i:i + ERF_BLOCK]
+            k = blk.size
+            zk, wk, fk = z[:k], w[:k], flags[:k]
+            np.multiply(blk, blk, out=zk)
+            # z > 1 exactly where |x| > 1: there erf(x) = ±(1 - erfc(|x|)).
+            np.greater(zk, 1.0, out=fk)
+            tail = np.flatnonzero(fk)
+            tail_x = blk[tail]
+            # x T(z)/U(z) for the whole block; U(z) is the first write to out.
+            _polevl(zk, _ERF_T, wk)
+            wk *= blk
+            np.divide(wk, _p1evl(zk, _ERF_U, dk), out=dk)
+            if not tail.size:
+                continue
+            if n_queued + tail.size > m:
+                _erf_tail(queued_x[:n_queued], queued_at[:n_queued], z, w, flags, dst)
+                n_queued = 0
+            end = n_queued + tail.size
+            queued_x[n_queued:end] = tail_x
+            np.add(tail, i, out=queued_at[n_queued:end])
+            n_queued = end
+        if n_queued:
+            _erf_tail(queued_x[:n_queued], queued_at[:n_queued], z, w, flags, dst)
+    return out
+
+
+def _erf_tail(s: Array, at: Array, t: Array, p: Array, neg: Array, dst: Array):
+    """dst[at] = ±(1 - erfc(|s|)) for 1 < |s|, the sign that of s, with
+    cephes' erfc(a) = exp(-a²) P(a)/Q(a) and a = min(|s|, 6).
+
+    Overwrites s; t, p and neg are scratch at least as long as s.
+    """
+    n = s.size
+    t, p, neg = t[:n], p[:n], neg[:n]
+    np.signbit(s, out=neg)
+    np.abs(s, out=t)
+    np.minimum(t, _ERF_SATURATES, out=t)
+    np.multiply(t, t, out=s)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s *= _polevl(t, _ERFC_P, p)
+    s /= _p1evl(t, _ERFC_Q, p)
+    np.subtract(1.0, s, out=s)
+    # t is free again: it carries the sign (±0.5) to copysign.
+    np.subtract(0.5, neg, out=t)
+    dst[at] = np.copysign(s, t, out=s)
+
+
 def gelu_cdf(x: Array) -> Array:
     """Standard normal CDF Phi(x), so that gelu(x) = x * Phi(x).
 
     Built in place on one buffer, in the operation order of
-    0.5 * (1 + erf(x / sqrt(2))), so the bytes are the same.
+    0.5 * (1 + erf(x / sqrt(2))), with `erf` the cephes algorithm above.
     """
     t = x / math.sqrt(2.0)
     erf(t, out=t)

@@ -1,11 +1,13 @@
-"""The in-place backward kernels agree with the out-of-place formulas they
-replaced, and write into no cached (tape) array.
+"""The in-place kernels (the backwards and the LayerNorm forward) agree with
+the out-of-place formulas they replaced, and write into no cached (tape)
+array.
 
 The references below are the kernels as they were before the rewrite: every
-temporary allocated fresh, and `head` mode computed over full B x h x N x d
-zero arrays. LayerNorm and GELU give the references' bytes. The attention
-kernel agrees within the oracle tolerance: it takes the softmax row sums as
-<dA, A> and sums dX in another order, so its last bits differ.
+temporary allocated fresh, the LayerNorm forward centring its input twice,
+and `head` mode computed over full B x h x N x d zero arrays. LayerNorm and
+GELU give the references' bytes. The attention kernel agrees within the
+oracle tolerance: it takes the softmax row sums as <dA, A> and sums dX in
+another order, so its last bits differ.
 """
 
 import math
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from sbp.layers import (
+    LN_EPS,
     MhsaCache,
     MhsaGrads,
     MhsaLayer,
@@ -101,6 +104,14 @@ def old_mhsa_backward_kept(layer, restricted, upstream, keep, mode, head_keep):
         dx_k, dx = dx, np.zeros((b, n, c))
         dx[:, keep, :] = dx_k
     return MhsaGrads(x2.T @ dq_f, x2.T @ dk_f, x2.T @ dv_f, dw_o, dx)
+
+
+def old_layer_norm_forward(x, gamma, beta):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    x_hat = (x - mean) * inv_std
+    return gamma * x_hat + beta, (x_hat, inv_std)
 
 
 def old_layer_norm_backward(cache, gamma, upstream):
@@ -204,6 +215,21 @@ class TestAttention:
         for h in set(range(layer.heads)) - set(head_keep):
             for dw in (new.dw_q, new.dw_k, new.dw_v):
                 assert not dw[:, h * d:(h + 1) * d].any()
+
+
+@pytest.mark.parametrize("shape", [(8, 64, 32), (16, 196, 64), (5, 7), (3, 4, 2, 33)])
+def test_layer_norm_forward(shape):
+    """The forward centres the input once, in place; np.var does the same
+    inside, so y, x_hat and 1/sigma keep their bytes."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    x = 2.0 + 3.0 * rng.normal(size=shape)
+    gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    x0 = x.copy()
+    y, cache = layer_norm_forward(x, gamma, beta)
+    y_old, cache_old = old_layer_norm_forward(x, gamma, beta)
+    assert same_bytes(x, x0)
+    assert same_bytes(y, y_old)
+    assert all(same_bytes(a, b_) for a, b_ in zip(cache, cache_old))
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -503,8 +503,8 @@ def test_fuzzed_config_ends_in_a_documented_exit(run_args):
 
 
 # Run in a fresh interpreter with the BLAS variables unset: importing the CLI
-# must pin every OpenBLAS that numpy and scipy load, and each library is asked
-# for its own thread count, since the variables only say what was requested.
+# must pin every OpenBLAS that numpy loads, and each library is asked for its
+# own thread count, since the variables only say what was requested.
 BLAS_PROBE = """
 import ctypes
 import json
@@ -540,3 +540,33 @@ def test_importing_cli_pins_blas_to_one_thread():
     counts = json.loads(proc.stdout)
     assert counts, "no OpenBLAS library was loaded"
     assert all(c == 1 for c in counts), counts
+
+
+# A training run in a fresh interpreter: the package computes erf itself, so
+# nothing imports scipy and only numpy's OpenBLAS is mapped.
+TRAIN_PROBE = """
+import json
+import sys
+import sbp.cli
+code = sbp.cli.main(["train", "--config", sys.argv[1], "--out", sys.argv[2]])
+with open("/proc/self/maps") as f:
+    libs = sorted({line.split()[-1] for line in f
+                   if "openblas" in line.lower() and "/" in line})
+print(json.dumps({"code": code, "openblas": libs,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_training_loads_no_scipy_and_one_openblas(tmp_path):
+    cfg = write_config(tmp_path, VIT_CONFIG)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", TRAIN_PROBE, str(cfg), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert probe["code"] == EXIT_OK
+    assert probe["scipy"] == []
+    assert len(probe["openblas"]) == 1, probe["openblas"]

@@ -1,9 +1,12 @@
+"""GELU is pinned bitwise to the formula it had before the CDF was factored
+out, with the package's own `erf` in it; `test_erf.py` checks that `erf`
+against scipy's."""
+
 import math
 
 import numpy as np
-from scipy.special import erf
 
-from sbp.layers import gelu_backward, gelu_cdf, gelu_forward
+from sbp.layers import erf, gelu_backward, gelu_cdf, gelu_forward
 
 
 def old_gelu(x):
