@@ -15,7 +15,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sbp.analysis import activation_memory_estimate, mhsa_memory_ratio
-from sbp.engine import forward
+from sbp.engine import forward, resolve
 from sbp.masks import build_schedule, make_mask_plan
 from sbp.models import build_model, mlp_spec, tiny_vit_spec
 
@@ -42,9 +42,9 @@ def tape_cross_check(seed):
         x = rng.normal(size=(4, 8, 8, 3))
         labels = rng.integers(0, 2, size=4)
         sched = build_schedule("uniform", 0.5, len(model.sbp_layers()))
-        plan = make_mask_plan(model, sched, "grid", "shared", seed)
-        tape = forward(model, x, labels, plan=plan, mode=mode)
-        est = activation_memory_estimate(model, plan, mode, batch_size=4, step=0, head_seed=0)
+        plan = resolve(model, make_mask_plan(model, sched, "grid", "shared", seed), mode, 0, 0)
+        tape = forward(model, x, labels, plan=plan)
+        est = activation_memory_estimate(model, plan, batch_size=4)
         match = est.estimated_total == tape.cached_elements()
         print(f"{label:>14s}: estimate {est.estimated_total} "
               f"tape {tape.cached_elements()} match={match} "

@@ -19,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sbp.analysis import (bootstrap_mean_diff, exact_reference,
                           grad_similarity_experiment, write_gradsim_csv, write_json)
 from sbp.data import make_blobs
+from sbp.engine import resolve
 from sbp.masks import build_schedule, make_mask_plan
 from sbp.models import build_model, tiny_vit_spec
 
@@ -40,11 +41,10 @@ def run_variant(model, batch, step, exact, schedule_kind, sampler, mode, keep_ra
 
     def plan_fn(s):
         sched = build_schedule(schedule_kind, keep_ratio, n_layers)
-        return make_mask_plan(model, sched, sampler, sharing, plan_seed + s * 13)
+        plan = make_mask_plan(model, sched, sampler, sharing, plan_seed + s * 13)
+        return resolve(model, plan, mode, s, head_seed)
 
-    return grad_similarity_experiment(model, [batch], plan_fn, mode=mode,
-                                      head_seed=head_seed, exact=[exact],
-                                      start=step)[0]
+    return grad_similarity_experiment(model, [batch], plan_fn, exact=[exact], start=step)[0]
 
 
 def main():

@@ -119,6 +119,7 @@ from .engine import (
     finite_difference_grad,
     forward,
     grad,
+    resolve,
     sgd_step,
 )
 from .analysis import (

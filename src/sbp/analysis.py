@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError
-from .engine import GradientStore, Tape, backward, forward, predict, sbp_context
+from .engine import GradientStore, Selections, Tape, backward, forward, predict
 from .layers import EXACT, conv2d_output_grid
-from .masks import IndexMask, MaskPlan
+from .masks import IndexMask
 from .models import Model
 
 Array = np.ndarray
@@ -97,14 +97,13 @@ def exact_reference(model: Model, x: Array, labels: Array) -> ExactReference:
                           _per_node_blocks(grads))
 
 
-def grad_similarity_experiment(model: Model, batches, plan_fn, mode: str = "qkv",
-                               head_seed: int = 0, exact=None, start: int = 0
-                               ) -> list[GradReport]:
+def grad_similarity_experiment(model: Model, batches, plan_fn, exact=None,
+                               start: int = 0) -> list[GradReport]:
     """Fixed-weight comparison of SBP gradients against exact ones.
 
     `batches` yields (x, labels), numbered as steps from `start`; `plan_fn(step)`
-    returns the MaskPlan for that step (resampling is the caller's policy), and
-    head mode draws its heads per step. Weights are never updated.
+    returns that step's `engine.resolve` map (resampling masks and drawing
+    heads is the caller's policy). Weights are never updated.
     `exact`, if given, holds `exact_reference` of each batch in order, so
     callers comparing several variants run one forward per batch; otherwise
     it is computed here. Either way the SBP gradient is the masked backward of
@@ -114,8 +113,7 @@ def grad_similarity_experiment(model: Model, batches, plan_fn, mode: str = "qkv"
     reports = []
     for step, (x, labels) in enumerate(batches, start):
         ref = exact_reference(model, x, labels) if exact is None else exact[step - start]
-        g_sbp = backward(ref.tape, plan=plan_fn(step), mode=mode, step=step,
-                         head_seed=head_seed)
+        g_sbp = backward(ref.tape, plan=plan_fn(step))
         flat_sbp = g_sbp.flat()
         blocks_sbp = _per_node_blocks(g_sbp)
         reports.append(GradReport(
@@ -206,22 +204,21 @@ class MemoryReport:
         return self.estimated_total / self.full_total if self.full_total else 1.0
 
 
-def activation_memory_estimate(model: Model, plan: MaskPlan | None, mode: str,
-                               batch_size: int, step: int, head_seed: int) -> MemoryReport:
+def activation_memory_estimate(model: Model, plan: Selections | None,
+                               batch_size: int) -> MemoryReport:
     """Analytic cached-element count per node, next to the no-SBP figure.
 
-    Each node's selection comes from `sbp_context`, as in
-    `forward(model, x, labels, plan, mode, step, head_seed)`, so the estimate
-    must match that tape's cached_elements().
+    Each node's selection comes from the `engine.resolve` map `plan`, as in
+    `forward(model, x, labels, plan)`, so the estimate must match that
+    tape's cached_elements().
     """
-    masks = dict(plan.per_layer) if plan is not None else {}
     per_node = {}
     breakdown = {}
     est_total = 0
     full_total = 0
     for node in model.nodes:
         full = node.estimate_cached(batch_size, EXACT)
-        est = node.estimate_cached(batch_size, sbp_context(node, masks, mode, step, head_seed))
+        est = node.estimate_cached(batch_size, EXACT if plan is None else plan[node.node_id])
         per_node[node.node_id] = (est, full)
         if node.kind == "block":
             h, n, d = node.heads, node.n_tokens, node.dim_head
@@ -236,10 +233,9 @@ def activation_memory_estimate(model: Model, plan: MaskPlan | None, mode: str,
     return MemoryReport(per_node, est_total, full_total, breakdown)
 
 
-def measure_step_peaks(model: Model, x: Array, labels: Array, plan: MaskPlan | None,
-                       mode: str, step: int, head_seed: int) -> dict:
+def measure_step_peaks(model: Model, x: Array, labels: Array, plan: Selections | None) -> dict:
     """Traced peaks of one training step, as `sbp train` runs it: `forward`
-    under `plan`, then `backward(consume=True)`.
+    under the `engine.resolve` map `plan`, then `backward(consume=True)`.
 
     Each peak is in bytes above what was live before the forward (tracemalloc
     counts this process's Python and numpy allocations only). The backward
@@ -250,7 +246,7 @@ def measure_step_peaks(model: Model, x: Array, labels: Array, plan: MaskPlan | N
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        tape = forward(model, x, labels, plan=plan, mode=mode, step=step, head_seed=head_seed)
+        tape = forward(model, x, labels, plan=plan)
         fwd = tracemalloc.get_traced_memory()[1] - start
         tape_bytes = 8 * tape.cached_elements()
         tracemalloc.reset_peak()
@@ -417,18 +413,35 @@ def accuracy(model: Model, x: Array, labels) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bootstrap_mean_diff(a, b, n_boot: int = 2000, seed: int = 0,
-                        lo_pct: float = 5.0, hi_pct: float = 95.0):
-    """Percentile bootstrap CI for mean(a - b) over paired observations."""
+N_BOOT = 2000
+CI_PERCENTILES = (5.0, 95.0)  # a 90% interval
+
+
+def _percentile(ordered: Array, q: float) -> float:
+    """`np.percentile(ordered, q)` of a sorted 1-D array, bit for bit, by
+    numpy's default linear method (nan when it holds a nan, which sorts
+    last). np.percentile calls np.unique, which imports numpy.ma on first use."""
+    if np.isnan(ordered[-1]):
+        return float("nan")
+    g = (ordered.size - 1) * (q / 100)
+    i = int(g)
+    t = g - i
+    a, b = ordered[i], ordered[min(i + 1, ordered.size - 1)]
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
+def bootstrap_mean_diff(a, b, seed: int = 0):
+    """Percentile bootstrap CI (`CI_PERCENTILES`, over `N_BOOT` resamples)
+    for mean(a - b) over paired observations."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ConfigurationError("paired bootstrap needs equal-length samples")
     diff = a - b
     rng = np.random.Generator(np.random.PCG64(seed))
-    idx = rng.integers(0, diff.size, size=(n_boot, diff.size))
-    means = diff[idx].mean(axis=1)
-    return float(np.percentile(means, lo_pct)), float(np.percentile(means, hi_pct))
+    idx = rng.integers(0, diff.size, size=(N_BOOT, diff.size))
+    means = np.sort(diff[idx].mean(axis=1))
+    return tuple(_percentile(means, q) for q in CI_PERCENTILES)
 
 
 # ---------------------------------------------------------------------------

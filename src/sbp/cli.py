@@ -41,12 +41,15 @@ def _load_dataset(cfg):
 
 
 def _make_plan(model, cfg, step, schedule_kind=None, sampler=None, mode=None):
+    """This step's `engine.resolve` map (every node's selection), or None."""
+    from .engine import resolve
     from .errors import ConfigurationError
     from .masks import build_schedule, make_mask_plan
 
     if not cfg.sbp.enabled:
         return None
-    if (mode or cfg.sbp.mode) == "head" and cfg.model.kind != "vit":
+    mode = mode or cfg.sbp.mode
+    if mode == "head" and cfg.model.kind != "vit":
         raise ConfigurationError("head drop mode needs an attention model")
     n_sbp = len(model.sbp_layers())
     if n_sbp == 0:
@@ -57,18 +60,24 @@ def _make_plan(model, cfg, step, schedule_kind=None, sampler=None, mode=None):
         sharing = "independent"
     schedule = build_schedule(kind, cfg.sbp.keep_ratio, n_sbp)
     seed = cfg.train.seed * 77 + (step * 13 if cfg.sbp.resample_each_step else 0)
-    return make_mask_plan(model, schedule, sampler or cfg.sbp.sampler, sharing, seed)
+    plan = make_mask_plan(model, schedule, sampler or cfg.sbp.sampler, sharing, seed)
+    return resolve(model, plan, mode, step, cfg.train.seed)
 
 
 def _dump_masks(plan, dump_dir, step):
+    """Each node's mask, and each kept-heads list (one index per line)."""
     from .masks import mask_to_text
 
     if plan is None:
         return
     d = Path(dump_dir)
     d.mkdir(parents=True, exist_ok=True)
-    for lid, mask in plan.per_layer:
-        (d / f"step{step:05d}_{lid}.mask").write_text(mask_to_text(mask))
+    for node_id, sel in plan.items():
+        if sel.mask is not None:
+            (d / f"step{step:05d}_{node_id}.mask").write_text(mask_to_text(sel.mask))
+        if sel.heads is not None:
+            (d / f"step{step:05d}_{node_id}.heads").write_text(
+                "".join(f"{h}\n" for h in sel.heads))
 
 
 def _map(fn, items, threads: int) -> list:
@@ -108,8 +117,7 @@ def cmd_train(args):
         if args.dump_masks:
             _dump_masks(plan, args.dump_masks, step)
         try:
-            tape = forward(model, x, labels, plan=plan, mode=cfg.sbp.mode,
-                           step=step, head_seed=cfg.train.seed)
+            tape = forward(model, x, labels, plan=plan)
         except NumericError as e:
             raise NumericError(f"step {step}: {e}") from e
         cached = tape.cached_elements()
@@ -188,7 +196,7 @@ def cmd_gradsim(args):
                 model, [batches[step]],
                 lambda s: _make_plan(model, cfg, s, schedule_kind=schedule,
                                      sampler=sampler, mode=mode),
-                mode=mode, head_seed=cfg.train.seed, exact=exact, start=step)[0])
+                exact=exact, start=step)[0])
         return reports
 
     per_batch = _map(compare, range(len(batches)), args.threads)
@@ -235,10 +243,8 @@ def cmd_memreport(args):
     dataset = _load_dataset(cfg)
     x, labels = next(dataset.batches(cfg.train.batch_size))
     plan = _make_plan(model, cfg, 0)
-    report = activation_memory_estimate(model, plan, cfg.sbp.mode, x.shape[0], step=0,
-                                        head_seed=cfg.train.seed)
-    tape = forward(model, x, labels, plan=plan, mode=cfg.sbp.mode, step=0,
-                   head_seed=cfg.train.seed)
+    report = activation_memory_estimate(model, plan, x.shape[0])
+    tape = forward(model, x, labels, plan=plan)
     payload = {
         "config_hash": cfg_hash,
         "per_node": {k: {"estimated": int(e), "full": int(f)}
@@ -251,8 +257,7 @@ def cmd_memreport(args):
     }
     if args.measure:
         del tape
-        peaks = {name: measure_step_peaks(model, x, labels, p, cfg.sbp.mode, 0,
-                                          cfg.train.seed)
+        peaks = {name: measure_step_peaks(model, x, labels, p)
                  for name, p in (("full", None), ("plan", plan))}
         peaks["step_peak_ratio"] = (peaks["plan"]["step_peak_bytes"]
                                     / peaks["full"]["step_peak_bytes"])

@@ -3,30 +3,34 @@
 The tape is built once per forward pass, and the forward is always exact.
 Whatever a node needs for its backward is cached while the activations are
 still live; no second forward happens. SBP restriction is a separate per-node
-step (`Node.restrict`), and this module alone decides when it runs. It also
-resolves each node's mask and drop mode, once, into the `Selection` the node
-runs under (`sbp_context`); no node sees a drop mode. A forward under a plan
-runs each masked node over batch chunks and restricts each chunk's record at
-once, so the tape holds kept-index slices only, its cached-element count is
-the honest memory figure, and no node's full record of the whole batch is
-ever alive. A backward under a plan restricts each record of an exact tape
-just before that node's backward, so one exact tape serves the exact
-gradient and any number of masked ones. Evaluation needs no backward, so `predict` runs the same nodes without a tape.
+step (`Node.restrict`), and this module alone decides when it runs. A plan
+is the map `resolve` builds, once per step, from node id to the `Selection`
+that node runs under; no node sees a drop mode. A forward under a plan runs
+each masked node over batch chunks and restricts each chunk's record at once,
+so the tape holds kept-index slices only, its cached-element count is the
+honest memory figure, and no node's full record of the whole batch is ever
+alive. A backward under a plan restricts each record of an exact tape just
+before that node's backward, so one exact tape serves the exact gradient and
+any number of masked ones. Evaluation needs no backward, so `predict` runs the
+same nodes without a tape.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericError
-from .layers import Selection, mse_loss, sample_head_keep, select, softmax_xent_loss
+from .layers import EXACT, Selection, mse_loss, sample_head_keep, select, softmax_xent_loss
 from .masks import MaskPlan
 from .models import Model, NodeRecord, batch_chunks
 
 Array = np.ndarray
+Selections = Mapping[str, Selection]  # node id -> the selection it runs under
 
 
 @dataclass
@@ -38,7 +42,7 @@ class Tape:
     loss: float
     logits: Array
     dlogits: Array
-    plan: MaskPlan | None = None  # the plan the records were restricted under
+    plan: Selections | None = None  # the plan the records were restricted under
 
     def cached_elements(self) -> int:
         return sum(rec.cached_elements for _, rec in self.records)
@@ -89,21 +93,28 @@ def head_keep_for(node, ratio, step: int, seed: int):
     return sample_head_keep(node.heads, ratio, mix)
 
 
-def sbp_context(node, masks: dict, mode: str, step: int, head_seed: int) -> Selection:
-    """The selection `node` runs under, built once per node and step.
+def resolve(model: Model, plan: MaskPlan | None, mode: str, step: int,
+            head_seed: int) -> Selections | None:
+    """Every node's selection at `step`, read-only, or None without a plan.
 
-    `masks` maps a plan's layer ids to their masks, and a node runs under
-    the mask of its own node id. Without a mask, or under one that drops
-    nothing, it keeps everything: the exact backward. Only transformer
-    blocks draw kept heads, and only in head mode.
+    A node runs under the mask of its own node id. Without a mask, or under
+    one that drops nothing, it keeps everything: the exact backward. Only
+    transformer blocks draw kept heads, and only in head mode.
     """
-    mask = masks.get(node.node_id) if node.sbp_enabled else None
-    if mask is None or mask.is_full_keep:
-        return Selection(mask)
-    head_keep = None
-    if mode == "head" and node.kind == "block":
-        head_keep = head_keep_for(node, mask.keep_ratio, step, head_seed)
-    return select(mask, mode, head_keep)
+    if plan is None:
+        return None
+    masks = dict(plan.per_layer)
+    sels = {}
+    for node in model.nodes:
+        mask = masks.get(node.node_id) if node.sbp_enabled else None
+        if mask is None or mask.is_full_keep:
+            sels[node.node_id] = Selection(mask)
+        elif mode == "head" and node.kind == "block":
+            sels[node.node_id] = select(
+                mask, mode, head_keep_for(node, mask.keep_ratio, step, head_seed))
+        else:
+            sels[node.node_id] = select(mask, mode)
+    return MappingProxyType(sels)
 
 
 def _chunked_forward(node, x: Array, sel: Selection) -> tuple[Array, NodeRecord]:
@@ -136,19 +147,17 @@ def _chunked_forward(node, x: Array, sel: Selection) -> tuple[Array, NodeRecord]
     return out, rec
 
 
-def forward(model: Model, x: Array, labels: Array, plan: MaskPlan | None = None,
-            mode: str = "qkv", step: int = 0, head_seed: int = 0) -> Tape:
+def forward(model: Model, x: Array, labels: Array, plan: Selections | None = None) -> Tape:
     """Run the network, recording a tape. plan=None disables SBP entirely.
 
     Under a plan each masked node runs over batch chunks, each chunk's record
     restricted as soon as it has run (`_chunked_forward`); the other nodes run
     on the whole batch, as without a plan.
     """
-    masks = dict(plan.per_layer) if plan is not None else {}
     h = np.asarray(x, dtype=np.float64)
     records = []
     for node in model.nodes:
-        sel = sbp_context(node, masks, mode, step, head_seed)
+        sel = EXACT if plan is None else plan[node.node_id]
         if sel.mask is not None:
             h, rec = _chunked_forward(node, h, sel)
         else:
@@ -175,14 +184,14 @@ def predict(model: Model, x: Array) -> Array:
     return h
 
 
-def backward(tape: Tape, plan: MaskPlan | None = None, mode: str = "qkv", step: int = 0,
-             head_seed: int = 0, want_input_grad: bool = False, consume: bool = False):
+def backward(tape: Tape, plan: Selections | None = None, want_input_grad: bool = False,
+             consume: bool = False):
     """Differentiate a recorded tape. Returns a GradientStore (and dx on request).
 
     With a plan, the tape must be exact (recorded without one): each record is
     restricted just before its node's backward, so only one node's restricted
     copy is alive at a time and the tape itself is left as it was. The result
-    equals the backward of `forward(..., plan, mode, step, head_seed)`.
+    equals the backward of `forward(..., plan)`.
     With consume=True each record leaves the tape once its node's backward
     has run, so its activations are freed while the rest of the backward
     runs; the tape keeps no records afterwards. Otherwise the tape is left
@@ -191,14 +200,13 @@ def backward(tape: Tape, plan: MaskPlan | None = None, mode: str = "qkv", step: 
     if plan is not None and tape.plan is not None:
         raise ConfigurationError("tape was recorded under a mask plan already; "
                                  "a second plan needs an exact tape")
-    masks = dict(plan.per_layer) if plan is not None else {}
     dy = tape.dlogits
     grads: dict[str, Array] = {}
     records = tape.records if consume else list(tape.records)
     while records:
         node, rec = records.pop()
-        if masks:
-            rec = node.restrict(rec, sbp_context(node, masks, mode, step, head_seed))
+        if plan is not None:
+            rec = node.restrict(rec, plan[node.node_id])
         node_grads, dy = node.backward(rec, dy)
         for name, g in node_grads.items():
             grads[f"{node.node_id}.{name}"] = g
@@ -209,10 +217,9 @@ def backward(tape: Tape, plan: MaskPlan | None = None, mode: str = "qkv", step: 
     return store
 
 
-def grad(model: Model, x: Array, labels: Array, plan: MaskPlan | None = None,
-         mode: str = "qkv", step: int = 0, head_seed: int = 0):
+def grad(model: Model, x: Array, labels: Array, plan: Selections | None = None):
     """Convenience: forward + backward in one call. Returns (loss, GradientStore)."""
-    tape = forward(model, x, labels, plan=plan, mode=mode, step=step, head_seed=head_seed)
+    tape = forward(model, x, labels, plan=plan)
     return tape.loss, backward(tape)
 
 

@@ -26,7 +26,7 @@ from sbp.analysis import (
 )
 from sbp.cli import main as cli_main
 from sbp.data import make_blobs
-from sbp.engine import backward, finite_difference_grad, forward, grad, sgd_step
+from sbp.engine import backward, finite_difference_grad, forward, grad, resolve, sgd_step
 from sbp.layers import (
     Conv2dLayer,
     LinearLayer,
@@ -268,7 +268,8 @@ def test_criterion_3_memory_contract():
     plan = MaskPlan(tuple((f"lin{i}", shared_mask) for i in range(3)), "shared")
     xs = rng.normal(size=(3, 16, 6))
     target = rng.normal(size=(3, 16, 6))
-    cached_sbp = forward(model, xs, target, plan=plan).cached_elements()
+    sels = resolve(model, plan, "qkv", 0, 0)
+    cached_sbp = forward(model, xs, target, plan=sels).cached_elements()
     cached_full = forward(model, xs, target).cached_elements()
     count_ok = cached_sbp * 2 == cached_full
 
@@ -341,7 +342,7 @@ def test_criterion_5_chain_rule():
                      ("mlp1", checkerboard_mask(4, 4, phase=1))), "independent")
     x = rng.normal(size=(3, 4, 4, 2))
     labels = rng.integers(0, 2, size=3)
-    store = backward(forward(model, x, labels, plan=plan))
+    store = backward(forward(model, x, labels, plan=resolve(model, plan, "qkv", 0, 0)))
     embed_keys = [k for k in store.keys() if k.startswith("embed.")]
     vanish_ok = all(np.all(store[k] == 0.0) for k in embed_keys)
     rep = pointwise_stack_report([("mlp1", checkerboard_mask(4, 4, phase=1)),
@@ -402,13 +403,14 @@ CRITERION_6_VARIANTS = {  # name: (schedule, sampler, mode)
 }
 
 
-def _plan_fn(model, schedule_kind, sampler):
+def _plan_fn(model, schedule_kind, sampler, mode):
     n_layers = len(model.sbp_layers())
     sharing = "shared" if schedule_kind == "uniform" else "independent"
 
     def plan_fn(step):
         sched = build_schedule(schedule_kind, 0.5, n_layers)
-        return make_mask_plan(model, sched, sampler, sharing, 1000 + step * 13)
+        plan = make_mask_plan(model, sched, sampler, sharing, 1000 + step * 13)
+        return resolve(model, plan, mode, step, 5)
 
     return plan_fn
 
@@ -422,15 +424,13 @@ def test_criterion_6_statistical_orderings():
     assert len(batches) == 200
 
     # One exact forward and backward per batch, shared by every variant.
-    plans = {name: _plan_fn(model, schedule_kind, sampler)
-             for name, (schedule_kind, sampler, _) in CRITERION_6_VARIANTS.items()}
+    plans = {name: _plan_fn(model, *variant) for name, variant in CRITERION_6_VARIANTS.items()}
     cos = {name: [] for name in CRITERION_6_VARIANTS}
     for step, batch in enumerate(batches):
         exact = [exact_reference(model, *batch)]
-        for name, (_, _, mode) in CRITERION_6_VARIANTS.items():
+        for name in CRITERION_6_VARIANTS:
             cos[name].append(grad_similarity_experiment(
-                model, [batch], plans[name], mode=mode, head_seed=5, exact=exact,
-                start=step)[0].cosine)
+                model, [batch], plans[name], exact=exact, start=step)[0].cosine)
     cos = {name: np.array(values) for name, values in cos.items()}
     ci = lambda a, b: bootstrap_mean_diff(cos[a], cos[b], seed=3)
     lo_ui, _ = ci("uniform_grid_qkv", "increasing_grid_qkv")
@@ -469,10 +469,9 @@ def _train(model, data, steps, batch_size, lr, use_sbp, seed=0, mode="qkv"):
         plan = None
         if use_sbp and n_layers:
             sched = build_schedule("uniform", 0.5, n_layers)
-            plan = make_mask_plan(model, sched, "grid", "shared",
-                                  seed * 77 + step * 13)
-        tape = forward(model, x, labels, plan=plan, mode=mode, step=step,
-                       head_seed=seed)
+            plan = resolve(model, make_mask_plan(model, sched, "grid", "shared",
+                                                 seed * 77 + step * 13), mode, step, seed)
+        tape = forward(model, x, labels, plan=plan)
         store = backward(tape)
         stores.append(store)
         sgd_step(model, store, lr)

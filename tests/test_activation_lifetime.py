@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sbp.engine import backward, forward
+from sbp.engine import backward, forward, resolve
 from sbp.layers import gelu_backward, gelu_forward, linear_backward_kept, select
 from sbp.masks import IndexMask, MaskPlan, sample_grid_mask, sample_random_mask
 from sbp.models import (
@@ -96,7 +96,7 @@ def one_row_case():
     plan = MaskPlan(tuple((lid, IndexMask.from_keep(shape, [17 + 9 * i]))
                           for i, (lid, shape) in enumerate(model.sbp_layers())),
                     "independent")
-    return model, x, labels, plan
+    return model, x, labels, resolve(model, plan, "qkv", 0, 0)
 
 
 class TestOneKeptRow:
@@ -109,7 +109,7 @@ class TestOneKeptRow:
 
     def test_equals_zero_then_full(self):
         model, x, labels, plan = one_row_case()
-        masks = dict(plan.per_layer)
+        masks = {nid: sel.mask for nid, sel in plan.items() if sel.mask is not None}
         store = backward(forward(model, x, labels, plan=plan))
         tape = forward(model, x, labels)
         dy = tape.dlogits

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sbp.analysis import (
+    CI_PERCENTILES,
+    N_BOOT,
     ConvStage,
     PointwiseStage,
     accuracy,
@@ -17,8 +19,9 @@ from sbp.analysis import (
     l2_norm_trace,
     mhsa_memory_ratio,
     pointwise_stack_report,
+    _percentile,
 )
-from sbp.engine import GradientStore, forward, grad, head_keep_for, predict
+from sbp.engine import GradientStore, forward, grad, predict, resolve
 from sbp.errors import ConfigurationError
 from sbp.masks import (
     IndexMask,
@@ -105,13 +108,12 @@ class TestMemoryEstimate:
                              depth=3, sbp_fraction=2 / 3)
         model = build_model(spec, 0)
         sched = build_schedule("uniform", keep_ratio, len(model.sbp_layers()))
-        plan = make_mask_plan(model, sched, "grid", "shared", 0)
+        plan = resolve(model, make_mask_plan(model, sched, "grid", "shared", 0), mode, 1, 5)
         rng = np.random.Generator(np.random.PCG64(1))
         x = rng.normal(size=(3, 4, 4, 2))
         labels = rng.integers(0, 2, size=3)
-        tape = forward(model, x, labels, plan=plan, mode=mode, step=1, head_seed=5)
-        report = activation_memory_estimate(model, plan, mode, batch_size=3, step=1,
-                                            head_seed=5)
+        tape = forward(model, x, labels, plan=plan)
+        report = activation_memory_estimate(model, plan, batch_size=3)
         assert report.estimated_total == tape.cached_elements()
         assert report.ratio < 1.0
 
@@ -119,13 +121,13 @@ class TestMemoryEstimate:
         spec = mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=2)
         model = build_model(spec, 0)
         sched = build_schedule("uniform", 0.25, len(model.sbp_layers()))
-        plan = make_mask_plan(model, sched, "random", "independent", 3)
+        plan = resolve(model, make_mask_plan(model, sched, "random", "independent", 3),
+                       "qkv", 0, 0)
         rng = np.random.Generator(np.random.PCG64(2))
         x = rng.normal(size=(2, 4, 4, 2))
         labels = rng.integers(0, 2, size=2)
         tape = forward(model, x, labels, plan=plan)
-        report = activation_memory_estimate(model, plan, "qkv", batch_size=2, step=0,
-                                            head_seed=0)
+        report = activation_memory_estimate(model, plan, batch_size=2)
         assert report.estimated_total == tape.cached_elements()
 
     def test_mhsa_breakdown_counts_the_attention_record(self):
@@ -133,8 +135,7 @@ class TestMemoryEstimate:
         model = build_model(spec, 0)
         x = np.random.Generator(np.random.PCG64(3)).normal(size=(3, 4, 4, 2))
         tape = forward(model, x, np.zeros(3, dtype=np.int64))
-        report = activation_memory_estimate(model, None, "qkv", batch_size=3, step=0,
-                                            head_seed=0)
+        report = activation_memory_estimate(model, None, batch_size=3)
         blocks = [(node, rec) for node, rec in tape.records if node.kind == "block"]
         assert set(report.mhsa_breakdown) == {node.node_id for node, _ in blocks}
         for node, rec in blocks:
@@ -149,8 +150,7 @@ class TestMemoryEstimate:
 
     def test_no_plan_equals_full(self):
         model = build_model(mlp_spec(grid=(2, 2), in_channels=2, width=4, depth=1), 0)
-        report = activation_memory_estimate(model, None, "qkv", batch_size=2, step=0,
-                                            head_seed=0)
+        report = activation_memory_estimate(model, None, batch_size=2)
         assert report.estimated_total == report.full_total
         assert report.ratio == 1.0
 
@@ -227,7 +227,8 @@ class TestGradSimilarity:
 
     def test_reports_per_batch(self):
         model, batches, plan = self.make()
-        reports = grad_similarity_experiment(model, batches, lambda step: plan)
+        reports = grad_similarity_experiment(
+            model, batches, lambda step: resolve(model, plan, "qkv", step, 0))
         assert len(reports) == 3
         for rep in reports:
             assert -1.0 <= rep.cosine <= 1.0
@@ -238,30 +239,33 @@ class TestGradSimilarity:
         model, batches, _ = self.make()
         sched = build_schedule("uniform", 1.0, len(model.sbp_layers()))
         plan = make_mask_plan(model, sched, "grid", "shared", 0)
-        reports = grad_similarity_experiment(model, batches, lambda step: plan)
+        reports = grad_similarity_experiment(
+            model, batches, lambda step: resolve(model, plan, "qkv", step, 0))
         for rep in reports:
             assert rep.cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_stream_rejected(self):
         model, _, plan = self.make()
         with pytest.raises(ConfigurationError):
-            grad_similarity_experiment(model, [], lambda step: plan)
+            grad_similarity_experiment(
+                model, [], lambda step: resolve(model, plan, "qkv", step, 0))
 
     @pytest.mark.parametrize("mode", ["qkv", "query_only", "head"])
     def test_shared_exact_reference_matches_inline(self, mode):
         model, batches, plan = self.make()
         refs = [exact_reference(model, x, labels) for x, labels in batches]
-        inline = grad_similarity_experiment(model, batches, lambda step: plan, mode=mode,
-                                            head_seed=4)
-        shared = grad_similarity_experiment(model, batches, lambda step: plan, mode=mode,
-                                            head_seed=4, exact=refs)
+        plan_fn = lambda step: resolve(model, plan, mode, step, 4)
+        inline = grad_similarity_experiment(model, batches, plan_fn)
+        shared = grad_similarity_experiment(model, batches, plan_fn, exact=refs)
         assert shared == inline
 
     def test_reference_count_must_match_batches(self):
         model, batches, plan = self.make()
         refs = [exact_reference(model, x, labels) for x, labels in batches]
         with pytest.raises(ConfigurationError):
-            grad_similarity_experiment(model, batches[:2], lambda step: plan, exact=refs)
+            grad_similarity_experiment(
+                model, batches[:2], lambda step: resolve(model, plan, "qkv", step, 0),
+                exact=refs)
 
     def test_cli_gradsim_runs_one_exact_pass_per_batch(self, tmp_path, monkeypatch):
         import sbp.analysis
@@ -369,3 +373,34 @@ class TestBootstrap:
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             bootstrap_mean_diff(np.zeros(3), np.zeros(4))
+
+    @staticmethod
+    def samples():
+        """Random, tied and short samples: sizes 1 to 400, some drawn from
+        four values only, at scales from 1e-6 to 1e6."""
+        rng = np.random.Generator(np.random.PCG64(8))
+        for i in range(300):
+            n = int(rng.integers(1, 400)) if i >= 20 else i % 5 + 1
+            if i % 3 == 0:
+                yield rng.integers(0, 4, size=n).astype(np.float64)
+            else:
+                yield rng.normal(size=n) * 10.0 ** int(rng.integers(-6, 7))
+
+    def test_percentile_matches_numpy_bitwise(self):
+        rng = np.random.Generator(np.random.PCG64(9))
+        for x in self.samples():
+            x = np.sort(x)
+            for q in (*CI_PERCENTILES, 0.0, 50.0, 100.0, float(rng.uniform(0, 100))):
+                got, want = _percentile(x, q), float(np.percentile(x, q))
+                assert got == want, (x.size, q, got, want)
+
+    def test_interval_matches_numpy_percentiles_bitwise(self):
+        with_nan = np.arange(1000.0)
+        with_nan[3] = np.nan  # about a third of the resampled means stay finite
+        for seed, a in enumerate([*self.samples(), with_nan]):
+            b = a[::-1].copy()
+            rng = np.random.Generator(np.random.PCG64(seed))
+            idx = rng.integers(0, a.size, size=(N_BOOT, a.size))
+            means = (a - b)[idx].mean(axis=1)
+            want = tuple(float(np.percentile(means, q)) for q in CI_PERCENTILES)
+            assert np.array_equal(bootstrap_mean_diff(a, b, seed=seed), want, equal_nan=True)

@@ -145,6 +145,45 @@ class TestTrain:
         from sbp.masks import mask_from_text
         mask = mask_from_text((dumps / files[0]).read_text())
         assert mask.domain_shape == (4, 4)
+        assert not list(dumps.glob("*.heads"))
+
+    @pytest.mark.parametrize("mode, ratio", [("head", "0.5"), ("head", "0.0625"),
+                                             ("qkv", "0.5")])
+    def test_dump_masks_writes_kept_heads(self, tmp_path, monkeypatch, mode, ratio):
+        """In head mode each block's kept heads are dumped, one index per
+        line, exactly as its record kept them (an empty file when it keeps
+        none); other modes dump no heads."""
+        import sbp.engine
+
+        kept = {}
+        real_forward = sbp.engine.forward
+
+        def spy(model, x, labels, plan=None):
+            tape = real_forward(model, x, labels, plan)
+            kept[len(kept)] = {node.node_id: rec.sel.heads for node, rec in tape.records
+                               if rec.sel.heads is not None}
+            return tape
+
+        monkeypatch.setattr(sbp.engine, "forward", spy)
+        # Four heads at r = 1/2 keep two; at r = 1/16 a block keeps none.
+        cfg = write_config(tmp_path, VIT_CONFIG.replace("model.heads = 2", "model.heads = 4")
+                           .replace("sbp.keep_ratio = 0.5", f"sbp.keep_ratio = {ratio}")
+                           + f"sbp.mode = {mode}\n")
+        dumps = tmp_path / "masks"
+        assert run(["train", "--config", cfg, "--out", tmp_path / "out",
+                    "--dump-masks", dumps]) == EXIT_OK
+        heads = sorted(dumps.glob("*.heads"))
+        if mode == "qkv":
+            assert heads == [] and all(v == {} for v in kept.values())
+            return
+        assert [p.name for p in heads] == [f"step{s:05d}_block{i}.heads"
+                                           for s in range(3) for i in range(2)]
+        for step, per_node in kept.items():
+            for node_id, want in per_node.items():
+                assert want.size == (2 if ratio == "0.5" else 0)
+                text = (dumps / f"step{step:05d}_{node_id}.heads").read_text()
+                assert [int(line) for line in text.splitlines()] == want.tolist()
+                assert text == "".join(f"{h}\n" for h in want)
 
     def test_divergence_exits_numeric(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG.replace(
@@ -555,6 +594,30 @@ with open("/proc/self/maps") as f:
 print(json.dumps({"code": code, "openblas": libs,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
+
+
+# A gradsim run in a fresh interpreter: its bootstrap intervals take their
+# percentiles without np.percentile, whose np.unique imports numpy.ma.
+GRADSIM_PROBE = """
+import sys
+import sbp.cli
+before = "numpy.ma" in sys.modules
+code = sbp.cli.main(["gradsim", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, before, "numpy.ma" in sys.modules)
+"""
+
+
+def test_gradsim_does_not_import_numpy_ma(tmp_path):
+    cfg = write_config(tmp_path, VIT_CONFIG + ("gradsim.variants = uniform-grid-qkv,"
+                                               "uniform-grid-head\ngradsim.batches = 2\n"))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", GRADSIM_PROBE, str(cfg), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == [str(EXIT_OK), "False", "False"]
+    assert (tmp_path / "out" / "gradsim_summary.json").exists()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")

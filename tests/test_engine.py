@@ -9,6 +9,7 @@ from sbp.engine import (
     grad,
     head_keep_for,
     predict,
+    resolve,
     sgd_step,
 )
 from sbp.errors import ConfigurationError, ContractViolationError, NumericError
@@ -107,7 +108,7 @@ class TestSbpEngine:
 
     def plan_for(self, model, ratio=0.5, sampler="grid", sharing="independent", seed=0):
         sched = build_schedule("uniform", ratio, len(model.sbp_layers()))
-        return make_mask_plan(model, sched, sampler, sharing, seed)
+        return resolve(model, make_mask_plan(model, sched, sampler, sharing, seed), "qkv", 0, 0)
 
     # The conv batches cross the planned forward's chunk boundaries.
     @pytest.mark.parametrize("spec, b", [
@@ -123,7 +124,7 @@ class TestSbpEngine:
         x = rng.normal(size=(b, 4, 4, 2))
         labels = rng.integers(0, 2, size=b)
         plan = self.plan_for(model, seed=7)
-        masks = dict(plan.per_layer)
+        masks = {nid: sel.mask for nid, sel in plan.items() if sel.mask is not None}
 
         tape_sbp = forward(model, x, labels, plan=plan)
         store_sbp = backward(tape_sbp)
@@ -284,9 +285,13 @@ class TestRestrictAtBackward:
     def check(self, model, x, labels, plan, mode="qkv", step=0, head_seed=0):
         exact = forward(model, x, labels)
         exact_grads = backward(exact)
-        planned = backward(forward(model, x, labels, plan=plan, mode=mode, step=step,
-                                   head_seed=head_seed))
-        masked = backward(exact, plan=plan, mode=mode, step=step, head_seed=head_seed)
+        sels = resolve(model, plan, mode, step, head_seed)
+        tape = forward(model, x, labels, plan=sels)
+        # A planned forward's records carry the map's selections themselves.
+        assert all(rec.sel is sels[node.node_id] for node, rec in tape.records
+                   if sels[node.node_id].mask is not None)
+        planned = backward(tape)
+        masked = backward(exact, plan=sels)
         assert_stores_equal(masked, planned)
         # The exact tape is left as it was: its plain backward is unchanged.
         assert_stores_equal(backward(exact), exact_grads)
@@ -312,7 +317,7 @@ class TestRestrictAtBackward:
         else:
             plan = keep_one_plan(model)
             if mode == "head":
-                tape = forward(model, x, labels, plan=plan, mode=mode)
+                tape = forward(model, x, labels, plan=resolve(model, plan, mode, 0, 0))
                 assert [rec.sel.heads.tolist() for node, rec in tape.records
                         if node.kind == "block" and node.sbp_enabled] == [[], []]
         for step in (0, 1):
@@ -329,7 +334,7 @@ class TestRestrictAtBackward:
         model = build_model(mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=2), 4)
         x, labels = small_batch(np.random.Generator(np.random.PCG64(33)), grid=(4, 4))
         sched = build_schedule("uniform", 0.5, len(model.sbp_layers()))
-        plan = make_mask_plan(model, sched, "grid", "shared", 0)
+        plan = resolve(model, make_mask_plan(model, sched, "grid", "shared", 0), "qkv", 0, 0)
         tape = forward(model, x, labels, plan=plan)
         with pytest.raises(ConfigurationError):
             backward(tape, plan=plan)
@@ -409,6 +414,89 @@ class TestSgdStep:
             np.testing.assert_allclose(after[key], before[key] - 0.1, atol=1e-15)
 
 
+SELECTION_FIELDS = ("keep", "rows", "queries", "heads")
+
+
+class TestResolve:
+    """resolve turns a plan, drop mode, step and head seed into one read-only
+    map from node id to the selection that node runs under."""
+
+    def vit(self):
+        spec = tiny_vit_spec(grid=(4, 4), in_channels=2, embed=8, heads=4, depth=3,
+                             sbp_fraction=2 / 3)
+        return build_model(spec, 5)
+
+    def grid_plan(self, model, ratio=0.5):
+        sched = build_schedule("uniform", ratio, len(model.sbp_layers()))
+        return make_mask_plan(model, sched, "grid", "shared", 2)
+
+    def test_covers_every_node_read_only(self):
+        model = self.vit()
+        sels = resolve(model, self.grid_plan(model), "qkv", 0, 0)
+        assert list(sels) == [node.node_id for node in model.nodes]
+        with pytest.raises(TypeError):
+            sels["block0"] = None
+
+    def test_no_plan_gives_none(self):
+        assert resolve(self.vit(), None, "head", 3, 7) is None
+
+    @pytest.mark.parametrize("mode", ["qkv", "query_only", "head"])
+    def test_equal_inputs_give_equal_maps(self, mode):
+        model = self.vit()
+        plan = self.grid_plan(model)
+        a, b = resolve(model, plan, mode, 4, 9), resolve(model, plan, mode, 4, 9)
+        assert a.keys() == b.keys()
+        for node_id in a:
+            assert a[node_id].mask is b[node_id].mask
+            for field in SELECTION_FIELDS:
+                x, y = getattr(a[node_id], field), getattr(b[node_id], field)
+                assert (x is None and y is None) or np.array_equal(x, y), (node_id, field)
+
+    def test_nodes_without_a_mask_keep_everything(self):
+        model = self.vit()
+        layers = model.sbp_layers()
+        mask = IndexMask.from_keep(layers[0][1], [0, 5, 10])
+        # Only the first SBP block gets a mask; a mask named after a node that
+        # is not SBP-enabled is ignored.
+        plan = MaskPlan(((layers[0][0], mask), ("embed", full_keep_mask((16,)))), "independent")
+        sels = resolve(model, plan, "head", 0, 0)
+        for node in model.nodes:
+            sel = sels[node.node_id]
+            if node.node_id == layers[0][0]:
+                assert sel.mask is mask and sel.keep.tolist() == [0, 5, 10]
+            else:
+                assert sel.mask is None, node.node_id
+                assert all(getattr(sel, f) is None for f in SELECTION_FIELDS), node.node_id
+
+    @pytest.mark.parametrize("mode", ["qkv", "query_only", "head"])
+    def test_full_keep_mask_keeps_everything(self, mode):
+        """A mask that drops nothing keeps its mask, so the node still runs
+        chunked, and keeps every index, row, query and head."""
+        model = self.vit()
+        sels = resolve(model, self.grid_plan(model, ratio=1.0), mode, 1, 3)
+        for node_id, _ in model.sbp_layers():
+            assert sels[node_id].mask.is_full_keep
+            assert all(getattr(sels[node_id], f) is None for f in SELECTION_FIELDS)
+
+    def test_heads_drawn_for_blocks_in_head_mode_only(self):
+        model = self.vit()
+        plan = self.grid_plan(model)
+        for mode in ("qkv", "query_only"):
+            assert all(sel.heads is None for sel in resolve(model, plan, mode, 0, 0).values())
+        draws = [resolve(model, plan, "head", step, 7) for step in range(6)]
+        for node in model.nodes:
+            for sels in draws:
+                if node.kind == "block" and node.sbp_enabled:
+                    assert sels[node.node_id].heads.size == 2
+                else:
+                    assert sels[node.node_id].heads is None
+        per_step = {tuple(sels["block2"].heads.tolist()) for sels in draws}
+        assert len(per_step) > 1, "heads do not change with the step"
+        mlp = build_model(mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=2), 4)
+        sels = resolve(mlp, self.grid_plan(mlp), "head", 0, 0)
+        assert all(sel.heads is None for sel in sels.values())
+
+
 class TestHeadKeepFor:
     class N:
         def __init__(self, nid="block0"):
@@ -434,5 +522,5 @@ class TestHeadKeepFor:
         before = [sorted(vars(node)) for node in model.nodes]
         plan = make_mask_plan(model, build_schedule("uniform", 0.5, 2), "grid", "shared", 0)
         x, labels = small_batch(np.random.Generator(np.random.PCG64(2)), grid=(4, 4))
-        forward(model, x, labels, plan=plan, mode="head")
+        forward(model, x, labels, plan=resolve(model, plan, "head", 0, 0))
         assert [sorted(vars(node)) for node in model.nodes] == before

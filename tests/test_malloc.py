@@ -31,7 +31,7 @@ def run_python(code, **env):
 FAULTS_PER_BACKWARD = """
 import resource
 import numpy as np
-from sbp.engine import backward, forward
+from sbp.engine import backward, forward, resolve
 from sbp.masks import build_schedule, make_mask_plan
 from sbp.models import build_model, tiny_vit_spec
 
@@ -40,7 +40,8 @@ model = build_model(tiny_vit_spec(grid=(8, 8), in_channels=3, embed=32, heads=2,
 rng = np.random.Generator(np.random.PCG64(0))
 x, labels = rng.normal(size=(8, 8, 8, 3)), rng.integers(0, 2, size=8)
 tape = forward(model, x, labels)
-plan = make_mask_plan(model, build_schedule("uniform", 0.5, 4), "grid", "shared", 0)
+plan = resolve(model, make_mask_plan(model, build_schedule("uniform", 0.5, 4), "grid",
+                                    "shared", 0), "qkv", 0, 0)
 for _ in range(5):
     backward(tape, plan)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

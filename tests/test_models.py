@@ -5,7 +5,7 @@ import pytest
 
 from sbp.analysis import activation_memory_estimate
 from sbp.config import ModelConfig
-from sbp.engine import backward, forward, sgd_step
+from sbp.engine import backward, forward, resolve, sgd_step
 from sbp.errors import ConfigurationError
 from sbp.layers import gelu_backward, gelu_forward, linear_backward_kept, select
 from sbp.masks import IndexMask, build_schedule, make_mask_plan
@@ -83,7 +83,7 @@ class TestBuildModel:
         tape = forward(model, x, rng.integers(0, 2, size=2))
         _, dx = backward(tape, want_input_grad=True)
         assert dx.shape == x.shape
-        report = activation_memory_estimate(model, None, "qkv", 2, 0, 0)
+        report = activation_memory_estimate(model, None, 2)
         assert report.estimated_total == tape.cached_elements()
 
     def test_even_kernel_convs_mask_their_own_grids(self):
@@ -97,8 +97,9 @@ class TestBuildModel:
         assert [m.domain_shape for _, m in plan.per_layer] == [(5, 5), (6, 6)]
         rng = np.random.Generator(np.random.PCG64(1))
         x, labels = rng.normal(size=(2, 4, 4, 2)), rng.integers(0, 2, size=2)
-        tape = forward(model, x, labels, plan=plan, step=2)
-        report = activation_memory_estimate(model, plan, "qkv", 2, 2, 0)
+        sels = resolve(model, plan, "qkv", 2, 0)
+        tape = forward(model, x, labels, plan=sels)
+        report = activation_memory_estimate(model, sels, 2)
         assert report.estimated_total == tape.cached_elements()
         grads = backward(tape)
         assert set(grads.keys()) == set(model.params())

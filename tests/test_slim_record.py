@@ -17,7 +17,7 @@ import pytest
 import sbp.engine
 import sbp.models
 from sbp.cli import EXIT_OK, main
-from sbp.engine import backward, forward
+from sbp.engine import backward, forward, resolve
 from sbp.layers import (
     EXACT,
     gelu_backward,
@@ -204,8 +204,8 @@ class TestConsumedTape:
         tape = forward(model, x, labels)
         records = list(tape.records)
         backward(tape)
-        first = backward(tape, plan=plan, mode="query_only")
-        second = backward(tape, plan=plan, mode="query_only")
+        first = backward(tape, plan=resolve(model, plan, "query_only", 0, 0))
+        second = backward(tape, plan=resolve(model, plan, "query_only", 0, 0))
         assert set(first.keys()) == set(second.keys())
         assert np.array_equal(first.flat(), second.flat())
         assert len(tape.records) == len(records)
@@ -217,7 +217,7 @@ class TestConsumedTape:
         def backward_peak(consume):
             tracemalloc.start()
             try:
-                tape = forward(model, x, labels, plan=plan)
+                tape = forward(model, x, labels, plan=resolve(model, plan, "qkv", 0, 0))
                 base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 backward(tape, consume=consume)

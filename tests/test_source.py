@@ -1,5 +1,7 @@
 """Source hygiene: every name a module of the package imports is used there,
-and the model nodes never decide by drop mode.
+the model nodes never decide by drop mode, and the training and analysis
+entry points take a resolved selection map, not a drop mode, step and head
+seed.
 
 No linter ships with the project, so this walks the syntax trees itself. An
 import inside a function must be used in that function; a module-level one
@@ -9,11 +11,16 @@ holds no drop-mode string.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
+import sbp.engine
+from sbp.analysis import (activation_memory_estimate, grad_similarity_experiment,
+                          measure_step_peaks)
 from sbp.config import SBP_MODES
+from sbp.engine import backward, forward, grad
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sbp"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -85,3 +92,17 @@ def test_checker_sees_drop_modes():
               'def f(rec, head_keep):\n    return rec.mode == "qkv" or head_keep\n')
     assert drop_mode_uses(source) == ["line 2: head_keep", "line 3: 'qkv'", "line 3: head_keep",
                                       "line 3: mode"]
+
+
+@pytest.mark.parametrize("fn", [forward, backward, grad, measure_step_peaks,
+                                activation_memory_estimate, grad_similarity_experiment],
+                         ids=lambda fn: fn.__name__)
+def test_takes_a_selection_map(fn):
+    """`engine.resolve` is the one place a plan, drop mode, step and head
+    seed become selections; everything downstream takes its map."""
+    assert not {"mode", "step", "head_seed"} & set(inspect.signature(fn).parameters)
+
+
+def test_engine_has_no_per_node_context():
+    assert not hasattr(sbp.engine, "sbp_context")
+    assert callable(sbp.engine.resolve)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sbp.analysis import activation_memory_estimate, measure_step_peaks
-from sbp.engine import _chunked_forward, forward, sbp_context
+from sbp.engine import _chunked_forward, forward, resolve
 from sbp.masks import build_schedule, make_mask_plan
 from sbp.models import (
     BATCH_CHUNK,
@@ -46,7 +46,7 @@ def case(name, b):
     labels = rng.integers(0, 2, size=b)
     schedule = build_schedule("uniform", 0.5, len(model.sbp_layers()))
     plan = make_mask_plan(model, schedule, sampler, sharing, 11)
-    return model, x, labels, plan, mode
+    return model, x, labels, resolve(model, plan, mode, STEP, HEAD_SEED)
 
 
 def assert_same_cache(got, want):
@@ -76,12 +76,11 @@ def test_batch_chunks_cover_the_batch(b):
 @pytest.mark.parametrize("b", [1, 2, 5, 9])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_chunked_forward_equals_exact_then_restrict(name, b):
-    model, x, labels, plan, mode = case(name, b)
-    masks = dict(plan.per_layer)
+    model, x, labels, plan = case(name, b)
     h = x
     masked = 0
     for node in model.nodes:
-        sel = sbp_context(node, masks, mode, STEP, HEAD_SEED)
+        sel = plan[node.node_id]
         y_ref, full = node.forward(h)
         if sel.mask is not None:
             masked += 1
@@ -97,15 +96,15 @@ def test_chunked_forward_equals_exact_then_restrict(name, b):
                 assert rec.cache["x"] is h
         h = y_ref
     assert masked == len(model.sbp_layers())
-    tape = forward(model, x, labels, plan=plan, mode=mode, step=STEP, head_seed=HEAD_SEED)
+    tape = forward(model, x, labels, plan=plan)
     assert np.array_equal(tape.logits, forward(model, x, labels).logits)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_estimate_matches_chunked_tape(name):
-    model, x, labels, plan, mode = case(name, 5)
-    tape = forward(model, x, labels, plan=plan, mode=mode, step=STEP, head_seed=HEAD_SEED)
-    report = activation_memory_estimate(model, plan, mode, 5, STEP, HEAD_SEED)
+    model, x, labels, plan = case(name, 5)
+    tape = forward(model, x, labels, plan=plan)
+    report = activation_memory_estimate(model, plan, 5)
     assert report.estimated_total == tape.cached_elements()
 
 
@@ -134,9 +133,9 @@ def test_step_peak(name):
     x = rng.normal(size=(b, *grid, 3))
     labels = rng.integers(0, 2, size=b)
     schedule = build_schedule("uniform", 0.5, len(model.sbp_layers()))
-    plan = make_mask_plan(model, schedule, "grid", "shared", 7)
-    full = measure_step_peaks(model, x, labels, None, "qkv", 0, 0)
-    planned = measure_step_peaks(model, x, labels, plan, "qkv", 0, 0)
+    plan = resolve(model, make_mask_plan(model, schedule, "grid", "shared", 7), "qkv", 0, 0)
+    full = measure_step_peaks(model, x, labels, None)
+    planned = measure_step_peaks(model, x, labels, plan)
     bnc = b * grid[0] * grid[1] * width * 8
     assert planned["forward_peak_bytes"] <= planned["backward_peak_bytes"] + bnc
     assert planned["step_peak_bytes"] <= ratio * full["step_peak_bytes"]
