@@ -99,7 +99,7 @@ from .layers import (
     mhsa_forward,
     mhsa_projections,
     mse_loss,
-    restrict_mhsa_cache,
+    restrict_attention,
     sample_head_keep,
     select,
     softmax_xent_loss,

@@ -4,10 +4,11 @@ Each masked (SBP) backward is elementwise-equivalent to running the full
 backward after zeroing the upstream activation gradient at dropped indices;
 the masked implementations additionally honor the memory contract where one
 is declared: they read only kept-index activations. For attention the contract
-holds by construction: `restrict_mhsa_cache` keeps only what a drop mode's
-backward reads, and `mhsa_backward` computes that backward from the
-restricted cache alone, never rebuilding a full-shaped one. It is the one
-attention backward: with nothing dropped it is the exact one.
+holds by construction: the cache is X, S and A, `restrict_attention` keeps
+only the parts of S and A a drop mode's backward reads, and `mhsa_backward`
+computes that backward from the restricted cache alone, rebuilding Q, K and V
+from X on the kept rows, queries and heads only. It is the one attention
+backward: with nothing dropped it is the exact one.
 
 Token masks address the flat spatial/token grid of a single sample; batched
 inputs share one mask across the batch.
@@ -32,8 +33,8 @@ LN_EPS = 1e-6
 
 
 def as_tensor(x) -> Array:
-    """Coerce to a C-contiguous float64 array."""
-    return np.ascontiguousarray(x, dtype=np.float64)
+    """Coerce to a C-contiguous float64 array; a 0-d input stays 0-d."""
+    return np.asarray(x, dtype=np.float64, order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +248,10 @@ class MhsaLayer:
 
 @dataclass
 class MhsaCache:
-    # X, Q, K and V are None only in the cache the transformer block's
-    # `restrict` wraps around its cached S and A to restrict them.
-    x: Array | None  # B x N x C
-    q: Array | None  # B x h x N x d
-    k: Array | None
-    v: Array | None
-    s: Array | None  # B x h x N x N (attention weights; no backward reads the logits)
-    a: Array | None  # B x h x N x d (per-head attention output)
+    # Q, K and V are not kept: the backward rebuilds them from X.
+    x: Array  # B x N x C
+    s: Array  # B x h x N x N (attention weights; no backward reads the logits)
+    a: Array  # B x h x N x d (per-head attention output)
 
 
 def _split_heads(t: Array, heads: int, dim_head: int) -> Array:
@@ -308,7 +305,7 @@ def mhsa_forward(layer: MhsaLayer, x: Array):
     s /= s.sum(axis=-1, keepdims=True)
     a = s @ v
     out = _merge_heads(a) @ layer.w_o
-    return out, MhsaCache(x=x, q=q, k=k, v=v, s=s, a=a)
+    return out, MhsaCache(x, s, a)
 
 
 @dataclass
@@ -325,7 +322,7 @@ def _check_cache(layer: MhsaLayer, cache: MhsaCache, upstream: Array):
     if upstream.shape != (b, n, c):
         raise ContractViolationError(
             f"upstream shape {upstream.shape} does not match cache {cache.x.shape}")
-    if cache.q.shape != (b, layer.heads, n, layer.dim_head):
+    if cache.s.shape != (b, layer.heads, n, n):
         raise ContractViolationError("cache does not belong to this layer")
 
 
@@ -372,22 +369,18 @@ def select(mask: IndexMask, mode: str, head_keep: tuple[int, ...] | None = None)
                      keep if mode == "query_only" else None, heads)
 
 
-def restrict_mhsa_cache(cache: MhsaCache, sel: Selection) -> MhsaCache:
-    """The part of a full cache that the masked backward under `sel` reads:
-    its token rows (of X, Q, K, V, A and both axes of S), query rows (of Q)
-    and heads (of Q, K, V and S; A stays whole, so dW_O stays exact). A
-    field of None stays None."""
-    rows, queries, heads = sel.rows, sel.queries, sel.heads
-    q, k, v, a = (_take(t, rows, 2) for t in (cache.q, cache.k, cache.v, cache.a))
-    s = cache.s
-    if rows is not None and s is not None:
+def restrict_attention(s: Array, a: Array, sel: Selection) -> tuple[Array, Array]:
+    """The part of a full S and A that the masked backward under `sel` reads:
+    the token rows (of A and both axes of S) and the heads (of S; A stays
+    whole, so dW_O stays exact). The query rows of S are taken by the
+    backward itself."""
+    rows, heads = sel.rows, sel.heads
+    if rows is not None:
         # One gather over the flat kept x kept index of each N x N map.
         b, h, n, _ = s.shape
         s = np.take(s.reshape(b, h, n * n), (rows[:, None] * n + rows).ravel(), axis=2)
         s = s.reshape(b, h, rows.size, rows.size)
-    q = _take(q, queries, 2)
-    q, k, v, s = (_take(t, heads, 1) for t in (q, k, v, s))
-    return MhsaCache(_take(cache.x, rows, 1), q, k, v, s, a)
+    return _take(s, heads, 1), _take(a, rows, 2)
 
 
 def mhsa_backward(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
@@ -397,11 +390,13 @@ def mhsa_backward(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
     `Selection` holds them; None keeps all).
 
     `upstream` and the returned dX cover the cache's token rows: all N, or the
-    kept rows of a qkv cache. The cache holds Q on the query rows and Q, K, V
-    and S on the heads, as `restrict_mhsa_cache` leaves them; A is whole, so
-    dW_O is exact. dQ, and its shares of dW_Q and dX, cover the query rows
-    only; the dropped heads' weight gradients are zero. With both selections
-    None this is the exact backward.
+    kept rows of a qkv cache. The cache holds S on the heads, as
+    `restrict_attention` leaves it; A is whole, so dW_O is exact. Q, K and V
+    are not cached: the kernel rebuilds them from X with `mhsa_projections`,
+    Q on the query rows only and all three on the heads only, the forward's
+    bits for each entry. dQ, and its shares of dW_Q and dX, cover the query
+    rows only; the dropped heads' weight gradients are zero. With both
+    selections None this is the exact backward.
     """
     h, d = layer.heads, layer.dim_head
     scale = 1.0 / math.sqrt(d)
@@ -411,21 +406,23 @@ def mhsa_backward(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
     da, a = _take(da, heads, 1), _take(cache.a, heads, 1)
     dv = cache.s.transpose(0, 1, 3, 2) @ da
     da, a, s = (_take(t, queries, 2) for t in (da, a, cache.s))
+    q, k, v = mhsa_projections(layer, cache.x, queries, heads)
     # The softmax backward s * (ds - rowsum), in place on ds. The row sums of
     # ds * s run over ALL keys: <dA_q, A_q> recovers them from the cached
-    # per-head outputs without touching dropped columns of S. Each temporary
-    # is freed at its last use.
+    # per-head outputs without touching dropped columns of S. Each temporary,
+    # Q, K and V included, is freed at its last use.
     rowsum = (da * a).sum(axis=-1, keepdims=True)
     del a
-    dm = da @ cache.v.transpose(0, 1, 3, 2)
-    del da
+    dm = da @ v.transpose(0, 1, 3, 2)
+    del da, v
     dm -= rowsum
     dm *= s
     del s
-    dq = dm @ cache.k
+    dq = dm @ k
+    del k
     dq *= scale
-    dk = dm.transpose(0, 1, 3, 2) @ cache.q
-    del dm
+    dk = dm.transpose(0, 1, 3, 2) @ q
+    del dm, q
     dk *= scale
 
     # Each projection's weight gradient and dX share are the linear backward
@@ -474,8 +471,8 @@ def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
     elif mask.total != n:
         raise DimensionError(f"mask domain {mask.total} != token count {n}")
     sel = select(mask, mode, head_keep)
-    grads = mhsa_backward(layer, restrict_mhsa_cache(cache, sel), _take(upstream, sel.rows, 1),
-                          sel.queries, sel.heads)
+    restricted = MhsaCache(_take(cache.x, sel.rows, 1), *restrict_attention(cache.s, cache.a, sel))
+    grads = mhsa_backward(layer, restricted, _take(upstream, sel.rows, 1), sel.queries, sel.heads)
     if sel.rows is not None:  # dropped token rows get no input gradient
         dx_k, grads.dx = grads.dx, np.zeros(upstream.shape)
         grads.dx[:, sel.rows] = dx_k
@@ -655,7 +652,9 @@ def gelu_cdf(x: Array) -> Array:
     Built in place on one buffer, in the operation order of
     0.5 * (1 + erf(x / sqrt(2))), with `erf` the cephes algorithm above.
     """
-    t = x / math.sqrt(2.0)
+    # Into an array of x's shape: for a 0-d x, `x / math.sqrt(2.0)` would be
+    # a numpy scalar, which no in-place step below can write into.
+    t = np.divide(x, math.sqrt(2.0), out=np.empty_like(x))
     erf(t, out=t)
     t += 1.0
     t *= 0.5
@@ -677,8 +676,8 @@ def gelu_backward(x: Array, upstream: Array, cdf: Array | None = None) -> Array:
     if cdf is None:
         cdf = gelu_cdf(x)
     # upstream * (cdf + x * pdf) with pdf = exp(-x*x/2) / sqrt(2 pi), built in
-    # one temporary in the same operation order.
-    t = x * -0.5
+    # one temporary in the same operation order (an array also for a 0-d x).
+    t = np.multiply(x, -0.5, out=np.empty_like(x))
     t *= x
     np.exp(t, out=t)
     t /= math.sqrt(2.0 * math.pi)

@@ -35,8 +35,7 @@ from .layers import (
     linear_backward_kept,
     mhsa_backward,
     mhsa_forward,
-    mhsa_projections,
-    restrict_mhsa_cache,
+    restrict_attention,
     row_gemm,
 )
 
@@ -219,7 +218,8 @@ class TransformerBlockNode(Node):
     The record holds only what the backward cannot rebuild: x_hat and 1/sigma
     of both LNs, the attention weights S and per-head outputs A, and the GELU
     CDF Phi(u). The LN outputs, Q, K, V and u are one affine map or GEMM away
-    from a cached x_hat, so the backward rebuilds them, bit for bit.
+    from a cached x_hat, so the backward rebuilds them, bit for bit: the LN
+    outputs and u here, Q, K and V in the attention kernel.
     """
 
     kind = "block"
@@ -289,8 +289,7 @@ class TransformerBlockNode(Node):
         # The MLP branch keeps kept token rows only, in every mode; LN1 keeps
         # the rows the attention backward covers (the kept ones in qkv).
         cache = {name: _gather(full[name], sel.rows) for name in ("ln1_xhat", "ln1_inv_std")}
-        mc = restrict_mhsa_cache(MhsaCache(None, None, None, None, full["s"], full["a"]), sel)
-        cache["s"], cache["a"] = mc.s, mc.a
+        cache["s"], cache["a"] = restrict_attention(full["s"], full["a"], sel)
         for name in ("ln2_xhat", "ln2_inv_std", "cdf"):
             cache[name] = _gather(full[name], sel.keep)
         return NodeRecord(cache, sel)
@@ -301,23 +300,16 @@ class TransformerBlockNode(Node):
         grads = {}
         # dy can be the pool's read-only view; dx2 is the block's own.
         dx2 = _add_rows(dy, keep, self._mlp_backward(cache, _gather(dy, keep), grads))
-        mg = mhsa_backward(self._mhsa(), self._attention_cache(rec, queries, heads),
+        # X is the forward's LN1 output; the kernel rebuilds Q, K and V from it.
+        x = self.ln1_g * cache["ln1_xhat"] + self.ln1_b
+        mg = mhsa_backward(self._mhsa(), MhsaCache(x, cache["s"], cache["a"]),
                            _gather(dx2, rows), queries, heads)
+        del x
         grads["w_q"], grads["w_k"], grads["w_v"], grads["w_o"] = (
             mg.dw_q, mg.dw_k, mg.dw_v, mg.dw_o)
         grads["ln1_g"], grads["ln1_b"], dxa = layer_norm_backward(
             (cache["ln1_xhat"], cache["ln1_inv_std"]), self.ln1_g, mg.dx)
         return grads, _add_rows(dx2, rows, dxa, inplace=True)
-
-    def _attention_cache(self, rec, queries, heads):
-        """The attention cache the kernel reads, on the rows, queries and heads
-        the record covers: X from LN1's x_hat (already on the covered rows),
-        Q, K and V rebuilt from X on the selected queries and heads only, S
-        and A cached."""
-        cache = rec.cache
-        x = self.ln1_g * cache["ln1_xhat"] + self.ln1_b  # the forward's LN1 output
-        return MhsaCache(x, *mhsa_projections(self._mhsa(), x, queries, heads),
-                         cache["s"], cache["a"])
 
     def _mlp_backward(self, cache, dy_k, grads):
         """MLP branch on the cached rows: fills its grads, returns the input

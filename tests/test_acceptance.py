@@ -243,8 +243,8 @@ def test_criterion_3_memory_contract():
     out = linear_backward_sbp(lin, x, up, mask)
     linear_ok = all(np.all(np.isfinite(t)) for t in out if t is not None)
 
-    # NaN poison, MHSA qkv: only kept rows of Q/K/V/X/A and the kept block
-    # of S are read.
+    # NaN poison, MHSA qkv: only kept rows of X and A and the kept block of
+    # S are read; Q, K and V are rebuilt from X's kept rows.
     att = MhsaLayer(2, 3, rng.normal(size=(6, 6)), rng.normal(size=(6, 6)),
                     rng.normal(size=(6, 6)), rng.normal(size=(6, 6)))
     xa = rng.normal(size=(2, 6, 6))
@@ -253,8 +253,7 @@ def test_criterion_3_memory_contract():
     amask = IndexMask.from_keep((6,), [1, 3, 4])
     drop = amask.drop_array()
     cache.x[:, drop, :] = np.nan
-    for t in (cache.q, cache.k, cache.v, cache.a):
-        t[:, :, drop, :] = np.nan
+    cache.a[:, :, drop, :] = np.nan
     cache.s[:, :, drop, :] = np.nan
     cache.s[:, :, :, drop] = np.nan
     g = mhsa_backward_sbp(att, cache, upa, amask, mode="qkv")

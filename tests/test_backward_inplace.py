@@ -4,10 +4,12 @@ array.
 
 The references below are the kernels as they were before the rewrite: every
 temporary allocated fresh, the LayerNorm forward centring its input twice,
-and `head` mode computed over full B x h x N x d zero arrays. LayerNorm and
-GELU give the references' bytes. The attention kernel agrees within the
-oracle tolerance: it takes the softmax row sums as <dA, A> and sums dX in
-another order, so its last bits differ.
+and `head` mode computed over full B x h x N x d zero arrays. The attention
+references read Q, K and V from the full forward projections, gathered to
+the entries the masked backward reads; the kernel rebuilds those entries
+from X. LayerNorm and GELU give the references' bytes. The attention kernel
+agrees within the oracle tolerance: it takes the softmax row sums as
+<dA, A> and sums dX in another order, so its last bits differ.
 """
 
 import math
@@ -28,23 +30,43 @@ from sbp.layers import (
     layer_norm_forward,
     mhsa_backward,
     mhsa_forward,
-    restrict_mhsa_cache,
+    mhsa_projections,
+    restrict_attention,
     select,
 )
 from sbp.masks import IndexMask, sample_grid_mask
 
 
+def take(t, index, axis):
+    return t if index is None else np.take(t, index, axis=axis)
+
+
+def restrict(cache, sel):
+    """The cache `mhsa_backward_sbp` hands the kernel: X on the kept token
+    rows, S and A as `restrict_attention` leaves them."""
+    return MhsaCache(take(cache.x, sel.rows, 1), *restrict_attention(cache.s, cache.a, sel))
+
+
+def gathered_projections(layer, x, sel):
+    """The full Q, K and V of x, gathered to the entries the masked backward
+    under `sel` reads: token rows of all three, query rows of Q, heads of all
+    three."""
+    q, k, v = (take(t, sel.rows, 2) for t in mhsa_projections(layer, x))
+    return tuple(take(t, sel.heads, 1) for t in (take(q, sel.queries, 2), k, v))
+
+
 def old_mhsa_backward_full(layer, cache, upstream):
     h, d = layer.heads, layer.dim_head
     b, n, c = cache.x.shape
+    q, k, v = mhsa_projections(layer, cache.x)
     x2 = cache.x.reshape(b * n, c)
     dw_o = _merge_heads(cache.a).reshape(b * n, h * d).T @ upstream.reshape(b * n, c)
     da = _split_heads(upstream @ layer.w_o.T, h, d)
     dv = cache.s.transpose(0, 1, 3, 2) @ da
-    ds = da @ cache.v.transpose(0, 1, 3, 2)
+    ds = da @ v.transpose(0, 1, 3, 2)
     dm = cache.s * (ds - (ds * cache.s).sum(axis=-1, keepdims=True))
-    dq = dm @ cache.k / math.sqrt(d)
-    dk = dm.transpose(0, 1, 3, 2) @ cache.q / math.sqrt(d)
+    dq = dm @ k / math.sqrt(d)
+    dk = dm.transpose(0, 1, 3, 2) @ q / math.sqrt(d)
     dq_f = _merge_heads(dq).reshape(b * n, h * d)
     dk_f = _merge_heads(dk).reshape(b * n, h * d)
     dv_f = _merge_heads(dv).reshape(b * n, h * d)
@@ -52,8 +74,9 @@ def old_mhsa_backward_full(layer, cache, upstream):
     return MhsaGrads(x2.T @ dq_f, x2.T @ dk_f, x2.T @ dv_f, dw_o, dx)
 
 
-def old_mhsa_backward_kept(layer, restricted, upstream, keep, mode, head_keep):
+def old_mhsa_backward_kept(layer, restricted, projections, upstream, keep, mode, head_keep):
     h, d = layer.heads, layer.dim_head
+    q, k, v = projections
     scale = 1.0 / math.sqrt(d)
     b, n, c = upstream.shape
     if mode == "head":
@@ -66,23 +89,23 @@ def old_mhsa_backward_kept(layer, restricted, upstream, keep, mode, head_keep):
     da = _split_heads(up @ layer.w_o.T, h, d)
     if mode == "qkv":
         s_kk = restricted.s
-        ds_kk = da @ restricted.v.transpose(0, 1, 3, 2)
+        ds_kk = da @ v.transpose(0, 1, 3, 2)
         rowsum = (da * restricted.a).sum(axis=-1, keepdims=True)
         dm_kk = s_kk * (ds_kk - rowsum)
-        dq = dm_kk @ restricted.k * scale
-        dk = dm_kk.transpose(0, 1, 3, 2) @ restricted.q * scale
+        dq = dm_kk @ k * scale
+        dk = dm_kk.transpose(0, 1, 3, 2) @ q * scale
         dv = s_kk.transpose(0, 1, 3, 2) @ da
     elif mode == "query_only":
         dv = restricted.s.transpose(0, 1, 3, 2) @ da
         da_k = da[:, :, keep, :]
         s_k = restricted.s[:, :, keep, :]
         a_k = restricted.a[:, :, keep, :]
-        ds_k = da_k @ restricted.v.transpose(0, 1, 3, 2)
+        ds_k = da_k @ v.transpose(0, 1, 3, 2)
         rowsum = (da_k * a_k).sum(axis=-1, keepdims=True)
         dm_k = s_k * (ds_k - rowsum)
-        dk = dm_k.transpose(0, 1, 3, 2) @ restricted.q * scale
+        dk = dm_k.transpose(0, 1, 3, 2) @ q * scale
         dq = np.zeros((b, h, n, d))
-        dq[:, :, keep, :] = dm_k @ restricted.k * scale
+        dq[:, :, keep, :] = dm_k @ k * scale
     else:
         dq = np.zeros((b, h, n, d))
         dk = np.zeros((b, h, n, d))
@@ -91,10 +114,10 @@ def old_mhsa_backward_kept(layer, restricted, upstream, keep, mode, head_keep):
             da_h = da[:, hk, :, :]
             s_h = restricted.s
             dv[:, hk, :, :] = s_h.transpose(0, 1, 3, 2) @ da_h
-            ds_h = da_h @ restricted.v.transpose(0, 1, 3, 2)
+            ds_h = da_h @ v.transpose(0, 1, 3, 2)
             dm_h = s_h * (ds_h - (da_h * restricted.a[:, hk, :, :]).sum(axis=-1, keepdims=True))
-            dq[:, hk, :, :] = dm_h @ restricted.k * scale
-            dk[:, hk, :, :] = dm_h.transpose(0, 1, 3, 2) @ restricted.q * scale
+            dq[:, hk, :, :] = dm_h @ k * scale
+            dk[:, hk, :, :] = dm_h.transpose(0, 1, 3, 2) @ q * scale
     x2 = restricted.x.reshape(b * rows, c)
     dq_f = _merge_heads(dq).reshape(b * rows, h * d)
     dk_f = _merge_heads(dk).reshape(b * rows, h * d)
@@ -144,7 +167,7 @@ def assert_grads_close(new, old):
 
 
 def snapshot(cache: MhsaCache):
-    return {name: getattr(cache, name).copy() for name in ("x", "q", "k", "v", "s", "a")}
+    return {name: getattr(cache, name).copy() for name in ("x", "s", "a")}
 
 
 def assert_cache_unchanged(cache: MhsaCache, before):
@@ -188,7 +211,7 @@ class TestAttention:
         layer, cache, up, grid = attention_case(shape, seed=1)
         sel = select(token_masks(grid)[mask], mode)
         keep = sel.keep
-        restricted = restrict_mhsa_cache(cache, sel)
+        restricted = restrict(cache, sel)
         before, before_full = snapshot(restricted), snapshot(cache)
         # In qkv the kernel's upstream and dX cover the kept rows only.
         rows = slice(None) if sel.rows is None else sel.rows
@@ -197,20 +220,22 @@ class TestAttention:
         assert_cache_unchanged(cache, before_full)
         dx_rows, new.dx = new.dx, np.zeros(up.shape)
         new.dx[:, rows] = dx_rows
-        assert_grads_close(new, old_mhsa_backward_kept(layer, restricted, up, keep, mode, None))
+        assert_grads_close(new, old_mhsa_backward_kept(
+            layer, restricted, gathered_projections(layer, cache.x, sel), up, keep, mode, None))
 
     @pytest.mark.parametrize("head_keep", [(), (0,), (1,), (0, 1)])
     def test_head_mode(self, shape, head_keep):
         layer, cache, up, grid = attention_case(shape, seed=2)
         sel = select(token_masks(grid)["grid"], "head", head_keep)
         keep = sel.keep
-        restricted = restrict_mhsa_cache(cache, sel)
+        restricted = restrict(cache, sel)
         before, before_full = snapshot(restricted), snapshot(cache)
         new = mhsa_backward(layer, restricted, up, heads=sel.heads)
         assert_cache_unchanged(restricted, before)
         assert_cache_unchanged(cache, before_full)
-        assert_grads_close(new, old_mhsa_backward_kept(layer, restricted, up, keep, "head",
-                                                       head_keep))
+        assert_grads_close(new, old_mhsa_backward_kept(
+            layer, restricted, gathered_projections(layer, cache.x, sel), up, keep, "head",
+            head_keep))
         d = layer.dim_head
         for h in set(range(layer.heads)) - set(head_keep):
             for dw in (new.dw_q, new.dw_k, new.dw_v):

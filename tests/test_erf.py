@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sbp.errors import DimensionError
-from sbp.layers import ERF_BLOCK, erf
+from sbp.layers import ERF_BLOCK, erf, gelu_backward, gelu_forward
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -88,3 +88,12 @@ def test_keeps_shape_and_rejects_a_mismatched_out():
     assert erf(np.empty((0, 3))).shape == (0, 3)
     with pytest.raises(DimensionError, match="does not fit"):
         erf(x, out=np.empty((3, 2, 4)))
+
+
+def test_zero_d_input_stays_zero_d():
+    """A scalar gives a 0-d result with the one-element call's value."""
+    cases = [(erf(np.float64(0.5)), erf(np.array([0.5]))),
+             (gelu_forward(0.5), gelu_forward(np.array([0.5]))),
+             (gelu_backward(0.5, 2.0), gelu_backward(np.array([0.5]), np.array([2.0])))]
+    for got, one in cases:
+        assert np.shape(got) == () and same_bytes(np.asarray(got).reshape(1), one)

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from sbp.errors import ConfigurationError, ContractViolationError, DimensionError
 from sbp.layers import (
+    MhsaCache,
     MhsaLayer,
     mhsa_backward,
     mhsa_backward_sbp,
     mhsa_forward,
-    restrict_mhsa_cache,
+    restrict_attention,
     sample_head_keep,
     select,
 )
@@ -39,22 +40,25 @@ def grads_as_dict(g):
             "dw_o": g.dw_o, "dx": g.dx}
 
 
+def restrict(cache, sel):
+    """The cache `mhsa_backward_sbp` hands the kernel: X on the kept token
+    rows, S and A as `restrict_attention` leaves them."""
+    x = cache.x if sel.rows is None else cache.x[:, sel.rows]
+    return MhsaCache(x, *restrict_attention(cache.s, cache.a, sel))
+
+
 def poison_dropped_slots(p, keep, mode, head_keep):
-    """Write NaN, in place, into every slot of a full cache that
-    restrict_mhsa_cache drops (in place keeps each tensor's memory layout)."""
+    """Write NaN, in place, into every slot of a full cache that the
+    restriction drops (in place keeps each tensor's memory layout). Q, K and
+    V are rebuilt from X's kept rows; query_only reads X, S and A whole."""
     if mode == "qkv":
         drop = np.setdiff1d(np.arange(p.x.shape[1]), keep)
         p.x[:, drop, :] = np.nan
-        for t in (p.q, p.k, p.v, p.a):
-            t[:, :, drop, :] = np.nan
+        p.a[:, :, drop, :] = np.nan
         p.s[:, :, drop, :] = np.nan
         p.s[:, :, :, drop] = np.nan
-        return
-    if mode == "query_only":
-        p.q[:, :, np.setdiff1d(np.arange(p.x.shape[1]), keep), :] = np.nan
-    else:
-        for t in (p.q, p.k, p.v, p.s):
-            t[:, np.setdiff1d(np.arange(p.q.shape[1]), head_keep), :, :] = np.nan
+    elif mode == "head":
+        p.s[:, np.setdiff1d(np.arange(p.s.shape[1]), head_keep), :, :] = np.nan
 
 
 # (mode, kept tokens of 6, kept heads of 3); head mode ignores the token mask.
@@ -214,7 +218,8 @@ class TestBackwardSbp:
         np.testing.assert_allclose(g.dw_o, g_full.dw_o, atol=1e-12)
 
     def test_qkv_memory_contract_nan_poison(self):
-        """qkv reads only kept rows of Q/K/V/X/A and the kept block of S."""
+        """qkv reads only kept rows of X and A and the kept block of S; Q, K
+        and V are rebuilt from X's kept rows."""
         rng = np.random.Generator(np.random.PCG64(7))
         layer = make_layer(rng, 6, 2, 3)
         n = 6
@@ -225,8 +230,7 @@ class TestBackwardSbp:
         clean = grads_as_dict(mhsa_backward_sbp(layer, cache, up, mask, mode="qkv"))
         drop = mask.drop_array()
         cache.x[:, drop, :] = np.nan
-        for t in (cache.q, cache.k, cache.v, cache.a):
-            t[:, :, drop, :] = np.nan
+        cache.a[:, :, drop, :] = np.nan
         cache.s[:, :, drop, :] = np.nan
         cache.s[:, :, :, drop] = np.nan
         poisoned = grads_as_dict(mhsa_backward_sbp(layer, cache, up, mask, mode="qkv"))
@@ -245,7 +249,7 @@ class TestBackwardSbp:
         # In qkv the kernel's upstream and dX cover the kept rows only.
         rows = slice(None) if sel.rows is None else sel.rows
         kept = grads_as_dict(mhsa_backward(
-            layer, restrict_mhsa_cache(cache, sel), up[:, rows], sel.queries, sel.heads))
+            layer, restrict(cache, sel), up[:, rows], sel.queries, sel.heads))
         dx_rows, kept["dx"] = kept["dx"], np.zeros(up.shape)
         kept["dx"][:, rows] = dx_rows
         poison_dropped_slots(cache, keep, mode, head_keep)
@@ -260,17 +264,13 @@ class TestBackwardSbp:
         rng = np.random.Generator(np.random.PCG64(13))
         b, n, c, h, d = 2, 6, 6, 3, 2
         _, cache = mhsa_forward(make_layer(rng, c, h, d), rng.normal(size=(b, n, c)))
-        r = restrict_mhsa_cache(cache, select(IndexMask.from_keep((n,), keep), mode, head_keep))
-        got = {name: None if t is None else t.shape
-               for name, t in zip("xqkvsa", (r.x, r.q, r.k, r.v, r.s, r.a))}
+        r = restrict(cache, select(IndexMask.from_keep((n,), keep), mode, head_keep))
+        got = {name: getattr(r, name).shape for name in ("x", "s", "a")}
         nk, hk = len(keep), len(head_keep or ())
         expected = {
-            "qkv": dict(x=(b, nk, c), q=(b, h, nk, d), k=(b, h, nk, d), v=(b, h, nk, d),
-                        s=(b, h, nk, nk), a=(b, h, nk, d)),
-            "query_only": dict(x=(b, n, c), q=(b, h, nk, d), k=(b, h, n, d),
-                               v=(b, h, n, d), s=(b, h, n, n), a=(b, h, n, d)),
-            "head": dict(x=(b, n, c), q=(b, hk, n, d), k=(b, hk, n, d), v=(b, hk, n, d),
-                         s=(b, hk, n, n), a=(b, h, n, d)),
+            "qkv": dict(x=(b, nk, c), s=(b, h, nk, nk), a=(b, h, nk, d)),
+            "query_only": dict(x=(b, n, c), s=(b, h, n, n), a=(b, h, n, d)),
+            "head": dict(x=(b, n, c), s=(b, hk, n, n), a=(b, h, n, d)),
         }[mode]
         assert got == expected
 

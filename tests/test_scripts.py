@@ -15,10 +15,6 @@ def run_script(name, *args):
     return proc.stdout
 
 
-def test_chain_rule_demo():
-    assert "vanishing: True" in run_script("chain_rule_demo.py")
-
-
 def test_memory_table_estimates_match_tape():
     matches = [line for line in run_script("memory_table.py").splitlines() if "match=" in line]
     assert len(matches) == 3

@@ -1,13 +1,16 @@
 """The transformer block's slim record and the consumed training tape.
 
-The block caches only what its backward cannot rebuild; it rebuilds Q, K, V
-and the MLP pre-activation u from the cached LN x_hat. The reference below is
-the block backward as it ran when the record still cached Q/K/V/u, and the
-slim record must give the same bytes in every drop mode. A training step
-frees each record once its node's backward has run, while an exact tape
-shared between backwards stays whole.
+The block caches only what its backward cannot rebuild; it rebuilds the
+attention input and the MLP pre-activation u from the cached LN x_hat, and
+the attention kernel rebuilds Q, K and V from that input. The reference
+below runs the block backward from the attention input and u as the forward
+computed them, and the slim record must give the same bytes in every drop
+mode. The Q, K and V rebuild is checked against the forward's projections
+directly. A training step frees each record once its node's
+backward has run, while an exact tape shared between backwards stays whole.
 """
 
+import math
 import tracemalloc
 import weakref
 
@@ -20,18 +23,24 @@ from sbp.cli import EXIT_OK, main
 from sbp.engine import backward, forward, resolve
 from sbp.layers import (
     EXACT,
+    MhsaCache,
+    MhsaLayer,
     gelu_backward,
     gelu_cdf,
     layer_norm_backward,
     layer_norm_forward,
     linear_backward_kept,
     mhsa_backward,
+    mhsa_backward_sbp,
     mhsa_forward,
-    restrict_mhsa_cache,
+    mhsa_projections,
+    restrict_attention,
     select,
 )
 from sbp.masks import IndexMask, build_schedule, make_mask_plan, sample_grid_mask
 from sbp.models import build_model, tiny_vit_spec
+
+from helpers import mhsa_sbp_reference
 
 # (B, grid, embed): the gradsim benchmark model's 8 x 64 x 32 and the 14x14
 # ViT's 16 x 196 x 64, 2 heads each.
@@ -55,6 +64,20 @@ def block_case(shape):
     return block, rng.normal(size=(b, n, embed)), rng.normal(size=(b, n, embed)), grid
 
 
+CASE_IDS = [f"{m}-{hk}-{k}" for m, hk, k in CASES]
+
+
+def record_case(block, x, grid, mode, head_keep, mask_kind):
+    """(selection, record) of the block's forward on x, cut to one CASES entry."""
+    rec = block.forward(x)[1]
+    if mode == "full":
+        return EXACT, rec
+    mask = (sample_grid_mask(grid, 0.5, 3) if mask_kind == "grid"
+            else IndexMask.from_keep(grid, [grid[0] * grid[1] // 3]))
+    sel = select(mask, mode, head_keep)
+    return sel, block.restrict(rec, sel)
+
+
 def gather(t, keep):
     return t if keep is None else np.take(t, keep, axis=1)
 
@@ -67,17 +90,16 @@ def add_rows(base, keep, rows):
     return out
 
 
-def cached_qkv_u_backward(block, x, dy, sel):
-    """(grads, dx) of the block from a record that caches Q, K, V and u, and
-    the attention and MLP inputs, as the forward computed them, cut to the
-    selection `sel`."""
+def cached_input_u_backward(block, x, dy, sel):
+    """(grads, dx) of the block from a record that caches u and the attention
+    and MLP inputs as the forward computed them, cut to the selection `sel`."""
     h1, ln1c = layer_norm_forward(x, block.ln1_g, block.ln1_b)
     att, mc = mhsa_forward(block._mhsa(), h1)
     h2, ln2c = layer_norm_forward(x + att, block.ln2_g, block.ln2_b)
     b, n, c = x.shape
     u = (h2.reshape(b * n, c) @ block.w1 + block.b1).reshape(b, n, -1)
     keep, ln1_keep, queries, heads = sel.keep, sel.rows, sel.queries, sel.heads
-    mc = restrict_mhsa_cache(mc, sel)
+    mc = MhsaCache(gather(mc.x, ln1_keep), *restrict_attention(mc.s, mc.a, sel))
     ln1c = tuple(gather(t, ln1_keep) for t in ln1c)
     ln2c, h2, u = tuple(gather(t, keep) for t in ln2c), gather(h2, keep), gather(u, keep)
 
@@ -105,23 +127,36 @@ class TestSlimBlockRecord:
         assert sorted(cache) == ["a", "cdf", "ln1_inv_std", "ln1_xhat", "ln2_inv_std",
                                  "ln2_xhat", "s"]
 
-    @pytest.mark.parametrize("mode, head_keep, mask_kind", CASES,
-                             ids=[f"{m}-{hk}-{k}" for m, hk, k in CASES])
+    @pytest.mark.parametrize("mode, head_keep, mask_kind", CASES, ids=CASE_IDS)
     def test_rebuild_is_bitwise(self, shape, mode, head_keep, mask_kind):
         block, x, dy, grid = block_case(shape)
-        if mode == "full":
-            sel, rec = EXACT, block.forward(x)[1]
-        else:
-            mask = (sample_grid_mask(grid, 0.5, 3) if mask_kind == "grid"
-                    else IndexMask.from_keep(grid, [grid[0] * grid[1] // 3]))
-            sel = select(mask, mode, head_keep)
-            rec = block.restrict(block.forward(x)[1], sel)
+        sel, rec = record_case(block, x, grid, mode, head_keep, mask_kind)
         grads, dx = block.backward(rec, dy)
-        ref, dx_ref = cached_qkv_u_backward(block, x, dy, sel)
+        ref, dx_ref = cached_input_u_backward(block, x, dy, sel)
         assert set(grads) == set(ref)
         for key in ref:
             assert np.array_equal(grads[key], ref[key]), key
         assert np.array_equal(dx, dx_ref)
+
+    @pytest.mark.parametrize("mode, head_keep, mask_kind", CASES, ids=CASE_IDS)
+    def test_projection_rebuild_is_bitwise(self, shape, mode, head_keep, mask_kind):
+        """Q, K and V rebuilt from the attention input on the record's rows,
+        on its query rows and heads, are the entries of the forward's
+        projections, bit for bit."""
+        block, x, _, grid = block_case(shape)
+        sel, rec = record_case(block, x, grid, mode, head_keep, mask_kind)
+        layer = block._mhsa()
+        full = mhsa_projections(layer, layer_norm_forward(x, block.ln1_g, block.ln1_b)[0])
+        x_rec = block.ln1_g * rec.cache["ln1_xhat"] + block.ln1_b
+        rebuilt = mhsa_projections(layer, x_rec, sel.queries, sel.heads)
+
+        def entries(t, queries):
+            for index, axis in ((sel.rows, 2), (queries, 2), (sel.heads, 1)):
+                t = t if index is None else np.take(t, index, axis=axis)
+            return t
+
+        for name, got, want, queries in zip("qkv", rebuilt, full, (sel.queries, None, None)):
+            assert np.array_equal(got, entries(want, queries)), name
 
     @pytest.mark.parametrize("mode, head_keep", [("qkv", None), ("query_only", None),
                                                  ("head", (1,)), (None, None),
@@ -149,6 +184,25 @@ class TestSlimBlockRecord:
         b, n, c = x.shape
         rows = mask.keep_array().size if mode == "qkv" else n
         assert seen == [((b, rows, c), (b, rows, c))]
+
+
+@pytest.mark.parametrize("kept", [0, 21, 63])
+def test_one_row_rebuild_within_oracle(kept):
+    """B = 1 and one kept token in qkv: the kernel's Q, K and V rebuild is a
+    one-row product, which BLAS may run as a matrix-vector product whose last
+    bit differs from the forward's GEMM row. The gradient stays within the
+    oracle's tolerance of the zeroing reference."""
+    rng = np.random.Generator(np.random.PCG64(kept))
+    n, c, heads = 64, 32, 2
+    layer = MhsaLayer(heads, c // heads,
+                      *(rng.normal(0.0, 1.0 / math.sqrt(c), (c, c)) for _ in range(4)))
+    x, up = rng.normal(size=(1, n, c)), rng.normal(size=(1, n, c))
+    _, cache = mhsa_forward(layer, x)
+    mask = IndexMask.from_keep((n,), [kept])
+    got = mhsa_backward_sbp(layer, cache, up, mask, "qkv")
+    ref = mhsa_sbp_reference(layer, x, up, mask.drop_array(), "qkv")
+    for key, want in ref.items():
+        np.testing.assert_allclose(getattr(got, key), want, rtol=0, atol=1e-12, err_msg=key)
 
 
 VIT_CONFIG = """

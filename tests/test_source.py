@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used there,
 the model nodes never decide by drop mode, and the training and analysis
 entry points take a resolved selection map, not a drop mode, step and head
-seed.
+seed. Q, K and V are built in one place: the attention cache holds X, S and
+A, and only the attention forward and backward call `mhsa_projections`.
 
 No linter ships with the project, so this walks the syntax trees itself. An
 import inside a function must be used in that function; a module-level one
@@ -11,6 +12,7 @@ holds no drop-mode string.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from sbp.analysis import (activation_memory_estimate, grad_similarity_experiment
                           measure_step_peaks)
 from sbp.config import SBP_MODES
 from sbp.engine import backward, forward, grad
+from sbp.layers import MhsaCache
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sbp"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -106,3 +109,23 @@ def test_takes_a_selection_map(fn):
 def test_engine_has_no_per_node_context():
     assert not hasattr(sbp.engine, "sbp_context")
     assert callable(sbp.engine.resolve)
+
+
+def callers_of(source: str, name: str) -> list[str]:
+    """The functions of a module that call `name`, one entry per call."""
+    tree = ast.parse(source)
+    return sorted(scope.name for scope in ast.walk(tree) if isinstance(scope, SCOPES)
+                  for node in ast.walk(scope)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name)
+
+
+def test_only_the_attention_kernels_build_qkv():
+    callers = {module: callers_of((PACKAGE / module).read_text(), "mhsa_projections")
+               for module in MODULES}
+    assert {m: c for m, c in callers.items() if c} == {
+        "layers.py": ["mhsa_backward", "mhsa_forward"]}
+    assert "mhsa_projections" not in (PACKAGE / "models.py").read_text()
+
+
+def test_attention_cache_is_x_s_a():
+    assert [f.name for f in dataclasses.fields(MhsaCache)] == ["x", "s", "a"]
