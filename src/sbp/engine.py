@@ -9,7 +9,11 @@ that node runs under; no node sees a drop mode. A forward under a plan runs
 each masked node over batch chunks and restricts each chunk's record at once,
 so the tape holds kept-index slices only, its cached-element count is the
 honest memory figure, and no node's full record of the whole batch is ever
-alive. A backward under a plan restricts each record of an exact tape just
+alive; where no record and not the caller holds a masked node's input, its
+output is written over that spent input. The backward passes each node's
+input gradient to the node before it, a masked token unit's as its kept
+rows (`models.Rows`), and every node reads it with `models.rows_at`. A
+backward under a plan restricts each record of an exact tape just
 before that node's backward, so one exact tape serves the exact gradient and
 any number of masked ones. Evaluation needs no backward, so `predict` runs the
 same nodes without a tape.
@@ -27,7 +31,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolationError, NumericError
 from .layers import EXACT, Selection, mse_loss, sample_head_keep, select, softmax_xent_loss
 from .masks import MaskPlan
-from .models import Model, NodeRecord, batch_chunks
+from .models import Model, NodeRecord, batch_chunks, rows_at
 
 Array = np.ndarray
 Selections = Mapping[str, Selection]  # node id -> the selection it runs under
@@ -117,7 +121,8 @@ def resolve(model: Model, plan: MaskPlan | None, mode: str, step: int,
     return MappingProxyType(sels)
 
 
-def _chunked_forward(node, x: Array, sel: Selection) -> tuple[Array, NodeRecord]:
+def _chunked_forward(node, x: Array, sel: Selection,
+                     owned: bool = False) -> tuple[Array, NodeRecord]:
     """A masked node's output and restricted record, run over batch chunks.
 
     Each chunk's record is restricted as soon as the chunk has run, and the
@@ -128,6 +133,12 @@ def _chunked_forward(node, x: Array, sel: Selection) -> tuple[Array, NodeRecord]
     input itself (a record caching its input whole) becomes the whole input,
     not a copy. Every row-wise operation gives the same bits on a chunk as on
     the whole batch.
+
+    When `owned` says nothing reads x after this node, the output has x's
+    per-sample shape, and the restricted record shares no memory with the
+    input, each chunk's output is written over that chunk's input, which no
+    later chunk reads: no second batch-sized buffer is allocated. The values
+    are copied, so the bits are the same either way.
     """
     out = rec = None
     for part in batch_chunks(x.shape[0]):
@@ -135,7 +146,9 @@ def _chunked_forward(node, x: Array, sel: Selection) -> tuple[Array, NodeRecord]
         y, chunk = node.forward(x_part)
         chunk = node.restrict(chunk, sel)
         if rec is None:
-            out = np.empty((x.shape[0], *y.shape[1:]))
+            spent = owned and y.shape[1:] == x.shape[1:] and not any(
+                np.shares_memory(a, x_part) for a in chunk.cache.values())
+            out = x if spent else np.empty((x.shape[0], *y.shape[1:]))
             rec = replace(chunk, cache={
                 name: x if a is x_part else np.empty((x.shape[0], *a.shape[1:]))
                 for name, a in chunk.cache.items()})
@@ -152,14 +165,18 @@ def forward(model: Model, x: Array, labels: Array, plan: Selections | None = Non
 
     Under a plan each masked node runs over batch chunks, each chunk's record
     restricted as soon as it has run (`_chunked_forward`); the other nodes run
-    on the whole batch, as without a plan.
+    on the whole batch, as without a plan. A masked node may write its output
+    over its input when that input is an earlier node's output that no record
+    on the tape shares; the caller's `x` is never written.
     """
     h = np.asarray(x, dtype=np.float64)
     records = []
-    for node in model.nodes:
+    for i, node in enumerate(model.nodes):
         sel = EXACT if plan is None else plan[node.node_id]
         if sel.mask is not None:
-            h, rec = _chunked_forward(node, h, sel)
+            owned = i > 0 and not any(np.shares_memory(h, a) for _, r in records
+                                      for a in r.cache.values())
+            h, rec = _chunked_forward(node, h, sel, owned)
         else:
             h, rec = node.forward(h)
         records.append((node, rec))
@@ -213,7 +230,7 @@ def backward(tape: Tape, plan: Selections | None = None, want_input_grad: bool =
     store = GradientStore(grads)
     store.check_against(tape.model.params())
     if want_input_grad:
-        return store, dy
+        return store, rows_at(dy, None)
     return store
 
 

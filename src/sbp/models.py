@@ -60,12 +60,42 @@ def _gather(t: Array, keep) -> Array:
     return t if keep is None else np.take(t, keep, axis=1)
 
 
-def _scatter(rows: Array, keep, n: int) -> Array:
-    """Kept token rows placed into a zero B x n x C array (rows as-is when keep is None)."""
+@dataclass(frozen=True)
+class Rows:
+    """A B x n x C gradient held as its rows at `keep` (B x k x C `values`);
+    every other row is zero. A masked token unit passes its input gradient
+    on in this form, so no zero-filled B x n x C array is built between two
+    masked units. Indexing by a batch slice gives those samples' Rows."""
+
+    values: Array
+    keep: Array
+    n: int
+
+    def __getitem__(self, part: slice) -> Rows:
+        return Rows(self.values[part], self.keep, self.n)
+
+
+def rows_at(dy, keep) -> Array:
+    """The rows of the upstream gradient `dy` at `keep` (all of it when keep
+    is None), as an array; the only way a node reads its upstream.
+
+    A plain array is gathered. A `Rows` is placed into a zero array at the
+    rows its keep shares with `keep`, which gives the bits of scattering it
+    into a zero B x n x C array and gathering that; one kept at exactly
+    `keep` is its own values, not a copy. No node writes into the result.
+    """
+    if not isinstance(dy, Rows):
+        return _gather(dy, keep)
+    b, _, c = dy.values.shape
     if keep is None:
-        return rows
-    out = np.zeros((rows.shape[0], n, rows.shape[2]))
-    out[:, keep, :] = rows
+        out = np.zeros((b, dy.n, c))
+        out[:, dy.keep, :] = dy.values
+        return out
+    if np.array_equal(keep, dy.keep):
+        return dy.values
+    out = np.zeros((b, keep.size, c))
+    _, theirs, ours = np.intersect1d(dy.keep, keep, assume_unique=True, return_indices=True)
+    out[:, ours, :] = dy.values[:, theirs, :]
     return out
 
 
@@ -117,6 +147,8 @@ class Node:
         return replace(rec, sel=sel)
 
     def backward(self, rec: NodeRecord, dy):
+        """(grads by parameter name, input gradient) from the record and the
+        upstream gradient `dy`, an array or a `Rows`, read with `rows_at`."""
         raise NotImplementedError
 
     def estimate_cached(self, batch: int, sel: Selection) -> int:
@@ -148,6 +180,7 @@ class TokenEmbedNode(Node):
 
     def backward(self, rec, dy):
         x = rec.cache["x"]
+        dy = rows_at(dy, None)
         grads = {}
         # The pos gradient is taken first on purpose. Taken after dx, peak RSS
         # on the train-mlp16-random benchmark workload rose by about 2 MB:
@@ -165,8 +198,10 @@ class TokenLinearNode(Node):
     canonical SBP PW-Conv case), then a GELU.
 
     The record holds the kept rows of the input only, so the masked backward
-    gathers the upstream once, runs on kept rows only and scatters the input
-    gradient once. The backward rebuilds the GELU input u from those rows
+    reads the upstream's kept rows (`rows_at`), runs on kept rows only and
+    returns the input gradient as its kept rows, a `Rows`: the next masked
+    unit reads its own rows from it, and no zero-filled B x N x C array is
+    built between them. The backward rebuilds the GELU input u from those rows
     with the forward's `row_gemm`, so it gets the forward's bits. (With one
     cached row in all, B = 1 and one kept token, the last bit may differ; the
     gradient stays within the oracle, and a backward from an exact tape
@@ -200,10 +235,10 @@ class TokenLinearNode(Node):
         dy_k = np.empty((*x_k.shape[:-1], self.w.shape[1]))
         for part in batch_chunks(x_k.shape[0]):
             dy_k[part] = gelu_backward(row_gemm(x_k[part], self.w, self.b),
-                                       _gather(dy[part], keep))
+                                       rows_at(dy[part], keep))
         dw, db, dx_k = linear_backward_kept(x_k, dy_k, self.w, True)
         del dy_k
-        return {"w": dw, "b": db}, _scatter(dx_k, keep, dy.shape[1])
+        return {"w": dw, "b": db}, dx_k if keep is None else Rows(dx_k, keep, self.n_tokens)
 
     def estimate_cached(self, batch, sel):
         rows = self.n_tokens if sel.keep is None else sel.keep.size
@@ -298,7 +333,9 @@ class TransformerBlockNode(Node):
         cache, sel = rec.cache, rec.sel
         keep, rows, queries, heads = sel.keep, sel.rows, sel.queries, sel.heads
         grads = {}
-        # dy can be the pool's read-only view; dx2 is the block's own.
+        # The residual needs the whole upstream. It can be the pool's
+        # read-only view; dx2 is the block's own.
+        dy = rows_at(dy, None)
         dx2 = _add_rows(dy, keep, self._mlp_backward(cache, _gather(dy, keep), grads))
         # X is the forward's LN1 output; the kernel rebuilds Q, K and V from it.
         x = self.ln1_g * cache["ln1_xhat"] + self.ln1_b
@@ -367,7 +404,7 @@ class Conv2dNode(Node):
         x, u = rec.cache["x"], rec.cache["u"]
         # GELU's backward is elementwise, so the dropped positions can be
         # zeroed after it, once, by conv2d_backward_sbp.
-        dy = gelu_backward(u, dy)
+        dy = gelu_backward(u, rows_at(dy, None))
         if rec.sel.keep is None:
             dw, dx = conv2d_backward_full(self._layer(), x, dy)
         else:
@@ -398,6 +435,7 @@ class MeanPoolNode(Node):
         return x.reshape(x.shape[0], -1, x.shape[-1]).mean(axis=1), NodeRecord({})
 
     def backward(self, rec, dy):
+        dy = rows_at(dy, None)
         n = math.prod(self.in_shape[:-1])
         # A read-only broadcast view, not n copies of each row: no node writes
         # into its upstream, and one that tried would raise.
@@ -425,7 +463,7 @@ class ClassifierNode(Node):
         return row_gemm(x, self.w, self.b), NodeRecord({"x": x})
 
     def backward(self, rec, dy):
-        dw, db, dx = linear_backward_kept(rec.cache["x"], dy, self.w, True)
+        dw, db, dx = linear_backward_kept(rec.cache["x"], rows_at(dy, None), self.w, True)
         return {"w": dw, "b": db}, dx
 
     def estimate_cached(self, batch, sel):
