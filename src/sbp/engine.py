@@ -9,8 +9,8 @@ that node runs under; no node sees a drop mode. A forward under a plan runs
 each masked node over batch chunks and restricts each chunk's record at once,
 so the tape holds kept-index slices only, its cached-element count is the
 honest memory figure, and no node's full record of the whole batch is ever
-alive; where no record and not the caller holds a masked node's input, its
-output is written over that spent input. The backward passes each node's
+alive; where nothing else reads a masked node's input, its output is
+written over it (`_chunked_forward`). The backward passes each node's
 input gradient to the node before it, a masked token unit's as its kept
 rows (`models.Rows`), and every node reads it with `models.rows_at`. A
 backward under a plan restricts each record of an exact tape just
@@ -122,7 +122,7 @@ def resolve(model: Model, plan: MaskPlan | None, mode: str, step: int,
 
 
 def _chunked_forward(node, x: Array, sel: Selection,
-                     owned: bool = False) -> tuple[Array, NodeRecord]:
+                     owned: bool) -> tuple[Array, NodeRecord]:
     """A masked node's output and restricted record, run over batch chunks.
 
     Each chunk's record is restricted as soon as the chunk has run, and the
@@ -134,11 +134,15 @@ def _chunked_forward(node, x: Array, sel: Selection,
     not a copy. Every row-wise operation gives the same bits on a chunk as on
     the whole batch.
 
-    When `owned` says nothing reads x after this node, the output has x's
-    per-sample shape, and the restricted record shares no memory with the
-    input, each chunk's output is written over that chunk's input, which no
-    later chunk reads: no second batch-sized buffer is allocated. The values
-    are copied, so the bits are the same either way.
+    The output is written over x, chunk by chunk, when all of these hold:
+    the engine owns x (`owned`: x is an earlier node's output, never the
+    caller's, and no record on the tape shares its memory), the output has
+    x's per-sample shape, and the restricted record shares no memory with
+    the input (a conv record, or a token record under a full-keep mask,
+    caches its input whole). Each chunk's input is then spent once its
+    output is written, and no later chunk reads it, so no second
+    batch-sized buffer is allocated. Otherwise the output gets a new buffer.
+    The values are copied, so the bits are the same either way.
     """
     out = rec = None
     for part in batch_chunks(x.shape[0]):
@@ -164,10 +168,9 @@ def forward(model: Model, x: Array, labels: Array, plan: Selections | None = Non
     """Run the network, recording a tape. plan=None disables SBP entirely.
 
     Under a plan each masked node runs over batch chunks, each chunk's record
-    restricted as soon as it has run (`_chunked_forward`); the other nodes run
-    on the whole batch, as without a plan. A masked node may write its output
-    over its input when that input is an earlier node's output that no record
-    on the tape shares; the caller's `x` is never written.
+    restricted as soon as it has run, and its output possibly written over
+    its input (`_chunked_forward` says when); the other nodes run on the
+    whole batch, as without a plan. The caller's `x` is never written.
     """
     h = np.asarray(x, dtype=np.float64)
     records = []

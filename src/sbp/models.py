@@ -81,8 +81,8 @@ def rows_at(dy, keep) -> Array:
 
     A plain array is gathered. A `Rows` is placed into a zero array at the
     rows its keep shares with `keep`, which gives the bits of scattering it
-    into a zero B x n x C array and gathering that; one kept at exactly
-    `keep` is its own values, not a copy. No node writes into the result.
+    into a zero B x n x C array and gathering that. No node writes into the
+    result.
     """
     if not isinstance(dy, Rows):
         return _gather(dy, keep)
@@ -91,8 +91,6 @@ def rows_at(dy, keep) -> Array:
         out = np.zeros((b, dy.n, c))
         out[:, dy.keep, :] = dy.values
         return out
-    if np.array_equal(keep, dy.keep):
-        return dy.values
     out = np.zeros((b, keep.size, c))
     _, theirs, ours = np.intersect1d(dy.keep, keep, assume_unique=True, return_indices=True)
     out[:, ours, :] = dy.values[:, theirs, :]

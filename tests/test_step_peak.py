@@ -99,7 +99,7 @@ def test_chunked_forward_equals_exact_then_restrict(name, b):
         y_ref, full = node.forward(h)
         if sel.mask is not None:
             masked += 1
-            y, rec = _chunked_forward(node, h, sel)
+            y, rec = _chunked_forward(node, h, sel, owned=False)
             ref = node.restrict(full, sel)
             assert np.array_equal(y, y_ref)
             for record in (full, ref, rec):
