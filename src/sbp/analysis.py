@@ -51,12 +51,10 @@ def cosine_similarity(a: Array, b: Array) -> float:
 
 @dataclass
 class GradReport:
-    step: int
     cosine: float
     sbp_norm: float
-    exact_norm: float
     per_node: dict      # node_id -> cosine over that node's parameter block
-    per_node_l2: dict   # node_id -> (sbp grad L2, exact grad L2)
+    per_node_l2: dict   # node_id -> SBP grad L2 over that block
     node_kinds: dict    # node_id -> layer kind label
 
     def __post_init__(self):
@@ -76,12 +74,10 @@ def _per_node_blocks(store: GradientStore) -> dict:
 
 @dataclass
 class ExactReference:
-    """One batch's exact tape and gradient, with the figures every variant
-    compares against."""
+    """One batch's exact tape and gradient, which every variant compares against."""
 
     tape: Tape
     grads: GradientStore
-    norm: float         # L2 norm of grads.flat()
     blocks: dict        # node_id -> that node's flattened exact gradient
 
 
@@ -93,47 +89,27 @@ def exact_reference(model: Model, x: Array, labels: Array) -> ExactReference:
     """
     tape = forward(model, x, labels, plan=None)
     grads = backward(tape)
-    return ExactReference(tape, grads, float(np.linalg.norm(grads.flat())),
-                          _per_node_blocks(grads))
+    return ExactReference(tape, grads, _per_node_blocks(grads))
 
 
-def grad_similarity_experiment(model: Model, batches, plan_fn, exact=None,
-                               start: int = 0) -> list[GradReport]:
-    """Fixed-weight comparison of SBP gradients against exact ones.
+def grad_similarity_experiment(ref: ExactReference, plan: Selections | None) -> GradReport:
+    """Fixed-weight comparison of one batch's SBP gradient with its exact one.
 
-    `batches` yields (x, labels), numbered as steps from `start`; `plan_fn(step)`
-    returns that step's `engine.resolve` map (resampling masks and drawing
-    heads is the caller's policy). Weights are never updated.
-    `exact`, if given, holds `exact_reference` of each batch in order, so
-    callers comparing several variants run one forward per batch; otherwise
-    it is computed here. Either way the SBP gradient is the masked backward of
-    the exact tape, so each batch costs one forward.
+    The SBP gradient is the masked backward of `ref`'s exact tape under the
+    `engine.resolve` map `plan`, so a comparison runs no forward and the
+    weights are never updated.
     """
-    kinds = {node.node_id: node.kind for node in model.nodes if node.params()}
-    reports = []
-    for step, (x, labels) in enumerate(batches, start):
-        ref = exact_reference(model, x, labels) if exact is None else exact[step - start]
-        g_sbp = backward(ref.tape, plan=plan_fn(step))
-        flat_sbp = g_sbp.flat()
-        blocks_sbp = _per_node_blocks(g_sbp)
-        reports.append(GradReport(
-            step=step,
-            cosine=cosine_similarity(flat_sbp, ref.grads.flat()),
-            sbp_norm=float(np.linalg.norm(flat_sbp)),
-            exact_norm=ref.norm,
-            per_node={nid: cosine_similarity(blocks_sbp[nid], ref.blocks[nid])
-                      for nid in blocks_sbp},
-            per_node_l2={nid: (float(np.linalg.norm(blocks_sbp[nid])),
-                               float(np.linalg.norm(ref.blocks[nid])))
-                         for nid in blocks_sbp},
-            node_kinds=kinds,
-        ))
-    if not reports:
-        raise ConfigurationError("empty batch stream")
-    if exact is not None and len(exact) != len(reports):
-        raise ConfigurationError(
-            f"{len(exact)} exact references for {len(reports)} batches")
-    return reports
+    g_sbp = backward(ref.tape, plan=plan)
+    flat_sbp = g_sbp.flat()
+    blocks = _per_node_blocks(g_sbp)
+    return GradReport(
+        cosine=cosine_similarity(flat_sbp, ref.grads.flat()),
+        sbp_norm=float(np.linalg.norm(flat_sbp)),
+        per_node={nid: cosine_similarity(b, ref.blocks[nid]) for nid, b in blocks.items()},
+        per_node_l2={nid: float(np.linalg.norm(b)) for nid, b in blocks.items()},
+        node_kinds={node.node_id: node.kind
+                    for node in ref.tape.model.nodes if node.params()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +444,8 @@ def write_gradsim_csv(path, reports):
     rows = []
     for i, r in enumerate(reports):
         for nid in sorted(r.per_node):
-            rows.append([i, nid, r.node_kinds.get(nid, "?"),
-                         float(r.per_node[nid]), float(r.per_node_l2[nid][0])])
+            rows.append([i, nid, r.node_kinds[nid],
+                         float(r.per_node[nid]), float(r.per_node_l2[nid])])
         rows.append([i, "__overall__", "all", float(r.cosine), float(r.sbp_norm)])
     write_csv(path, ["batch", "layer_id", "layer_kind", "cosine", "l2_norm"], rows)
 

@@ -31,13 +31,25 @@ def _load_config(path, seed_override):
 
 
 def _load_dataset(cfg):
+    """The run's dataset, checked against `cfg.model`: each sample is a
+    grid x in_channels array and each label a class index."""
     from .data import make_blobs, read_sbpd
+    from .errors import ConfigurationError
 
-    if cfg.data.path:
-        return read_sbpd(cfg.data.path)
-    return make_blobs(cfg.data.count, grid=cfg.model.grid, channels=cfg.model.in_channels,
-                      n_classes=cfg.model.n_classes, noise=cfg.data.noise,
-                      seed=cfg.data.seed)
+    m = cfg.model
+    if not cfg.data.path:
+        return make_blobs(cfg.data.count, grid=m.grid, channels=m.in_channels,
+                          n_classes=m.n_classes, noise=cfg.data.noise, seed=cfg.data.seed)
+    dataset = read_sbpd(cfg.data.path)
+    shape = (*m.grid, m.in_channels)
+    if dataset.x.shape[1:] != shape:
+        raise ConfigurationError(f"dataset samples have shape {dataset.x.shape[1:]}, "
+                                 f"model.grid and model.in_channels need {shape}")
+    lo, hi = dataset.labels.min(), dataset.labels.max()
+    if lo < 0 or hi >= m.n_classes:
+        raise ConfigurationError(f"dataset labels span [{lo}, {hi}], "
+                                 f"model.n_classes = {m.n_classes} needs [0, {m.n_classes})")
+    return dataset
 
 
 def _make_plan(model, cfg, step, schedule_kind=None, sampler=None, mode=None):
@@ -189,15 +201,10 @@ def cmd_gradsim(args):
 
     def compare(step):
         """Every variant's report on one batch, all from one shared exact tape."""
-        exact = [exact_reference(model, *batches[step])]
-        reports = []
-        for _name, schedule, sampler, mode in variants:
-            reports.append(grad_similarity_experiment(
-                model, [batches[step]],
-                lambda s: _make_plan(model, cfg, s, schedule_kind=schedule,
-                                     sampler=sampler, mode=mode),
-                exact=exact, start=step)[0])
-        return reports
+        ref = exact_reference(model, *batches[step])
+        return [grad_similarity_experiment(ref, _make_plan(
+                    model, cfg, step, schedule_kind=schedule, sampler=sampler, mode=mode))
+                for _name, schedule, sampler, mode in variants]
 
     per_batch = _map(compare, range(len(batches)), args.threads)
 

@@ -7,6 +7,7 @@ features. Labels travel in a sibling text file, one integer per line.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ from .errors import ConfigurationError
 
 MAGIC = b"SBPD"
 VERSION = 1
+HEADER_BYTES = 28  # magic, version, count and the four dims
 
 
 @dataclass
@@ -69,23 +71,35 @@ def write_sbpd(path, dataset: Dataset):
 
 
 def read_sbpd(path) -> Dataset:
+    """Load an SBPD file and its labels; any malformed input raises
+    ConfigurationError. The header's sizes are checked against the file's
+    before any feature is read."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise ConfigurationError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version, count, t, h, w, c = struct.unpack("<IIIIII", f.read(24))
+        header = f.read(HEADER_BYTES)
+        if header[:4] != MAGIC:
+            raise ConfigurationError(f"bad magic {header[:4]!r}, expected {MAGIC!r}")
+        if len(header) < HEADER_BYTES:
+            raise ConfigurationError(f"dataset file shorter than its {HEADER_BYTES}-byte header")
+        version, count, t, h, w, c = struct.unpack("<IIIIII", header[4:])
         if version != VERSION:
             raise ConfigurationError(f"unsupported dataset version {version}")
+        if 0 in (count, t, h, w, c):
+            raise ConfigurationError(f"dataset has a zero size: count {count}, dims {(t, h, w, c)}")
         n = count * t * h * w * c
-        raw = f.read(4 * n)
-        if len(raw) != 4 * n:
-            raise ConfigurationError("dataset file truncated")
-        if f.read(1):
+        size = os.fstat(f.fileno()).st_size - HEADER_BYTES
+        if size < 4 * n:
+            raise ConfigurationError(
+                f"dataset file truncated: header claims {4 * n} feature bytes, file holds {size}")
+        if size > 4 * n:
             raise ConfigurationError("trailing bytes after features")
+        raw = f.read(4 * n)
     x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     x = x.reshape(count, t * h, w, c) if t != 1 else x.reshape(count, h, w, c)
     with open(str(path) + ".labels") as f:
-        labels = np.array([int(ln) for ln in f if ln.strip()], dtype=np.int64)
+        try:
+            labels = np.array([int(ln) for ln in f if ln.strip()], dtype=np.int64)
+        except (ValueError, OverflowError) as e:
+            raise ConfigurationError(f"labels must be int64 integers, one per line: {e}") from e
     if labels.shape[0] != count:
         raise ConfigurationError("label count does not match dataset header")
     return Dataset(np.ascontiguousarray(x), labels)

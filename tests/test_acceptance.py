@@ -426,10 +426,9 @@ def test_criterion_6_statistical_orderings():
     plans = {name: _plan_fn(model, *variant) for name, variant in CRITERION_6_VARIANTS.items()}
     cos = {name: [] for name in CRITERION_6_VARIANTS}
     for step, batch in enumerate(batches):
-        exact = [exact_reference(model, *batch)]
+        ref = exact_reference(model, *batch)
         for name in CRITERION_6_VARIANTS:
-            cos[name].append(grad_similarity_experiment(
-                model, [batch], plans[name], exact=exact, start=step)[0].cosine)
+            cos[name].append(grad_similarity_experiment(ref, plans[name](step)).cosine)
     cos = {name: np.array(values) for name, values in cos.items()}
     ci = lambda a, b: bootstrap_mean_diff(cos[a], cos[b], seed=3)
     lo_ui, _ = ci("uniform_grid_qkv", "increasing_grid_qkv")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sbp.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from sbp.data import make_blobs, write_sbpd
 
 from helpers import rounds_up_to
 
@@ -330,19 +331,24 @@ class TestTrain:
 
 class TestGradsim:
     def test_variants_and_summary(self, tmp_path):
-        text = VIT_CONFIG + ("gradsim.variants = uniform-grid-qkv,uniform-grid-head\n"
-                             "gradsim.batches = 2\n")
-        cfg = write_config(tmp_path, text)
-        out = tmp_path / "out"
-        assert run(["gradsim", "--config", cfg, "--out", out]) == EXIT_OK
-        assert (out / "gradsim_uniform-grid-qkv.csv").exists()
-        assert (out / "gradsim_uniform-grid-head.csv").exists()
-        summary = json.loads((out / "gradsim_summary.json").read_text())
-        assert set(summary["variants"]) == {"uniform-grid-qkv", "uniform-grid-head"}
-        for v in summary["variants"].values():
-            assert -1.0 <= v["mean_cosine"] <= 1.0
-            assert v["n_batches"] == 2
-        assert len(summary["pairwise"]) == 1
+        """Two variants, then the six schedule, sampler and mode variants that
+        compare each choice against uniform-grid-qkv."""
+        six = ["uniform-grid-qkv", "increasing-grid-qkv", "decreasing-grid-qkv",
+               "uniform-random-qkv", "uniform-grid-query_only", "uniform-grid-head"]
+        for variants in (["uniform-grid-qkv", "uniform-grid-head"], six):
+            n = len(variants)
+            cfg = write_config(tmp_path, VIT_CONFIG + (f"gradsim.variants = {','.join(variants)}\n"
+                                                       "gradsim.batches = 2\n"), f"run{n}.cfg")
+            out = tmp_path / f"out{n}"
+            assert run(["gradsim", "--config", cfg, "--out", out]) == EXIT_OK
+            assert sorted(p.name for p in out.glob("gradsim_*.csv")) == sorted(
+                f"gradsim_{name}.csv" for name in variants)
+            summary = json.loads((out / "gradsim_summary.json").read_text())
+            assert set(summary["variants"]) == set(variants)
+            for v in summary["variants"].values():
+                assert -1.0 <= v["mean_cosine"] <= 1.0
+                assert v["n_batches"] == 2
+            assert len(summary["pairwise"]) == n * (n - 1) // 2
 
     def test_overall_row_present(self, tmp_path):
         cfg = write_config(tmp_path, VIT_CONFIG + "gradsim.batches = 1\n")
@@ -480,6 +486,27 @@ class TestGendata:
         cfg = write_config(tmp_path, BASE_CONFIG + f"data.path = {data_path}\n")
         out = tmp_path / "out"
         assert run(["train", "--config", cfg, "--out", out]) == EXIT_OK
+
+    @pytest.mark.parametrize("grid, channels", [((4, 4), 3), ((2, 8), 2)],
+                             ids=["channels", "grid"])
+    def test_dataset_shape_must_match_model(self, tmp_path, capsys, grid, channels):
+        data_path = tmp_path / "toy.sbpd"
+        write_sbpd(data_path, make_blobs(16, grid=grid, channels=channels, seed=1))
+        cfg = write_config(tmp_path, BASE_CONFIG + f"data.path = {data_path}\n")
+        assert run(["train", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset samples have shape") and "Traceback" not in err
+
+    @pytest.mark.parametrize("label", [-1, 5])
+    def test_dataset_labels_must_be_classes(self, tmp_path, capsys, label):
+        data_path = tmp_path / "toy.sbpd"
+        dataset = make_blobs(16, grid=(4, 4), channels=2, seed=1)
+        dataset.labels[3] = label
+        write_sbpd(data_path, dataset)
+        cfg = write_config(tmp_path, BASE_CONFIG + f"data.path = {data_path}\n")
+        assert run(["train", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset labels span") and "Traceback" not in err
 
     def test_corrupt_dataset_exits_config(self, tmp_path):
         data_path = tmp_path / "bad.sbpd"

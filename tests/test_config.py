@@ -1,6 +1,9 @@
-import pytest
+from dataclasses import fields
 
-from sbp.config import config_to_text, default_config, parse_config
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sbp.config import TrainConfig, config_to_text, default_config, parse_config
 from sbp.errors import ConfigurationError
 
 
@@ -98,3 +101,28 @@ class TestRoundtrip:
     def test_default_roundtrip(self):
         cfg = default_config()
         assert parse_config(config_to_text(cfg)) == cfg
+
+
+KNOWN_KEYS = [f"{section.name}.{key.name}" for section in fields(default_config())
+              for key in fields(getattr(default_config(), section.name))]
+
+config_values = st.one_of(
+    st.text(max_size=12),
+    st.integers(-3, 20).map(str),
+    st.sampled_from(["0.5", "1e309", "nan", "-inf", "true", "false", "4x4", "0x4", "x",
+                     "qkv", "head", "grid", "shared", "vit", "conv"]))
+
+config_lines = st.one_of(
+    st.builds(lambda key, value: f"{key} = {value}",
+              st.sampled_from(KNOWN_KEYS) | st.text(max_size=12), config_values),
+    st.text(max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(config_lines, max_size=6))
+def test_arbitrary_text_parses_or_raises_configuration_error(lines):
+    try:
+        cfg = parse_config("\n".join(lines))
+    except ConfigurationError:
+        return
+    assert isinstance(cfg, TrainConfig)

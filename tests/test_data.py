@@ -1,7 +1,10 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbp.data import Dataset, make_blobs, read_sbpd, write_sbpd
 from sbp.errors import ConfigurationError
@@ -87,3 +90,75 @@ class TestSbpdRoundtrip:
         (tmp_path / "labels.sbpd.labels").write_text("0\n1\n")
         with pytest.raises(ConfigurationError, match="label count"):
             read_sbpd(path)
+
+    def test_shorter_than_header(self, tmp_path):
+        path = tmp_path / "short.sbpd"
+        path.write_bytes(b"SBPD" + struct.pack("<III", 1, 4, 1))
+        with pytest.raises(ConfigurationError, match="28-byte header"):
+            read_sbpd(path)
+
+    def test_header_size_is_checked_before_reading(self, tmp_path):
+        """A header that claims 2**31 samples fails on the file's size,
+        before any read asks for the 275 GB it claims."""
+        path = tmp_path / "huge.sbpd"
+        path.write_bytes(b"SBPD" + struct.pack("<IIIIII", 1, 2**31, 1, 4, 4, 2) + bytes(64))
+        with pytest.raises(ConfigurationError, match="truncated"):
+            read_sbpd(path)
+
+    @pytest.mark.parametrize("dims", [(0, 1, 2, 2, 1), (3, 0, 2, 2, 1), (3, 1, 0, 2, 1),
+                                      (3, 1, 2, 0, 1), (3, 1, 2, 2, 0)])
+    def test_zero_size_rejected(self, tmp_path, dims):
+        path = tmp_path / "zero.sbpd"
+        path.write_bytes(b"SBPD" + struct.pack("<IIIIII", 1, *dims))
+        with pytest.raises(ConfigurationError, match="zero size"):
+            read_sbpd(path)
+
+    @pytest.mark.parametrize("line", ["x", "1.5", "99999999999999999999999"])
+    def test_label_must_be_int64(self, tmp_path, line):
+        ds = make_blobs(2, grid=(2, 2), channels=1, seed=0)
+        path = tmp_path / "labels.sbpd"
+        write_sbpd(path, ds)
+        (tmp_path / "labels.sbpd.labels").write_text(f"0\n{line}\n")
+        with pytest.raises(ConfigurationError, match="int64"):
+            read_sbpd(path)
+
+
+def _valid_sbpd_bytes() -> tuple[bytes, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "toy.sbpd"
+        write_sbpd(path, make_blobs(3, grid=(2, 2), channels=1, seed=0))
+        return path.read_bytes(), Path(str(path) + ".labels").read_text()
+
+
+VALID_SBPD, VALID_LABELS = _valid_sbpd_bytes()
+
+label_texts = st.one_of(
+    st.just(VALID_LABELS),
+    st.text(max_size=40),
+    st.lists(st.integers(-2**70, 2**70), max_size=5).map(
+        lambda values: "".join(f"{v}\n" for v in values)))
+
+
+@st.composite
+def damaged_sbpd(draw):
+    """A valid SBPD file cut short and with a few bytes flipped."""
+    data = bytearray(VALID_SBPD[:draw(st.integers(0, len(VALID_SBPD)))])
+    for _ in range(draw(st.integers(0, 3))):
+        if data:
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=damaged_sbpd(), labels=label_texts)
+def test_damaged_file_reads_or_raises_configuration_error(data, labels):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.sbpd"
+        path.write_bytes(data)
+        Path(str(path) + ".labels").write_text(labels)
+        try:
+            ds = read_sbpd(path)
+        except ConfigurationError:
+            return
+    assert ds.x.dtype == np.float64 and ds.labels.dtype == np.int64
+    assert ds.count == ds.labels.shape[0] > 0
