@@ -76,7 +76,6 @@ from .masks import (
 )
 from .layers import (
     Conv2dLayer,
-    LinearLayer,
     MhsaCache,
     MhsaGrads,
     MhsaLayer,
@@ -90,12 +89,8 @@ from .layers import (
     gelu_forward,
     layer_norm_backward,
     layer_norm_forward,
-    linear_backward_full,
     linear_backward_kept,
-    linear_backward_sbp,
-    linear_forward,
     mhsa_backward,
-    mhsa_backward_sbp,
     mhsa_forward,
     mhsa_projections,
     mse_loss,

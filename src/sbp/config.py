@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
@@ -122,6 +123,10 @@ def parse_config(text: str) -> TrainConfig:
 
 
 def validate_config(cfg: TrainConfig):
+    for name, section in vars(cfg).items():
+        for key, value in vars(section).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{name}.{key} must be finite, got {value}")
     if cfg.model.kind not in ("mlp", "vit", "conv"):
         raise ConfigurationError(f"unknown model kind {cfg.model.kind!r}")
     if cfg.sbp.mode not in SBP_MODES:

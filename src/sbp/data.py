@@ -7,6 +7,7 @@ features. Labels travel in a sibling text file, one integer per line.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -71,9 +72,9 @@ def write_sbpd(path, dataset: Dataset):
 
 
 def read_sbpd(path) -> Dataset:
-    """Load an SBPD file and its labels; any malformed input raises
-    ConfigurationError. The header's sizes are checked against the file's
-    before any feature is read."""
+    """Load an SBPD file and its labels; any malformed input, a non-finite
+    feature included, raises ConfigurationError. The header's sizes are
+    checked against the file's before any feature is read."""
     with open(path, "rb") as f:
         header = f.read(HEADER_BYTES)
         if header[:4] != MAGIC:
@@ -93,7 +94,12 @@ def read_sbpd(path) -> Dataset:
         if size > 4 * n:
             raise ConfigurationError("trailing bytes after features")
         raw = f.read(4 * n)
-    x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is rejected below
+        x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    # A float64 sum of float32 values cannot overflow, so it is finite
+    # exactly when every feature is.
+    if not math.isfinite(x.sum()):
+        raise ConfigurationError("dataset features must be finite (found nan or inf)")
     x = x.reshape(count, t * h, w, c) if t != 1 else x.reshape(count, h, w, c)
     with open(str(path) + ".labels") as f:
         try:

@@ -1,14 +1,15 @@
-"""Forward and backward rules for every operator family, in full and masked form.
+"""Forward and backward rules for every operator family.
 
-Each masked (SBP) backward is elementwise-equivalent to running the full
-backward after zeroing the upstream activation gradient at dropped indices;
-the masked implementations additionally honor the memory contract where one
-is declared: they read only kept-index activations. For attention the contract
-holds by construction: the cache is X, S and A, `restrict_attention` keeps
-only the parts of S and A a drop mode's backward reads, and `mhsa_backward`
-computes that backward from the restricted cache alone, rebuilding Q, K and V
-from X on the kept rows, queries and heads only. It is the one attention
-backward: with nothing dropped it is the exact one.
+Each operator has one backward, and it is the code the model nodes run.
+A masked (SBP) backward is elementwise-equivalent to the exact backward after
+zeroing the upstream activation gradient at dropped indices. The linear and
+attention backwards get the masked case by running on less: the nodes hand
+`linear_backward_kept` their kept token rows, and `mhsa_backward` the cache
+`restrict_attention` cuts, so they read only kept-index activations (the
+memory contract). `mhsa_backward` rebuilds Q, K and V from X on the kept
+rows, queries and heads only; with nothing dropped it is the exact backward.
+`conv2d_backward_sbp` zeroes the upstream at dropped output positions and
+runs the full conv backward.
 
 Token masks address the flat spatial/token grid of a single sample; batched
 inputs share one mask across the batch.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SBP_MODES
-from .errors import ConfigurationError, ContractViolationError, DimensionError
+from .errors import ConfigurationError, DimensionError
 from .masks import IndexMask
 
 Array = np.ndarray
@@ -40,21 +41,6 @@ def as_tensor(x) -> Array:
 # ---------------------------------------------------------------------------
 # Linear / PW-Conv
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LinearLayer:
-    weight: Array  # C_in x C_out
-    bias: Array | None = None
-
-    def __post_init__(self):
-        self.weight = as_tensor(self.weight)
-        if self.weight.ndim != 2:
-            raise DimensionError(f"linear weight must be 2-D, got {self.weight.shape}")
-        if self.bias is not None:
-            self.bias = as_tensor(self.bias)
-            if self.bias.shape != (self.weight.shape[1],):
-                raise DimensionError("bias length must equal C_out")
 
 
 def row_gemm(x: Array, w: Array, b: Array | None = None) -> Array:
@@ -74,20 +60,12 @@ def row_gemm(x: Array, w: Array, b: Array | None = None) -> Array:
     return out.reshape(*x.shape[:-1], w.shape[1])
 
 
-def linear_forward(layer: LinearLayer, x: Array) -> Array:
-    x = as_tensor(x)
-    if x.ndim != 2 or x.shape[1] != layer.weight.shape[0]:
-        raise DimensionError(f"linear input {x.shape} does not fit weight {layer.weight.shape}")
-    return row_gemm(x, layer.weight, layer.bias)
-
-
 def linear_backward_kept(x: Array, dy: Array, w: Array, has_bias: bool):
     """(dW, db, dX) of y = x @ w (+ b) over whatever rows x and dy hold.
 
     Leading dims are flattened through reshaped views, so a B x N x C token
     batch costs no copy; dX has dy's leading dims. The model nodes pass their
-    kept rows, and the 2-D oracle entry points below gather them first.
-    db is None without a bias.
+    kept rows. db is None without a bias.
     """
     c_in, c_out = w.shape
     x2 = x.reshape(-1, c_in)
@@ -95,33 +73,6 @@ def linear_backward_kept(x: Array, dy: Array, w: Array, has_bias: bool):
     dw = x2.T @ dy2
     db = dy2.sum(axis=0) if has_bias else None
     dx = (dy2 @ w.T).reshape(*dy.shape[:-1], c_in)
-    return dw, db, dx
-
-
-def _check_linear(layer: LinearLayer, x: Array, upstream: Array):
-    x, upstream = np.asarray(x), np.asarray(upstream)
-    c_in, c_out = layer.weight.shape
-    if x.ndim != 2 or x.shape[1] != c_in or upstream.shape != (x.shape[0], c_out):
-        raise DimensionError(f"backward shapes do not conform: x {x.shape}, up {upstream.shape}")
-    return x, upstream
-
-
-def linear_backward_full(layer: LinearLayer, x: Array, upstream: Array):
-    """Returns (dW, db, dX) over n x C rows; db is None when the layer has no bias."""
-    x, upstream = _check_linear(layer, x, upstream)
-    return linear_backward_kept(x, upstream, layer.weight, layer.bias is not None)
-
-
-def linear_backward_sbp(layer: LinearLayer, x: Array, upstream: Array, mask: IndexMask):
-    """Masked backward: reads only kept rows of x and upstream; dropped dX rows are 0."""
-    x, upstream = _check_linear(layer, x, upstream)
-    if mask.total != x.shape[0]:
-        raise DimensionError(f"mask domain {mask.total} != row count {x.shape[0]}")
-    keep = mask.keep_array()
-    dw, db, dx_k = linear_backward_kept(x[keep], upstream[keep], layer.weight,
-                                        layer.bias is not None)
-    dx = np.zeros(x.shape)
-    dx[keep] = dx_k
     return dw, db, dx
 
 
@@ -317,15 +268,6 @@ class MhsaGrads:
     dx: Array
 
 
-def _check_cache(layer: MhsaLayer, cache: MhsaCache, upstream: Array):
-    b, n, c = cache.x.shape
-    if upstream.shape != (b, n, c):
-        raise ContractViolationError(
-            f"upstream shape {upstream.shape} does not match cache {cache.x.shape}")
-    if cache.s.shape != (b, layer.heads, n, n):
-        raise ContractViolationError("cache does not belong to this layer")
-
-
 def sample_head_keep(heads: int, keep_ratio, rng_seed: int) -> tuple[int, ...]:
     """Kept head indices for head-drop mode: ceil((1 - r) * h) heads are dropped."""
     r = float(keep_ratio)
@@ -445,38 +387,6 @@ def mhsa_backward(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
             dws[i] = np.zeros((c, h * d))
             dws[i][:, cols] = dw_kept
     return MhsaGrads(*dws, dw_o, dx)
-
-
-def mhsa_backward_sbp(layer: MhsaLayer, cache: MhsaCache, upstream: Array,
-                      mask: IndexMask, mode: str,
-                      head_keep: tuple[int, ...] | None = None) -> MhsaGrads:
-    """Masked attention backward from a full cache: restrict it, then run
-    `mhsa_backward`, the same code the transformer block runs.
-
-    query_only: zero dM rows at dropped queries; dV and dW_V stay exact.
-    qkv: zero dM rows and columns at dropped tokens plus dV/dA rows, so every
-         weight gradient is a kept-subset estimate.
-    head: zero the whole gradient of dropped heads (head_keep lists survivors).
-    """
-    upstream = as_tensor(upstream)
-    _check_cache(layer, cache, upstream)
-    n = cache.x.shape[1]
-    if mode == "head":
-        if head_keep is None:
-            raise ConfigurationError("head mode needs head_keep (the surviving head indices)")
-        if any(not 0 <= i < layer.heads for i in head_keep):
-            raise ConfigurationError("head index out of range")
-        if len(set(head_keep)) != len(head_keep):
-            raise ConfigurationError(f"repeated head index in {tuple(head_keep)}")
-    elif mask.total != n:
-        raise DimensionError(f"mask domain {mask.total} != token count {n}")
-    sel = select(mask, mode, head_keep)
-    restricted = MhsaCache(_take(cache.x, sel.rows, 1), *restrict_attention(cache.s, cache.a, sel))
-    grads = mhsa_backward(layer, restricted, _take(upstream, sel.rows, 1), sel.queries, sel.heads)
-    if sel.rows is not None:  # dropped token rows get no input gradient
-        dx_k, grads.dx = grads.dx, np.zeros(upstream.shape)
-        grads.dx[:, sel.rows] = dx_k
-    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Independent reference implementations (oracles) used across the test suite.
 
 Everything here is deliberately naive: explicit loops and full-shaped arrays
-with explicit zeroing, sharing no code path with the library implementations.
+with explicit zeroing. The attention and token-linear references share no
+code path with the library; the transformer block reference builds on the
+attention one and on the library's LayerNorm and GELU, which are checked
+on their own. `cut_cache` and `mhsa_backward_cut` are no oracles: they are
+the attention backward as the transformer block runs it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from sbp.layers import MhsaLayer, _merge_heads, _split_heads
+from sbp.layers import (
+    MhsaCache,
+    MhsaLayer,
+    _merge_heads,
+    _split_heads,
+    gelu_backward,
+    gelu_forward,
+    layer_norm_backward,
+    layer_norm_forward,
+    mhsa_backward,
+    mhsa_forward,
+    restrict_attention,
+)
 
 
 def naive_matmul(a, b):
@@ -142,6 +158,83 @@ def mhsa_sbp_reference(layer: MhsaLayer, x, upstream, drop, mode, head_drop=()):
     dx = (dq_f @ layer.w_q.T + dk_f @ layer.w_k.T + dv_f @ layer.w_v.T).reshape(b, n, c)
     return {"dw_q": x2.T @ dq_f, "dw_k": x2.T @ dk_f, "dw_v": x2.T @ dv_f,
             "dw_o": dw_o, "dx": dx}
+
+
+def token_linear_reference(w, b, x, upstream, drop):
+    """(dW, db, dX) of gelu(x @ w + b) over B x N x C token rows, from a full
+    backward whose upstream is zeroed at the dropped token rows `drop`.
+    gelu'(u) = Phi(u) + u phi(u) with Phi from math.erf."""
+    u = x @ w + b
+    cdf = 0.5 * (1.0 + np.vectorize(math.erf)(u / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    up = np.array(upstream)
+    up[:, drop, :] = 0.0
+    du = (up * (cdf + u * pdf)).reshape(-1, w.shape[1])
+    x2 = x.reshape(-1, w.shape[0])
+    return x2.T @ du, du.sum(axis=0), (du @ w.T).reshape(x.shape)
+
+
+def block_reference(block, x, dy, mask, mode, head_keep=None):
+    """(grads, dX) of a transformer block on input x under `mask` and drop
+    mode `mode`, by explicit zeroing: the MLP branch's upstream is zeroed at
+    the dropped token rows, the residual passes the whole upstream on, and
+    the attention gradient is `mhsa_sbp_reference`'s. In head mode,
+    `head_keep` lists the kept heads (None keeps them all)."""
+    drop = mask.drop_array()
+    h1, ln1c = layer_norm_forward(x, block.ln1_g, block.ln1_b)
+    att, _ = mhsa_forward(block._mhsa(), h1)
+    x2 = x + att
+    h2, ln2c = layer_norm_forward(x2, block.ln2_g, block.ln2_b)
+    b, n, c = x.shape
+    u = (h2.reshape(b * n, c) @ block.w1 + block.b1).reshape(b, n, -1)
+    g = gelu_forward(u)
+
+    up = np.array(dy)
+    up[:, drop, :] = 0.0
+    grads = {}
+    dmo = up.reshape(b * n, c)
+    grads["w2"] = g.reshape(b * n, -1).T @ dmo
+    grads["b2"] = dmo.sum(axis=0)
+    dg = (dmo @ block.w2.T).reshape(b, n, -1)
+    du = gelu_backward(u, dg)
+    du_f = du.reshape(b * n, -1)
+    grads["w1"] = h2.reshape(b * n, c).T @ du_f
+    grads["b1"] = du_f.sum(axis=0)
+    dh2 = (du_f @ block.w1.T).reshape(b, n, c)
+    grads["ln2_g"], grads["ln2_b"], dx2a = layer_norm_backward(ln2c, block.ln2_g, dh2)
+    dx2 = dy + dx2a
+
+    head_drop = ()
+    if mode == "head" and head_keep is not None:
+        head_drop = tuple(sorted(set(range(block.heads)) - set(head_keep)))
+    mg = mhsa_sbp_reference(block._mhsa(), h1, dx2, drop, mode, head_drop)
+    grads["w_q"], grads["w_k"] = mg["dw_q"], mg["dw_k"]
+    grads["w_v"], grads["w_o"] = mg["dw_v"], mg["dw_o"]
+    grads["ln1_g"], grads["ln1_b"], dxa = layer_norm_backward(ln1c, block.ln1_g, mg["dx"])
+    return grads, dx2 + dxa
+
+
+def cut_cache(cache, sel):
+    """The part of a full attention cache the transformer block hands
+    `mhsa_backward` under the selection `sel`: X on the token rows the
+    backward covers, S and A as `restrict_attention` leaves them."""
+    x = cache.x if sel.rows is None else cache.x[:, sel.rows]
+    return MhsaCache(x, *restrict_attention(cache.s, cache.a, sel))
+
+
+def mhsa_backward_cut(layer, cache, upstream, sel):
+    """The attention backward as the transformer block runs it under `sel`,
+    from a full cache and a B x N x C upstream: `mhsa_backward` on the cut
+    cache and the upstream's rows it covers, and dX scattered back into a
+    zero B x N x C array. Returns (gradients, the cut cache)."""
+    rows = sel.rows
+    cut = cut_cache(cache, sel)
+    grads = mhsa_backward(layer, cut, upstream if rows is None else upstream[:, rows],
+                          sel.queries, sel.heads)
+    if rows is not None:  # dropped token rows get no input gradient
+        dx, grads.dx = grads.dx, np.zeros(upstream.shape)
+        grads.dx[:, rows] = dx
+    return grads, cut
 
 
 def random_mask(rng, shape, allow_extremes=False):

@@ -29,18 +29,16 @@ from sbp.data import make_blobs
 from sbp.engine import backward, finite_difference_grad, forward, grad, resolve, sgd_step
 from sbp.layers import (
     Conv2dLayer,
-    LinearLayer,
     MhsaLayer,
     conv2d_backward_full,
     conv2d_backward_sbp,
     conv2d_forward,
     conv2d_output_grid,
-    linear_backward_full,
-    linear_backward_sbp,
-    linear_forward,
+    linear_backward_kept,
     mhsa_backward,
-    mhsa_backward_sbp,
     mhsa_forward,
+    row_gemm,
+    select,
 )
 from sbp.masks import (
     IndexMask,
@@ -50,9 +48,24 @@ from sbp.masks import (
     intersect_masks,
     make_mask_plan,
 )
-from sbp.models import Model, TokenLinearNode, build_model, mlp_spec, tiny_vit_spec
+from sbp.models import (
+    Model,
+    TokenLinearNode,
+    TransformerBlockNode,
+    build_model,
+    mlp_spec,
+    rows_at,
+    tiny_vit_spec,
+)
 
-from helpers import fd_grad, mhsa_sbp_reference, random_mask, rounds_up_to
+from helpers import (
+    block_reference,
+    fd_grad,
+    mhsa_backward_cut,
+    random_mask,
+    rounds_up_to,
+    token_linear_reference,
+)
 
 
 def report(line: str):
@@ -61,26 +74,40 @@ def report(line: str):
 
 # ---------------------------------------------------------------------------
 # Criterion 1: SBP backward == full backward with zeroed dropped upstream,
-# elementwise within 1e-12, over 1,000 random instances.
+# elementwise within 1e-12, over 1,000 random instances, on the code that
+# trains: the token-linear node, the conv kernel its node runs, and the
+# transformer block in every drop mode. The block reference is built on the
+# library's own layer_norm_*, gelu_* and mhsa_forward, so a fault common to
+# both would not show here: LayerNorm and GELU are checked only against
+# finite differences (criterion 2's tiny_vit), and the attention kernel
+# against the independent `mhsa_sbp_reference` alone in tests/test_mhsa.py.
 # ---------------------------------------------------------------------------
 
 
-def _check_linear_instance(rng):
-    n = int(rng.integers(2, 9))
-    c_in = int(rng.integers(1, 5))
-    c_out = int(rng.integers(1, 5))
-    layer = LinearLayer(rng.normal(size=(c_in, c_out)), rng.normal(size=c_out))
-    x = rng.normal(size=(n, c_in))
-    up = rng.normal(size=(n, c_out))
-    mask = random_mask(rng, (n,), allow_extremes=True)
-    up_z = up.copy()
-    up_z[mask.drop_array()] = 0.0
-    ref = linear_backward_full(layer, x, up_z)
-    got = linear_backward_sbp(layer, x, up, mask)
+def _worst(got, ref):
     return max(float(np.max(np.abs(a - b))) for a, b in zip(got, ref))
 
 
-def _check_conv_instance(rng):
+def _linear_error(rng):
+    """A masked TokenLinearNode as a training step runs it: forward, restrict
+    the record to the kept rows, backward; its kept-row dX read with
+    rows_at."""
+    b = int(rng.integers(1, 6))
+    n = int(rng.integers(2, 9))
+    c_in = int(rng.integers(1, 5))
+    c_out = int(rng.integers(1, 5))
+    node = TokenLinearNode("lin", n, c_in, c_out, rng, sbp_enabled=True)
+    node.b = rng.normal(size=c_out)
+    x = rng.normal(size=(b, n, c_in))
+    up = rng.normal(size=(b, n, c_out))
+    mask = random_mask(rng, (n,), allow_extremes=True)
+    rec = node.restrict(node.forward(x)[1], select(mask, "qkv"))
+    grads, dx = node.backward(rec, up)
+    ref = token_linear_reference(node.w, node.b, x, up, mask.drop_array())
+    return _worst((grads["w"], grads["b"], rows_at(dx, None)), ref)
+
+
+def _conv_error(rng):
     k = int(rng.integers(1, 4))
     s = int(rng.integers(1, 4))
     p = int(rng.integers(0, k))
@@ -100,47 +127,46 @@ def _check_conv_instance(rng):
     up_z[:, mask.drop_array(), :] = 0.0
     ref = conv2d_backward_full(layer, x, up_z.reshape(2, ho, wo, c_out))
     got = conv2d_backward_sbp(layer, x, up, mask)
-    return max(float(np.max(np.abs(a - b))) for a, b in zip(got, ref))
+    return _worst(got, ref)
 
 
-def _check_mhsa_instance(rng, mode):
+def _block_error(rng, mode):
+    """A TransformerBlockNode's backward from its record restricted under
+    `mode`, against the zeroing block reference; no head kept included."""
     heads = int(rng.integers(1, 3))
-    d = int(rng.integers(1, 4))
-    c = int(rng.integers(2, 6))
+    c = heads * int(rng.integers(1, 4))
     n = int(rng.integers(2, 7))
-    hd = heads * d
-    layer = MhsaLayer(heads, d,
-                      rng.normal(size=(c, hd)), rng.normal(size=(c, hd)),
-                      rng.normal(size=(c, hd)), rng.normal(size=(hd, c)))
-    x = rng.normal(size=(2, n, c))
-    up = rng.normal(size=(2, n, c))
-    _, cache = mhsa_forward(layer, x)
+    b = int(rng.integers(1, 4))
+    block = TransformerBlockNode("block", n, c, heads, int(rng.integers(1, 3)), rng,
+                                 sbp_enabled=True)
+    # The weights keep their init scale; the LayerNorm and bias parameters
+    # are drawn away from their 1 and 0 starts.
+    for name in ("ln1_g", "ln1_b", "ln2_g", "ln2_b", "b1", "b2"):
+        block.set_param(name, rng.normal(size=getattr(block, name).shape))
+    x = rng.normal(size=(b, n, c))
+    up = rng.normal(size=(b, n, c))
     mask = random_mask(rng, (n,))
     head_keep = None
-    head_drop = ()
     if mode == "head":
         n_keep = int(rng.integers(0, heads + 1))
-        head_keep = tuple(sorted(
-            int(i) for i in rng.choice(heads, size=n_keep, replace=False)))
-        head_drop = tuple(sorted(set(range(heads)) - set(head_keep)))
-    got = mhsa_backward_sbp(layer, cache, up, mask, mode=mode, head_keep=head_keep)
-    drop = mask.drop_array() if mode != "head" else []
-    ref = mhsa_sbp_reference(layer, x, up, drop, mode, head_drop)
-    pairs = [(got.dw_q, ref["dw_q"]), (got.dw_k, ref["dw_k"]),
-             (got.dw_v, ref["dw_v"]), (got.dw_o, ref["dw_o"]), (got.dx, ref["dx"])]
-    return max(float(np.max(np.abs(a - b))) for a, b in pairs)
+        head_keep = tuple(sorted(int(i) for i in rng.choice(heads, size=n_keep, replace=False)))
+    got, dx = block.backward(block.restrict(block.forward(x)[1], select(mask, mode, head_keep)),
+                             up)
+    ref, dx_ref = block_reference(block, x, up, mask, mode, head_keep)
+    assert set(got) == set(ref)
+    return _worst([got[k] for k in ref] + [dx], [ref[k] for k in ref] + [dx_ref])
 
 
 def test_criterion_1_oracle_equivalence_1000_instances():
     rng = np.random.Generator(np.random.PCG64(1234))
     worst = 0.0
     for _ in range(400):
-        worst = max(worst, _check_linear_instance(rng))
+        worst = max(worst, _linear_error(rng))
     for _ in range(300):
-        worst = max(worst, _check_conv_instance(rng))
+        worst = max(worst, _conv_error(rng))
     for mode in ("query_only", "qkv", "head"):
         for _ in range(100):
-            worst = max(worst, _check_mhsa_instance(rng, mode))
+            worst = max(worst, _block_error(rng, mode))
     ok = worst <= 1e-12
     report(f"criterion 1 (oracle equivalence, 1000 instances): "
            f"{'PASS' if ok else 'FAIL'} max |sbp - zeroed-full| = {worst:.3e} "
@@ -163,13 +189,13 @@ def test_criterion_2_gradient_correctness_finite_differences():
     rng = np.random.Generator(np.random.PCG64(2))
     worst = 0.0
 
-    lin = LinearLayer(rng.normal(size=(4, 3)), rng.normal(size=3))
+    w, bias = rng.normal(size=(4, 3)), rng.normal(size=3)
     x = rng.normal(size=(5, 4))
     up = rng.normal(size=(5, 3))
-    dw, db, dx = linear_backward_full(lin, x, up)
-    loss = lambda: float((linear_forward(lin, x) * up).sum())
-    for got, ref in [(dw, fd_grad(loss, lin.weight, eps=1e-5)),
-                     (db, fd_grad(loss, lin.bias, eps=1e-5)),
+    dw, db, dx = linear_backward_kept(x, up, w, True)
+    loss = lambda: float((row_gemm(x, w, bias) * up).sum())
+    for got, ref in [(dw, fd_grad(loss, w, eps=1e-5)),
+                     (db, fd_grad(loss, bias, eps=1e-5)),
                      (dx, fd_grad(loss, x, eps=1e-5))]:
         worst = max(worst, _rel_err(got, ref))
 
@@ -233,30 +259,32 @@ def _linear_stack_model(depth=3, n_tokens=16, width=6, seed=0):
 def test_criterion_3_memory_contract():
     rng = np.random.Generator(np.random.PCG64(3))
 
-    # NaN poison, linear: dropped x/upstream rows are never read.
-    lin = LinearLayer(rng.normal(size=(3, 2)), rng.normal(size=2))
-    x = rng.normal(size=(6, 3))
-    up = rng.normal(size=(6, 2))
+    # NaN poison, linear: a masked TokenLinearNode never reads the dropped
+    # rows of its input or its upstream.
+    lin = TokenLinearNode("lin", 6, 3, 2, rng, sbp_enabled=True)
+    x = rng.normal(size=(2, 6, 3))
+    up = rng.normal(size=(2, 6, 2))
     mask = IndexMask.from_keep((6,), [0, 2, 5])
-    x[mask.drop_array()] = np.nan
-    up[mask.drop_array()] = np.nan
-    out = linear_backward_sbp(lin, x, up, mask)
-    linear_ok = all(np.all(np.isfinite(t)) for t in out if t is not None)
+    x[:, mask.drop_array()] = np.nan
+    up[:, mask.drop_array()] = np.nan
+    grads, dx = lin.backward(lin.restrict(lin.forward(x)[1], select(mask, "qkv")), up)
+    linear_ok = all(np.all(np.isfinite(t)) for t in (grads["w"], grads["b"], rows_at(dx, None)))
 
-    # NaN poison, MHSA qkv: only kept rows of X and A and the kept block of
-    # S are read; Q, K and V are rebuilt from X's kept rows.
+    # NaN poison, MHSA qkv: the kernel, on the cut the block makes of a full
+    # cache, reads only kept rows of X and A and the kept block of S;
+    # Q, K and V are rebuilt from X's kept rows.
     att = MhsaLayer(2, 3, rng.normal(size=(6, 6)), rng.normal(size=(6, 6)),
                     rng.normal(size=(6, 6)), rng.normal(size=(6, 6)))
     xa = rng.normal(size=(2, 6, 6))
     upa = rng.normal(size=(2, 6, 6))
     _, cache = mhsa_forward(att, xa)
-    amask = IndexMask.from_keep((6,), [1, 3, 4])
-    drop = amask.drop_array()
+    sel = select(IndexMask.from_keep((6,), [1, 3, 4]), "qkv")
+    drop = sel.mask.drop_array()
     cache.x[:, drop, :] = np.nan
     cache.a[:, :, drop, :] = np.nan
     cache.s[:, :, drop, :] = np.nan
     cache.s[:, :, :, drop] = np.nan
-    g = mhsa_backward_sbp(att, cache, upa, amask, mode="qkv")
+    g, _ = mhsa_backward_cut(att, cache, upa, sel)
     mhsa_ok = all(np.all(np.isfinite(t))
                   for t in (g.dw_q, g.dw_k, g.dw_v, g.dw_o, g.dx))
 

@@ -31,20 +31,15 @@ from sbp.layers import (
     mhsa_backward,
     mhsa_forward,
     mhsa_projections,
-    restrict_attention,
     select,
 )
 from sbp.masks import IndexMask, sample_grid_mask
 
+from helpers import cut_cache, mhsa_backward_cut
+
 
 def take(t, index, axis):
     return t if index is None else np.take(t, index, axis=axis)
-
-
-def restrict(cache, sel):
-    """The cache `mhsa_backward_sbp` hands the kernel: X on the kept token
-    rows, S and A as `restrict_attention` leaves them."""
-    return MhsaCache(take(cache.x, sel.rows, 1), *restrict_attention(cache.s, cache.a, sel))
 
 
 def gathered_projections(layer, x, sel):
@@ -175,6 +170,18 @@ def assert_cache_unchanged(cache: MhsaCache, before):
         assert same_bytes(getattr(cache, name), value), f"backward wrote into cached {name}"
 
 
+def backward_leaving_caches_unchanged(layer, cache, up, sel):
+    """(gradients, cut cache) of the block's attention backward under `sel`,
+    after checking that it wrote into neither the full cache nor its cut.
+    The full cache is unchanged, so a second cut of it holds the cut's
+    bytes as they were before the backward."""
+    before_full = snapshot(cache)
+    new, restricted = mhsa_backward_cut(layer, cache, up, sel)
+    assert_cache_unchanged(cache, before_full)
+    assert_cache_unchanged(restricted, snapshot(cut_cache(cache, sel)))
+    return new, restricted
+
+
 # (B, N, C, grid): the gradsim benchmark model and the 14x14 ViT, 2 heads each.
 SHAPES = {"gradsim": (8, 64, 32, (8, 8)), "vit14": (16, 196, 64, (14, 14))}
 
@@ -210,31 +217,18 @@ class TestAttention:
     def test_token_modes(self, shape, mode, mask):
         layer, cache, up, grid = attention_case(shape, seed=1)
         sel = select(token_masks(grid)[mask], mode)
-        keep = sel.keep
-        restricted = restrict(cache, sel)
-        before, before_full = snapshot(restricted), snapshot(cache)
-        # In qkv the kernel's upstream and dX cover the kept rows only.
-        rows = slice(None) if sel.rows is None else sel.rows
-        new = mhsa_backward(layer, restricted, up[:, rows], sel.queries)
-        assert_cache_unchanged(restricted, before)
-        assert_cache_unchanged(cache, before_full)
-        dx_rows, new.dx = new.dx, np.zeros(up.shape)
-        new.dx[:, rows] = dx_rows
+        new, restricted = backward_leaving_caches_unchanged(layer, cache, up, sel)
         assert_grads_close(new, old_mhsa_backward_kept(
-            layer, restricted, gathered_projections(layer, cache.x, sel), up, keep, mode, None))
+            layer, restricted, gathered_projections(layer, cache.x, sel), up, sel.keep, mode,
+            None))
 
     @pytest.mark.parametrize("head_keep", [(), (0,), (1,), (0, 1)])
     def test_head_mode(self, shape, head_keep):
         layer, cache, up, grid = attention_case(shape, seed=2)
         sel = select(token_masks(grid)["grid"], "head", head_keep)
-        keep = sel.keep
-        restricted = restrict(cache, sel)
-        before, before_full = snapshot(restricted), snapshot(cache)
-        new = mhsa_backward(layer, restricted, up, heads=sel.heads)
-        assert_cache_unchanged(restricted, before)
-        assert_cache_unchanged(cache, before_full)
+        new, restricted = backward_leaving_caches_unchanged(layer, cache, up, sel)
         assert_grads_close(new, old_mhsa_backward_kept(
-            layer, restricted, gathered_projections(layer, cache.x, sel), up, keep, "head",
+            layer, restricted, gathered_projections(layer, cache.x, sel), up, sel.keep, "head",
             head_keep))
         d = layer.dim_head
         for h in set(range(layer.heads)) - set(head_keep):

@@ -297,6 +297,17 @@ class TestTrain:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, line", [("train", "train.lr = nan"),
+                                               ("train", "train.lr = inf"),
+                                               ("train", "data.noise = nan"),
+                                               ("gradsim", "data.noise = inf")])
+    def test_nonfinite_value_exits_config(self, tmp_path, capsys, command, line):
+        cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_head_mode_needs_attention_model(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + "sbp.mode = head\n")
         assert run(["train", "--config", cfg,
@@ -507,6 +518,17 @@ class TestGendata:
         assert run(["train", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: dataset labels span") and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_dataset_exits_config(self, tmp_path, capsys, value):
+        data_path = tmp_path / "toy.sbpd"
+        dataset = make_blobs(16, grid=(4, 4), channels=2, seed=1)
+        dataset.x[5, 2, 1, 0] = value
+        write_sbpd(data_path, dataset)
+        cfg = write_config(tmp_path, BASE_CONFIG + f"data.path = {data_path}\n")
+        assert run(["train", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset features must be finite") and "Traceback" not in err
 
     def test_corrupt_dataset_exits_config(self, tmp_path):
         data_path = tmp_path / "bad.sbpd"

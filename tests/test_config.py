@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import pytest
@@ -86,6 +87,10 @@ class TestValidate:
         "model.sbp_fraction = 1.5",
         "data.count = 0",
         "gradsim.batches = -2",
+        "train.lr = nan",
+        "train.lr = inf",
+        "data.noise = nan",
+        "data.noise = -inf",
     ])
     def test_invalid_values_rejected(self, line):
         with pytest.raises(ConfigurationError):
@@ -109,12 +114,18 @@ KNOWN_KEYS = [f"{section.name}.{key.name}" for section in fields(default_config(
 config_values = st.one_of(
     st.text(max_size=12),
     st.integers(-3, 20).map(str),
-    st.sampled_from(["0.5", "1e309", "nan", "-inf", "true", "false", "4x4", "0x4", "x",
+    st.sampled_from(["0.5", "1e309", "nan", "inf", "-inf", "true", "false", "4x4", "0x4", "x",
                      "qkv", "head", "grid", "shared", "vit", "conv"]))
+
+FLOAT_KEYS = [f"{section.name}.{key.name}" for section in fields(default_config())
+              for key in fields(getattr(default_config(), section.name))
+              if isinstance(getattr(getattr(default_config(), section.name), key.name), float)]
 
 config_lines = st.one_of(
     st.builds(lambda key, value: f"{key} = {value}",
               st.sampled_from(KNOWN_KEYS) | st.text(max_size=12), config_values),
+    st.builds(lambda key, value: f"{key} = {value}",
+              st.sampled_from(FLOAT_KEYS), st.sampled_from(["nan", "inf", "-inf", "1e309"])),
     st.text(max_size=20))
 
 
@@ -126,3 +137,5 @@ def test_arbitrary_text_parses_or_raises_configuration_error(lines):
     except ConfigurationError:
         return
     assert isinstance(cfg, TrainConfig)
+    assert all(math.isfinite(v) for section in vars(cfg).values()
+               for v in vars(section).values() if isinstance(v, float))

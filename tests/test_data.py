@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbp.data import Dataset, make_blobs, read_sbpd, write_sbpd
+from sbp.data import HEADER_BYTES, Dataset, make_blobs, read_sbpd, write_sbpd
 from sbp.errors import ConfigurationError
 
 
@@ -113,6 +113,15 @@ class TestSbpdRoundtrip:
         with pytest.raises(ConfigurationError, match="zero size"):
             read_sbpd(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_feature_rejected(self, tmp_path, value):
+        ds = make_blobs(2, grid=(2, 2), channels=1, seed=0)
+        ds.x[1, 0, 1, 0] = value
+        path = tmp_path / "nonfinite.sbpd"
+        write_sbpd(path, ds)
+        with pytest.raises(ConfigurationError, match="finite"):
+            read_sbpd(path)
+
     @pytest.mark.parametrize("line", ["x", "1.5", "99999999999999999999999"])
     def test_label_must_be_int64(self, tmp_path, line):
         ds = make_blobs(2, grid=(2, 2), channels=1, seed=0)
@@ -141,8 +150,14 @@ label_texts = st.one_of(
 
 @st.composite
 def damaged_sbpd(draw):
-    """A valid SBPD file cut short and with a few bytes flipped."""
-    data = bytearray(VALID_SBPD[:draw(st.integers(0, len(VALID_SBPD)))])
+    """A valid SBPD file, perhaps with a nan or infinite feature, perhaps
+    cut short, and with a few bytes flipped."""
+    data = bytearray(VALID_SBPD)
+    if draw(st.booleans()):
+        at = HEADER_BYTES + 4 * draw(st.integers(0, (len(data) - HEADER_BYTES) // 4 - 1))
+        data[at:at + 4] = struct.pack("<f", draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
     for _ in range(draw(st.integers(0, 3))):
         if data:
             data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
@@ -161,4 +176,5 @@ def test_damaged_file_reads_or_raises_configuration_error(data, labels):
         except ConfigurationError:
             return
     assert ds.x.dtype == np.float64 and ds.labels.dtype == np.int64
+    assert np.all(np.isfinite(ds.x))
     assert ds.count == ds.labels.shape[0] > 0

@@ -13,11 +13,11 @@ from sbp.engine import (
     sgd_step,
 )
 from sbp.errors import ConfigurationError, ContractViolationError, NumericError
-from sbp.layers import gelu_backward, layer_norm_backward, select
+from sbp.layers import select
 from sbp.masks import IndexMask, MaskPlan, build_schedule, full_keep_mask, make_mask_plan
 from sbp.models import build_model, mlp_spec, tiny_conv_spec, tiny_vit_spec
 
-from helpers import mhsa_sbp_reference
+from helpers import block_reference
 
 
 def small_batch(rng, model_kind="mlp", grid=(2, 2), channels=2, batch=3):
@@ -101,42 +101,62 @@ class TestPredict:
             predict(model, x)
 
 
+# (mode, sharing, B) of the vit cases of the zero-then-full engine test.
+VIT_CASES = [(mode, sharing, b) for mode in ("qkv", "query_only", "head")
+             for sharing in ("shared", "independent") for b in (1, 3, 5, 9)]
+
+
 class TestSbpEngine:
     def make_mlp(self):
         spec = mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=2, sbp_fraction=1.0)
         return build_model(spec, seed=4)
 
-    def plan_for(self, model, ratio=0.5, sampler="grid", sharing="independent", seed=0):
+    def plan_for(self, model, ratio=0.5, sampler="grid", sharing="independent", seed=0,
+                 mode="qkv"):
         sched = build_schedule("uniform", ratio, len(model.sbp_layers()))
-        return resolve(model, make_mask_plan(model, sched, sampler, sharing, seed), "qkv", 0, 0)
+        return resolve(model, make_mask_plan(model, sched, sampler, sharing, seed), mode, 0, 0)
 
-    # The conv batches cross the planned forward's chunk boundaries.
-    @pytest.mark.parametrize("spec, b", [
-        (mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=2, sbp_fraction=1.0), 3),
-        *((tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=2), b)
-          for b in (3, 5, 9)),
-    ], ids=["mlp-B3", "conv-B3", "conv-B5", "conv-B9"])
-    def test_mlp_equals_zero_then_full(self, spec, b):
+    # The conv and vit batches cross the planned forward's chunk boundaries;
+    # B = 1 with a vit runs each row product on one sample.
+    @pytest.mark.parametrize("spec, b, mode, sharing", [
+        (mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=2, sbp_fraction=1.0), 3,
+         "qkv", "independent"),
+        *((tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=2), b,
+           "qkv", "independent") for b in (3, 5, 9)),
+        *((tiny_vit_spec(grid=(4, 4), in_channels=2, embed=6, heads=2, depth=2,
+                         sbp_fraction=1.0), b, mode, sharing) for mode, sharing, b in VIT_CASES),
+    ], ids=["mlp-B3", "conv-B3", "conv-B5", "conv-B9",
+            *(f"vit-{mode}-{sharing}-B{b}" for mode, sharing, b in VIT_CASES)])
+    def test_mlp_equals_zero_then_full(self, spec, b, mode, sharing):
         """Engine SBP gradients match a full backward whose upstream is zeroed
-        at dropped token rows (conv: output positions) at each masked node."""
+        at dropped token rows (conv: output positions) at each masked node;
+        a masked transformer block's share is the zeroing block reference."""
         model = build_model(spec, seed=4)
         rng = np.random.Generator(np.random.PCG64(5))
         x = rng.normal(size=(b, 4, 4, 2))
         labels = rng.integers(0, 2, size=b)
-        plan = self.plan_for(model, seed=7)
-        masks = {nid: sel.mask for nid, sel in plan.items() if sel.mask is not None}
+        plan = self.plan_for(model, sharing=sharing, seed=7, mode=mode)
 
         tape_sbp = forward(model, x, labels, plan=plan)
         store_sbp = backward(tape_sbp)
 
         tape_full = forward(model, x, labels)
+        inputs = [x]  # each node's input, which the block reference starts from
+        for node, _ in tape_full.records[:-1]:
+            inputs.append(node.forward(inputs[-1])[0])
         dy = tape_full.dlogits
         ref = {}
-        for node, rec in reversed(tape_full.records):
-            if node.node_id in masks:
-                dy = dy.copy()  # B x N x C, or B x H x W x C zeroed through a B x HW x C view
-                dy.reshape(b, -1, dy.shape[-1])[:, masks[node.node_id].drop_array(), :] = 0.0
-            node_grads, dy = node.backward(rec, dy)
+        for (node, rec), node_input in zip(reversed(tape_full.records), reversed(inputs)):
+            mask = plan[node.node_id].mask
+            if mask is not None and node.kind == "block":
+                heads = plan[node.node_id].heads
+                node_grads, dy = block_reference(node, node_input, dy, mask, mode,
+                                                 None if heads is None else heads.tolist())
+            else:
+                if mask is not None:
+                    dy = dy.copy()  # B x N x C, or B x H x W x C zeroed through a B x HW x C view
+                    dy.reshape(b, -1, dy.shape[-1])[:, mask.drop_array(), :] = 0.0
+                node_grads, dy = node.backward(rec, dy)
             for name, g in node_grads.items():
                 ref[f"{node.node_id}.{name}"] = g
         for key in ref:
@@ -201,44 +221,6 @@ class TestBlockSbp:
         dy = rng.normal(size=(2, 16, 6))
         return block, x, dy
 
-    def block_reference(self, block, x, dy, mask, mode, head_keep=None):
-        from sbp.layers import gelu_forward, layer_norm_forward, mhsa_forward
-
-        drop = mask.drop_array()
-        h1, ln1c = layer_norm_forward(x, block.ln1_g, block.ln1_b)
-        att, _ = mhsa_forward(block._mhsa(), h1)
-        x2 = x + att
-        h2, ln2c = layer_norm_forward(x2, block.ln2_g, block.ln2_b)
-        b, n, c = x.shape
-        u = (h2.reshape(b * n, c) @ block.w1 + block.b1).reshape(b, n, -1)
-        g = gelu_forward(u)
-
-        up = dy.copy()
-        up[:, drop, :] = 0.0
-        grads = {}
-        dmo = up.reshape(b * n, c)
-        grads["w2"] = g.reshape(b * n, -1).T @ dmo
-        grads["b2"] = dmo.sum(axis=0)
-        dg = (dmo @ block.w2.T).reshape(b, n, -1)
-        du = gelu_backward(u, dg)
-        du_f = du.reshape(b * n, -1)
-        grads["w1"] = h2.reshape(b * n, c).T @ du_f
-        grads["b1"] = du_f.sum(axis=0)
-        dh2 = (du_f @ block.w1.T).reshape(b, n, c)
-        grads["ln2_g"], grads["ln2_b"], dx2a = layer_norm_backward(
-            ln2c, block.ln2_g, dh2)
-        dx2 = dy + dx2a
-
-        head_drop = ()
-        if mode == "head":
-            head_drop = tuple(sorted(set(range(block.heads)) - set(head_keep)))
-        mg = mhsa_sbp_reference(block._mhsa(), h1, dx2, drop, mode, head_drop)
-        grads["w_q"], grads["w_k"] = mg["dw_q"], mg["dw_k"]
-        grads["w_v"], grads["w_o"] = mg["dw_v"], mg["dw_o"]
-        grads["ln1_g"], grads["ln1_b"], dxa = layer_norm_backward(
-            ln1c, block.ln1_g, mg["dx"])
-        return grads, dx2 + dxa
-
     @pytest.mark.parametrize("mode", ["query_only", "qkv", "head"])
     def test_restricted_cache_matches_oracle(self, mode):
         block, x, dy = self.setup_block(seed=20)
@@ -246,10 +228,10 @@ class TestBlockSbp:
         head_keep = (1,) if mode == "head" else None
         rec = block.restrict(block.forward(x)[1], select(mask, mode, head_keep))
         got, dx = block.backward(rec, dy)
-        ref, dx_ref = self.block_reference(block, x, dy, mask, mode, head_keep)
+        ref, dx_ref = block_reference(block, x, dy, mask, mode, head_keep)
         for key in ref:
-            np.testing.assert_allclose(got[key], ref[key], atol=1e-10, err_msg=key)
-        np.testing.assert_allclose(dx, dx_ref, atol=1e-10)
+            np.testing.assert_allclose(got[key], ref[key], atol=1e-12, err_msg=key)
+        np.testing.assert_allclose(dx, dx_ref, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["query_only", "qkv", "head"])
     def test_all_gradients_finite_from_restricted_cache(self, mode):

@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbp.errors import ConfigurationError, ContractViolationError, DimensionError
+from sbp.errors import ConfigurationError, DimensionError
 from sbp.layers import (
-    MhsaCache,
     MhsaLayer,
     mhsa_backward,
-    mhsa_backward_sbp,
     mhsa_forward,
-    restrict_attention,
     sample_head_keep,
     select,
 )
 from sbp.masks import IndexMask, full_keep_mask
 
 from helpers import (
+    cut_cache,
     fd_grad,
+    mhsa_backward_cut,
     mhsa_full_reference,
     mhsa_sbp_reference,
     random_mask,
@@ -40,11 +39,10 @@ def grads_as_dict(g):
             "dw_o": g.dw_o, "dx": g.dx}
 
 
-def restrict(cache, sel):
-    """The cache `mhsa_backward_sbp` hands the kernel: X on the kept token
-    rows, S and A as `restrict_attention` leaves them."""
-    x = cache.x if sel.rows is None else cache.x[:, sel.rows]
-    return MhsaCache(x, *restrict_attention(cache.s, cache.a, sel))
+def backward_as_block(layer, cache, up, mask, mode, head_keep=None):
+    """The block's attention backward under `mode`, from a full cache, with
+    dX over all N rows."""
+    return grads_as_dict(mhsa_backward_cut(layer, cache, up, select(mask, mode, head_keep))[0])
 
 
 def poison_dropped_slots(p, keep, mode, head_keep):
@@ -152,13 +150,6 @@ class TestBackwardFull:
         np.testing.assert_allclose(g.dw_o, fd_grad(loss, layer.w_o), rtol=1e-4, atol=1e-6)
         np.testing.assert_allclose(g.dx, fd_grad(loss, x), rtol=1e-4, atol=1e-6)
 
-    def test_cache_mismatch_detected(self):
-        rng = np.random.Generator(np.random.PCG64(4))
-        layer = make_layer(rng, 6, 2, 3)
-        _, cache = mhsa_forward(layer, rng.normal(size=(1, 4, 6)))
-        with pytest.raises(ContractViolationError):
-            mhsa_backward_sbp(layer, cache, np.zeros((1, 5, 6)), full_keep_mask((5,)), "qkv")
-
 
 class TestBackwardSbp:
     @settings(max_examples=40, deadline=None)
@@ -171,7 +162,7 @@ class TestBackwardSbp:
         up = rng.normal(size=(2, n, 6))
         _, cache = mhsa_forward(layer, x)
         mask = random_mask(rng, (n,))
-        got = grads_as_dict(mhsa_backward_sbp(layer, cache, up, mask, mode=mode))
+        got = backward_as_block(layer, cache, up, mask, mode)
         ref = mhsa_sbp_reference(layer, x, up, mask.drop_array(), mode)
         for key in ref:
             np.testing.assert_allclose(got[key], ref[key], atol=1e-12, err_msg=key)
@@ -188,8 +179,7 @@ class TestBackwardSbp:
         head_keep = tuple(sorted(
             int(i) for i in rng.choice(heads, size=n_keep_heads, replace=False)))
         head_drop = tuple(sorted(set(range(heads)) - set(head_keep)))
-        got = grads_as_dict(mhsa_backward_sbp(
-            layer, cache, up, full_keep_mask((4,)), mode="head", head_keep=head_keep))
+        got = backward_as_block(layer, cache, up, full_keep_mask((4,)), "head", head_keep)
         ref = mhsa_sbp_reference(layer, x, up, [], "head", head_drop=head_drop)
         for key in ref:
             np.testing.assert_allclose(got[key], ref[key], atol=1e-12, err_msg=key)
@@ -202,9 +192,9 @@ class TestBackwardSbp:
         _, cache = mhsa_forward(layer, x)
         mask = IndexMask.from_keep((6,), [0, 3, 4])
         g_full = mhsa_backward(layer, cache, up)
-        g = mhsa_backward_sbp(layer, cache, up, mask, mode="query_only")
-        np.testing.assert_allclose(g.dw_v, g_full.dw_v, atol=1e-12)
-        np.testing.assert_allclose(g.dw_o, g_full.dw_o, atol=1e-12)
+        g = backward_as_block(layer, cache, up, mask, "query_only")
+        np.testing.assert_allclose(g["dw_v"], g_full.dw_v, atol=1e-12)
+        np.testing.assert_allclose(g["dw_o"], g_full.dw_o, atol=1e-12)
 
     def test_head_mode_output_projection_exact(self):
         rng = np.random.Generator(np.random.PCG64(6))
@@ -213,9 +203,8 @@ class TestBackwardSbp:
         up = rng.normal(size=(1, 4, 6))
         _, cache = mhsa_forward(layer, x)
         g_full = mhsa_backward(layer, cache, up)
-        g = mhsa_backward_sbp(layer, cache, up, full_keep_mask((4,)),
-                              mode="head", head_keep=(1,))
-        np.testing.assert_allclose(g.dw_o, g_full.dw_o, atol=1e-12)
+        g = backward_as_block(layer, cache, up, full_keep_mask((4,)), "head", (1,))
+        np.testing.assert_allclose(g["dw_o"], g_full.dw_o, atol=1e-12)
 
     def test_qkv_memory_contract_nan_poison(self):
         """qkv reads only kept rows of X and A and the kept block of S; Q, K
@@ -227,13 +216,13 @@ class TestBackwardSbp:
         up = rng.normal(size=(2, n, 6))
         _, cache = mhsa_forward(layer, x)
         mask = IndexMask.from_keep((n,), [1, 2, 5])
-        clean = grads_as_dict(mhsa_backward_sbp(layer, cache, up, mask, mode="qkv"))
+        clean = backward_as_block(layer, cache, up, mask, "qkv")
         drop = mask.drop_array()
         cache.x[:, drop, :] = np.nan
         cache.a[:, :, drop, :] = np.nan
         cache.s[:, :, drop, :] = np.nan
         cache.s[:, :, :, drop] = np.nan
-        poisoned = grads_as_dict(mhsa_backward_sbp(layer, cache, up, mask, mode="qkv"))
+        poisoned = backward_as_block(layer, cache, up, mask, "qkv")
         for key in clean:
             np.testing.assert_array_equal(poisoned[key], clean[key], err_msg=key)
 
@@ -244,17 +233,10 @@ class TestBackwardSbp:
         x = rng.normal(size=(2, 6, 6))
         up = rng.normal(size=(2, 6, 6))
         _, cache = mhsa_forward(layer, x)
-        sel = select(IndexMask.from_keep((6,), keep), mode, head_keep)
-        keep = np.asarray(keep)
-        # In qkv the kernel's upstream and dX cover the kept rows only.
-        rows = slice(None) if sel.rows is None else sel.rows
-        kept = grads_as_dict(mhsa_backward(
-            layer, restrict(cache, sel), up[:, rows], sel.queries, sel.heads))
-        dx_rows, kept["dx"] = kept["dx"], np.zeros(up.shape)
-        kept["dx"][:, rows] = dx_rows
-        poison_dropped_slots(cache, keep, mode, head_keep)
-        poisoned = grads_as_dict(mhsa_backward_sbp(
-            layer, cache, up, IndexMask.from_keep((6,), keep), mode=mode, head_keep=head_keep))
+        mask = IndexMask.from_keep((6,), keep)
+        kept = backward_as_block(layer, cache, up, mask, mode, head_keep)
+        poison_dropped_slots(cache, np.asarray(keep), mode, head_keep)
+        poisoned = backward_as_block(layer, cache, up, mask, mode, head_keep)
         for key in kept:
             assert np.all(np.isfinite(kept[key])), key
             np.testing.assert_array_equal(kept[key], poisoned[key], err_msg=key)
@@ -264,7 +246,7 @@ class TestBackwardSbp:
         rng = np.random.Generator(np.random.PCG64(13))
         b, n, c, h, d = 2, 6, 6, 3, 2
         _, cache = mhsa_forward(make_layer(rng, c, h, d), rng.normal(size=(b, n, c)))
-        r = restrict(cache, select(IndexMask.from_keep((n,), keep), mode, head_keep))
+        r = cut_cache(cache, select(IndexMask.from_keep((n,), keep), mode, head_keep))
         got = {name: getattr(r, name).shape for name in ("x", "s", "a")}
         nk, hk = len(keep), len(head_keep or ())
         expected = {
@@ -282,48 +264,16 @@ class TestBackwardSbp:
         _, cache = mhsa_forward(layer, x)
         g_full = grads_as_dict(mhsa_backward(layer, cache, up))
         for mode in ("query_only", "qkv"):
-            g = grads_as_dict(mhsa_backward_sbp(
-                layer, cache, up, full_keep_mask((4,)), mode=mode))
+            g = backward_as_block(layer, cache, up, full_keep_mask((4,)), mode)
             for key in g_full:
                 assert np.array_equal(g[key], g_full[key])
-        g = grads_as_dict(mhsa_backward_sbp(
-            layer, cache, up, full_keep_mask((4,)), mode="head",
-            head_keep=(0, 1)))
+        g = backward_as_block(layer, cache, up, full_keep_mask((4,)), "head", (0, 1))
         for key in g_full:
             assert np.array_equal(g[key], g_full[key])
 
-    def test_head_mode_requires_head_keep(self):
-        rng = np.random.Generator(np.random.PCG64(9))
-        layer = make_layer(rng, 6, 2, 3)
-        _, cache = mhsa_forward(layer, rng.normal(size=(1, 4, 6)))
-        with pytest.raises(ConfigurationError):
-            mhsa_backward_sbp(layer, cache, np.zeros((1, 4, 6)),
-                              full_keep_mask((4,)), mode="head")
-
-    @pytest.mark.parametrize("head_keep", [(0, 0), (1, 0, 1)])
-    def test_head_mode_rejects_repeated_heads(self, head_keep):
-        rng = np.random.Generator(np.random.PCG64(9))
-        layer = make_layer(rng, 6, 2, 3)
-        _, cache = mhsa_forward(layer, rng.normal(size=(1, 4, 6)))
-        with pytest.raises(ConfigurationError, match="repeated head index"):
-            mhsa_backward_sbp(layer, cache, np.zeros((1, 4, 6)),
-                              full_keep_mask((4,)), mode="head", head_keep=head_keep)
-
     def test_unknown_mode_rejected(self):
-        rng = np.random.Generator(np.random.PCG64(10))
-        layer = make_layer(rng, 6, 2, 3)
-        _, cache = mhsa_forward(layer, rng.normal(size=(1, 4, 6)))
-        with pytest.raises(ConfigurationError):
-            mhsa_backward_sbp(layer, cache, np.zeros((1, 4, 6)),
-                              full_keep_mask((4,)), mode="rows")
-
-    def test_mask_token_count_checked(self):
-        rng = np.random.Generator(np.random.PCG64(11))
-        layer = make_layer(rng, 6, 2, 3)
-        _, cache = mhsa_forward(layer, rng.normal(size=(1, 4, 6)))
-        with pytest.raises(DimensionError):
-            mhsa_backward_sbp(layer, cache, np.zeros((1, 4, 6)),
-                              full_keep_mask((5,)), mode="qkv")
+        with pytest.raises(ConfigurationError, match="unknown drop mode"):
+            select(full_keep_mask((4,)), "rows")
 
 
 class TestSampleHeadKeep:

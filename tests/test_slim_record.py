@@ -23,7 +23,6 @@ from sbp.cli import EXIT_OK, main
 from sbp.engine import backward, forward, resolve
 from sbp.layers import (
     EXACT,
-    MhsaCache,
     MhsaLayer,
     gelu_backward,
     gelu_cdf,
@@ -31,16 +30,14 @@ from sbp.layers import (
     layer_norm_forward,
     linear_backward_kept,
     mhsa_backward,
-    mhsa_backward_sbp,
     mhsa_forward,
     mhsa_projections,
-    restrict_attention,
     select,
 )
 from sbp.masks import IndexMask, build_schedule, make_mask_plan, sample_grid_mask
 from sbp.models import build_model, tiny_vit_spec
 
-from helpers import mhsa_sbp_reference
+from helpers import cut_cache, mhsa_backward_cut, mhsa_sbp_reference
 
 # (B, grid, embed): the gradsim benchmark model's 8 x 64 x 32 and the 14x14
 # ViT's 16 x 196 x 64, 2 heads each.
@@ -99,7 +96,7 @@ def cached_input_u_backward(block, x, dy, sel):
     b, n, c = x.shape
     u = (h2.reshape(b * n, c) @ block.w1 + block.b1).reshape(b, n, -1)
     keep, ln1_keep, queries, heads = sel.keep, sel.rows, sel.queries, sel.heads
-    mc = MhsaCache(gather(mc.x, ln1_keep), *restrict_attention(mc.s, mc.a, sel))
+    mc = cut_cache(mc, sel)
     ln1c = tuple(gather(t, ln1_keep) for t in ln1c)
     ln2c, h2, u = tuple(gather(t, keep) for t in ln2c), gather(h2, keep), gather(u, keep)
 
@@ -199,7 +196,7 @@ def test_one_row_rebuild_within_oracle(kept):
     x, up = rng.normal(size=(1, n, c)), rng.normal(size=(1, n, c))
     _, cache = mhsa_forward(layer, x)
     mask = IndexMask.from_keep((n,), [kept])
-    got = mhsa_backward_sbp(layer, cache, up, mask, "qkv")
+    got, _ = mhsa_backward_cut(layer, cache, up, select(mask, "qkv"))
     ref = mhsa_sbp_reference(layer, x, up, mask.drop_array(), "qkv")
     for key, want in ref.items():
         np.testing.assert_allclose(getattr(got, key), want, rtol=0, atol=1e-12, err_msg=key)

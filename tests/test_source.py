@@ -3,6 +3,8 @@ the model nodes never decide by drop mode, and the training and analysis
 entry points take a resolved selection map, not a drop mode, step and head
 seed. Q, K and V are built in one place: the attention cache holds X, S and
 A, and only the attention forward and backward call `mhsa_projections`.
+Every public function and class of `layers.py` has a caller in the package,
+so no kernel lives on that only the tests run.
 
 No linter ships with the project, so this walks the syntax trees itself. An
 import inside a function must be used in that function; a module-level one
@@ -129,3 +131,34 @@ def test_only_the_attention_kernels_build_qkv():
 
 def test_attention_cache_is_x_s_a():
     assert [f.name for f in dataclasses.fields(MhsaCache)] == ["x", "s", "a"]
+
+
+def uncalled_public_defs(sources: dict[str, str], module: str) -> list[str]:
+    """The public top-level functions and classes of `module` (one of the
+    `sources`, by file name) that no source names outside their own
+    definition. An import alone does not name it; a use does."""
+    defs, named = [], set()
+    for name, source in sources.items():
+        for top in ast.parse(source).body:
+            own = None
+            if name == module and isinstance(top, (*SCOPES, ast.ClassDef)):
+                own = top.name
+                if not own.startswith("_"):
+                    defs.append(own)
+            named |= {getattr(n, "id", None) or getattr(n, "attr", None)
+                      for n in ast.walk(top) if isinstance(n, (ast.Name, ast.Attribute))} - {own}
+    return [d for d in defs if d not in named]
+
+
+def test_every_public_layer_has_a_caller():
+    """A kernel in `layers.py` that only tests call cannot come back; the
+    re-exports of `__init__.py` do not count as calls."""
+    sources = {m: (PACKAGE / m).read_text() for m in MODULES}
+    assert uncalled_public_defs(sources, "layers.py") == []
+
+
+def test_checker_sees_uncalled_defs():
+    sources = {"a.py": ("def f(x):\n    return f(x - 1)\ndef g():\n    return 1\n"
+                        "class C:\n    pass\nclass D:\n    pass\ndef _h():\n    pass\n"),
+               "b.py": "from .a import C, D, g\ny: D = g()\n"}
+    assert uncalled_public_defs(sources, "a.py") == ["f", "C"]
