@@ -61,8 +61,6 @@ from .errors import (
 )
 from .masks import (
     IndexMask,
-    KeepRatioSchedule,
-    MaskPlan,
     build_schedule,
     checkerboard_mask,
     downsample_mask,
@@ -81,8 +79,7 @@ from .layers import (
     MhsaLayer,
     Selection,
     as_tensor,
-    conv2d_backward_full,
-    conv2d_backward_sbp,
+    conv2d_backward,
     conv2d_forward,
     gelu_backward,
     gelu_cdf,
@@ -113,7 +110,6 @@ from .engine import (
     backward,
     finite_difference_grad,
     forward,
-    grad,
     resolve,
     sgd_step,
 )

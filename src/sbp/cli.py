@@ -22,12 +22,24 @@ EXIT_NUMERIC = 3
 
 
 def _load_config(path, seed_override):
-    from .config import parse_config
+    """The validated config at `path`, `--seed` overriding train.seed, and
+    the sha256 of its text."""
+    from .config import parse_config, validate_config
     text = Path(path).read_text()
     cfg = parse_config(text)
     if seed_override is not None:
         cfg.train.seed = seed_override
+        validate_config(cfg)
     return cfg, hashlib.sha256(text.encode()).hexdigest()
+
+
+def _own_seed(seed) -> int:
+    """The `--seed` of a command that reads no config: 0 when unset."""
+    from .errors import ConfigurationError
+
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {seed}")
+    return seed or 0
 
 
 def _load_dataset(cfg):
@@ -70,9 +82,9 @@ def _make_plan(model, cfg, step, schedule_kind=None, sampler=None, mode=None):
     sharing = cfg.sbp.sharing
     if kind != "uniform" and sharing == "shared":
         sharing = "independent"
-    schedule = build_schedule(kind, cfg.sbp.keep_ratio, n_sbp)
+    ratios = build_schedule(kind, cfg.sbp.keep_ratio, n_sbp)
     seed = cfg.train.seed * 77 + (step * 13 if cfg.sbp.resample_each_step else 0)
-    plan = make_mask_plan(model, schedule, sampler or cfg.sbp.sampler, sharing, seed)
+    plan = make_mask_plan(model, ratios, sampler or cfg.sbp.sampler, sharing, seed)
     return resolve(model, plan, mode, step, cfg.train.seed)
 
 
@@ -296,7 +308,7 @@ def cmd_chaindemo(args):
                            pointwise_stack_report, write_json)
     from .masks import IndexMask, checkerboard_mask, sample_grid_mask
 
-    seed = args.seed if args.seed is not None else 0
+    seed = _own_seed(args.seed)
     out = _outdir(args)
     grid = (4, 4)
 
@@ -339,11 +351,14 @@ def cmd_chaindemo(args):
 
 def cmd_gendata(args):
     from .data import make_blobs, write_sbpd
+    from .errors import ConfigurationError
 
-    grid = tuple(int(p) for p in args.grid.split("x"))
-    ds = make_blobs(args.count, grid=grid, channels=args.channels,
-                    n_classes=args.classes, noise=args.noise,
-                    seed=args.seed if args.seed is not None else 0)
+    try:
+        h, w = (int(p) for p in args.grid.split("x"))
+    except ValueError as e:
+        raise ConfigurationError(f"--grid must be HxW, got {args.grid!r}") from e
+    ds = make_blobs(args.count, grid=(h, w), channels=args.channels,
+                    n_classes=args.classes, noise=args.noise, seed=_own_seed(args.seed))
     write_sbpd(args.out, ds)
     print(args.out)
     return EXIT_OK

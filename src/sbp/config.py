@@ -10,6 +10,7 @@ from .errors import ConfigurationError
 SBP_MODES = ("qkv", "query_only", "head")
 SAMPLERS = ("grid", "random")
 SCHEDULES = ("uniform", "increasing", "decreasing")
+SHARINGS = ("shared", "independent")
 
 
 @dataclass
@@ -133,7 +134,7 @@ def validate_config(cfg: TrainConfig):
         raise ConfigurationError(f"unknown sbp mode {cfg.sbp.mode!r}")
     if cfg.sbp.sampler not in SAMPLERS:
         raise ConfigurationError(f"unknown sampler {cfg.sbp.sampler!r}")
-    if cfg.sbp.sharing not in ("shared", "independent"):
+    if cfg.sbp.sharing not in SHARINGS:
         raise ConfigurationError(f"unknown sharing {cfg.sbp.sharing!r}")
     if cfg.sbp.schedule not in SCHEDULES:
         raise ConfigurationError(f"unknown schedule {cfg.sbp.schedule!r}")
@@ -155,6 +156,8 @@ def validate_config(cfg: TrainConfig):
         raise ConfigurationError("model.sbp_fraction must be in [0, 1]")
     if cfg.data.count < 1:
         raise ConfigurationError("data.count must be >= 1")
+    if cfg.train.seed < 0 or cfg.data.seed < 0:
+        raise ConfigurationError("train.seed and data.seed must be >= 0")
     if cfg.gradsim.batches < 0:
         raise ConfigurationError("gradsim.batches must be >= 0 (0 reuses train.steps)")
 

@@ -44,6 +44,12 @@ def make_blobs(count: int, grid=(8, 8), channels: int = 3, n_classes: int = 2,
                noise: float = 0.5, seed: int = 0) -> Dataset:
     """Balanced classes, each a smooth spatial bump in a distinct corner plus noise."""
     h, w = grid
+    for name, size in (("count", count), ("grid height", h), ("grid width", w),
+                       ("channels", channels), ("n_classes", n_classes)):
+        if size < 1:
+            raise ConfigurationError(f"dataset {name} must be >= 1, got {size}")
+    if not math.isfinite(noise):
+        raise ConfigurationError(f"dataset noise must be finite, got {noise}")
     rng = np.random.Generator(np.random.PCG64(seed))
     centers = [(h * (0.25 + 0.5 * (k % 2)), w * (0.25 + 0.5 * ((k // 2) % 2)))
                for k in range(n_classes)]

@@ -4,8 +4,9 @@ The tape is built once per forward pass, and the forward is always exact.
 Whatever a node needs for its backward is cached while the activations are
 still live; no second forward happens. SBP restriction is a separate per-node
 step (`Node.restrict`), and this module alone decides when it runs. A plan
-is the map `resolve` builds, once per step, from node id to the `Selection`
-that node runs under; no node sees a drop mode. A forward under a plan runs
+is the map `resolve` builds, once per step, from a mask plan (node id to
+`IndexMask`, each on its node's grid) to the `Selection` each node runs
+under; no node sees a drop mode. A forward under a plan runs
 each masked node over batch chunks and restricts each chunk's record at once,
 so the tape holds kept-index slices only, its cached-element count is the
 honest memory figure, and no node's full record of the whole batch is ever
@@ -28,9 +29,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError, NumericError
+from .errors import ConfigurationError, ContractViolationError, DimensionError, NumericError
 from .layers import EXACT, Selection, mse_loss, sample_head_keep, select, softmax_xent_loss
-from .masks import MaskPlan
+from .masks import IndexMask
 from .models import Model, NodeRecord, batch_chunks, rows_at
 
 Array = np.ndarray
@@ -97,20 +98,23 @@ def head_keep_for(node, ratio, step: int, seed: int):
     return sample_head_keep(node.heads, ratio, mix)
 
 
-def resolve(model: Model, plan: MaskPlan | None, mode: str, step: int,
+def resolve(model: Model, plan: Mapping[str, IndexMask] | None, mode: str, step: int,
             head_seed: int) -> Selections | None:
     """Every node's selection at `step`, read-only, or None without a plan.
 
-    A node runs under the mask of its own node id. Without a mask, or under
-    one that drops nothing, it keeps everything: the exact backward. Only
-    transformer blocks draw kept heads, and only in head mode.
+    An SBP-enabled node runs under the mask of its own node id, which must
+    lie on the node's grid; other nodes ignore theirs. Without a mask, or
+    under one that drops nothing, a node keeps everything: the exact
+    backward. Only transformer blocks draw kept heads, and only in head mode.
     """
     if plan is None:
         return None
-    masks = dict(plan.per_layer)
     sels = {}
     for node in model.nodes:
-        mask = masks.get(node.node_id) if node.sbp_enabled else None
+        mask = plan.get(node.node_id) if node.sbp_enabled else None
+        if mask is not None and mask.domain_shape != node.grid:
+            raise DimensionError(f"node {node.node_id}: mask grid {mask.domain_shape} "
+                                 f"!= node grid {node.grid}")
         if mask is None or mask.is_full_keep:
             sels[node.node_id] = Selection(mask)
         elif mode == "head" and node.kind == "block":
@@ -235,12 +239,6 @@ def backward(tape: Tape, plan: Selections | None = None, want_input_grad: bool =
     if want_input_grad:
         return store, rows_at(dy, None)
     return store
-
-
-def grad(model: Model, x: Array, labels: Array, plan: Selections | None = None):
-    """Convenience: forward + backward in one call. Returns (loss, GradientStore)."""
-    tape = forward(model, x, labels, plan=plan)
-    return tape.loss, backward(tape)
 
 
 def sgd_step(model: Model, grads: GradientStore, lr: float):

@@ -8,8 +8,8 @@ attention backwards get the masked case by running on less: the nodes hand
 `restrict_attention` cuts, so they read only kept-index activations (the
 memory contract). `mhsa_backward` rebuilds Q, K and V from X on the kept
 rows, queries and heads only; with nothing dropped it is the exact backward.
-`conv2d_backward_sbp` zeroes the upstream at dropped output positions and
-runs the full conv backward.
+The conv backward has no masked form: the conv node zeroes the dropped
+output positions of its own GELU gradient and runs `conv2d_backward` on it.
 
 Token masks address the flat spatial/token grid of a single sample; batched
 inputs share one mask across the batch.
@@ -130,10 +130,17 @@ def conv2d_forward(layer: Conv2dLayer, x: Array) -> Array:
     return out.reshape(b, ho, wo, co)
 
 
-def conv2d_backward_full(layer: Conv2dLayer, x: Array, upstream: Array):
+def conv2d_backward(layer: Conv2dLayer, x: Array, upstream: Array):
     """Returns (dW, dX). dX is the full correlation of the (stride-interleaved,
     zero-padded) upstream with the 180-degree rotated kernel, realized through
-    the column decomposition used by the forward pass."""
+    the column decomposition used by the forward pass.
+
+    A masked backward is this on an upstream zeroed at the dropped output
+    positions. For k > stride a dropped position can still receive nonzero dX
+    through its neighbors' receptive fields; for stride >= k every input
+    position feeding only dropped outputs gets exactly 0 and the rest are
+    exact.
+    """
     x = as_tensor(x)
     upstream = as_tensor(upstream)
     b, h, w, c = x.shape
@@ -152,24 +159,6 @@ def conv2d_backward_full(layer: Conv2dLayer, x: Array, upstream: Array):
             dxp[:, a:a + s * ho:s, bb:bb + s * wo:s, :] += dcols[:, :, :, a, bb, :]
     dx = dxp[:, p:p + h, p:p + w, :]
     return dw, dx
-
-
-def conv2d_backward_sbp(layer: Conv2dLayer, x: Array, upstream: Array, mask: IndexMask):
-    """Full backward with upstream zeroed at dropped output positions.
-
-    For k > stride a dropped position can still receive nonzero dX through its
-    neighbors' receptive fields; for stride >= k every input position feeding
-    only dropped outputs gets exactly 0 and the rest are exact.
-    """
-    upstream = as_tensor(upstream)
-    b, ho, wo, co = upstream.shape
-    if mask.domain_shape != (ho, wo):
-        raise DimensionError(f"mask grid {mask.domain_shape} != output grid {(ho, wo)}")
-    if mask.is_full_keep:
-        return conv2d_backward_full(layer, x, upstream)
-    up = upstream.reshape(b, ho * wo, co).copy()
-    up[:, mask.drop_array(), :] = 0.0
-    return conv2d_backward_full(layer, x, up.reshape(b, ho, wo, co))
 
 
 # ---------------------------------------------------------------------------

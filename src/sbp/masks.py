@@ -4,6 +4,8 @@ A mask partitions a spatial/token grid into a kept set (gradients computed)
 and a dropped set (gradients treated as zero). Grid sampling keeps a regular
 lattice with a random phase; random sampling keeps a uniform subset. Ratios
 are stored as exact fractions so comparisons never involve float division.
+A schedule is a tuple of per-layer ratios, and a plan a read-only map from
+layer id to its mask.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
+from .config import SAMPLERS, SCHEDULES, SHARINGS
 from .errors import ConfigurationError, DimensionError
 
 # The published increasing schedule for 8 layers averaging 0.5. Its entries are
@@ -61,10 +65,6 @@ class IndexMask:
         keep = tuple(sorted(int(i) for i in keep_indices))
         drop = tuple(sorted(set(range(total)) - set(keep)))
         return cls(shape, keep, drop, Fraction(len(keep), total))
-
-    @property
-    def total(self) -> int:
-        return int(np.prod(self.domain_shape))
 
     @property
     def is_full_keep(self) -> bool:
@@ -146,32 +146,9 @@ def sample_random_mask(shape, keep_ratio, rng_seed: int) -> IndexMask:
     return IndexMask.from_keep(dims, keep)
 
 
-@dataclass(frozen=True)
-class KeepRatioSchedule:
-    """Per-layer keep-ratios with a fixed average: constant, linear ramp, or its reverse."""
-
-    kind: str
-    average: Fraction
-    n_layers: int
-    ratios: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "increasing", "decreasing"):
-            raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
-        mean = sum(self.ratios, Fraction(0)) / len(self.ratios)
-        # Each entry is rounded to 2 decimals, so the mean can drift by up to
-        # half a rounding unit.
-        if abs(mean - self.average) > Fraction(1, 200) + Fraction(1, 10**9):
-            raise ConfigurationError(f"schedule mean {float(mean):.4f} too far from {self.average}")
-        seq = [float(r) for r in self.ratios]
-        if self.kind == "increasing" and seq != sorted(seq):
-            raise ConfigurationError("increasing schedule is not nondecreasing")
-        if self.kind == "decreasing" and seq != sorted(seq, reverse=True):
-            raise ConfigurationError("decreasing schedule is not nonincreasing")
-
-
-def build_schedule(kind: str, average, n_layers: int) -> KeepRatioSchedule:
-    """Keep-ratio schedule over n_layers with the given average.
+def build_schedule(kind: str, average, n_layers: int) -> tuple[Fraction, ...]:
+    """Per-layer keep ratios over n_layers with the given average: constant,
+    a linear ramp, or its reverse.
 
     Ramps run between average -/+ 0.25 (rounded to 2 decimals per layer); the
     canonical 8-layer, average-0.5 increasing ramp reproduces the published
@@ -179,13 +156,11 @@ def build_schedule(kind: str, average, n_layers: int) -> KeepRatioSchedule:
     """
     if n_layers < 1:
         raise ConfigurationError("n_layers must be >= 1")
-    avg = _as_ratio(average)
-    if kind == "uniform":
-        return KeepRatioSchedule("uniform", avg, n_layers, (avg,) * n_layers)
-    if kind not in ("increasing", "decreasing"):
+    if kind not in SCHEDULES:
         raise ConfigurationError(f"unknown schedule kind {kind!r}")
-    if n_layers == 1:
-        return KeepRatioSchedule(kind, avg, 1, (avg,))
+    avg = _as_ratio(average)
+    if kind == "uniform" or n_layers == 1:
+        return (avg,) * n_layers
     lo, hi = avg - Fraction(1, 4), avg + Fraction(1, 4)
     if lo <= 0 or hi > 1:
         raise ConfigurationError(f"ramp endpoints {float(lo)}..{float(hi)} leave (0, 1]")
@@ -194,9 +169,7 @@ def build_schedule(kind: str, average, n_layers: int) -> KeepRatioSchedule:
     else:
         step = (hi - lo) / (n_layers - 1)
         ramp = [Fraction(str(round(float(lo + i * step), 2))) for i in range(n_layers)]
-    if kind == "decreasing":
-        ramp = ramp[::-1]
-    return KeepRatioSchedule(kind, avg, n_layers, tuple(ramp))
+    return tuple(ramp[::-1] if kind == "decreasing" else ramp)
 
 
 def intersect_masks(a: IndexMask, b: IndexMask) -> IndexMask:
@@ -225,61 +198,41 @@ def downsample_mask(mask: IndexMask, factor: int) -> IndexMask:
     return IndexMask.from_keep((hc, wc), keep)
 
 
-@dataclass(frozen=True)
-class MaskPlan:
-    """Assignment of one IndexMask per SBP-enabled layer."""
-
-    per_layer: tuple[tuple[str, IndexMask], ...]
-    sharing: str  # "shared" | "independent"
-
-    def __post_init__(self):
-        if self.sharing not in ("shared", "independent"):
-            raise ConfigurationError(f"unknown sharing {self.sharing!r}")
-        ids = [lid for lid, _ in self.per_layer]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("duplicate layer_id in mask plan")
-        if self.sharing == "shared" and self.per_layer:
-            base_shape = self.per_layer[0][1].domain_shape
-            masks = {id(m) for _, m in self.per_layer if m.domain_shape == base_shape}
-            if len(masks) > 1:
-                raise ConfigurationError("shared plan must reuse one mask object per resolution")
-
-
-def make_mask_plan(network, schedule: KeepRatioSchedule, sampler: str, sharing: str,
-                   rng_seed: int) -> MaskPlan:
-    """Build a per-layer mask plan for a network's SBP-enabled layers.
+def make_mask_plan(network, ratios, sampler: str, sharing: str, rng_seed: int):
+    """A read-only {layer_id: IndexMask} map over a network's SBP-enabled
+    layers, one keep ratio per layer.
 
     `network` must expose `sbp_layers() -> [(layer_id, domain_shape), ...]`.
-    Shared mode requires a uniform schedule; a single mask is sampled at the
-    first layer's resolution and reused (lattice-downsampled if a later layer
-    runs at a grid coarser by an integer factor; any other grid is an error).
+    Shared mode takes one ratio for all layers; a single mask is sampled at
+    the first layer's resolution and reused (lattice-downsampled if a later
+    layer runs at a grid coarser by an integer factor; any other grid is an
+    error).
     """
-    if sampler not in ("grid", "random"):
+    if sampler not in SAMPLERS:
         raise ConfigurationError(f"unknown sampler {sampler!r}")
+    if sharing not in SHARINGS:
+        raise ConfigurationError(f"unknown sharing {sharing!r}")
     layers = list(network.sbp_layers())
-    if schedule.n_layers != len(layers):
+    if len(ratios) != len(layers):
         raise ConfigurationError(
-            f"schedule has {schedule.n_layers} layers, network has {len(layers)} SBP layers")
+            f"schedule has {len(ratios)} layers, network has {len(layers)} SBP layers")
     sample = sample_grid_mask if sampler == "grid" else sample_random_mask
-    if sharing == "shared":
-        if schedule.kind != "uniform":
-            raise ConfigurationError("shared masks cannot realize a non-uniform schedule")
-        base_shape = tuple(layers[0][1])
-        base = sample(base_shape, schedule.ratios[0], rng_seed)
-        per_layer = []
-        for lid, shape in layers:
-            factor = base_shape[0] // shape[0]
-            if factor < 1 or tuple(d * factor for d in shape) != base_shape:
-                raise ConfigurationError(
-                    f"shared plan: layer {lid} grid {tuple(shape)} is not grid "
-                    f"{base_shape} divided by an integer factor")
-            per_layer.append((lid, base if factor == 1 else downsample_mask(base, factor)))
-        return MaskPlan(tuple(per_layer), "shared")
-    per_layer = tuple(
-        (lid, sample(shape, ratio, rng_seed + 1000003 * i))
-        for i, ((lid, shape), ratio) in enumerate(zip(layers, schedule.ratios))
-    )
-    return MaskPlan(per_layer, "independent")
+    if sharing == "independent":
+        return MappingProxyType({lid: sample(shape, ratio, rng_seed + 1000003 * i)
+                                 for i, ((lid, shape), ratio) in enumerate(zip(layers, ratios))})
+    if len(set(ratios)) != 1:
+        raise ConfigurationError("shared masks need one keep ratio for every layer")
+    base_shape = tuple(layers[0][1])
+    base = sample(base_shape, ratios[0], rng_seed)
+    plan = {}
+    for lid, shape in layers:
+        factor = base_shape[0] // shape[0]
+        if factor < 1 or tuple(d * factor for d in shape) != base_shape:
+            raise ConfigurationError(
+                f"shared plan: layer {lid} grid {tuple(shape)} is not grid "
+                f"{base_shape} divided by an integer factor")
+        plan[lid] = base if factor == 1 else downsample_mask(base, factor)
+    return MappingProxyType(plan)
 
 
 def mask_to_text(mask: IndexMask) -> str:

@@ -23,8 +23,7 @@ from .layers import (
     MhsaCache,
     MhsaLayer,
     Selection,
-    conv2d_backward_full,
-    conv2d_backward_sbp,
+    conv2d_backward,
     conv2d_forward,
     conv2d_output_grid,
     gelu_backward,
@@ -400,13 +399,13 @@ class Conv2dNode(Node):
 
     def backward(self, rec, dy):
         x, u = rec.cache["x"], rec.cache["u"]
-        # GELU's backward is elementwise, so the dropped positions can be
-        # zeroed after it, once, by conv2d_backward_sbp.
-        dy = gelu_backward(u, rows_at(dy, None))
-        if rec.sel.keep is None:
-            dw, dx = conv2d_backward_full(self._layer(), x, dy)
-        else:
-            dw, dx = conv2d_backward_sbp(self._layer(), x, dy, rec.sel.mask)
+        # GELU's backward is elementwise, so the dropped output positions are
+        # zeroed after it, in place (at their rows and columns): du is a new
+        # array, no node's upstream.
+        du = gelu_backward(u, rows_at(dy, None))
+        if rec.sel.mask is not None:
+            du[(slice(None), *np.divmod(rec.sel.mask.drop_array(), self.out_grid[1]))] = 0.0
+        dw, dx = conv2d_backward(self._layer(), x, du)
         return {"w": dw}, dx
 
     def estimate_cached(self, batch, sel):

@@ -1,11 +1,11 @@
 """Independent reference implementations (oracles) used across the test suite.
 
 Everything here is deliberately naive: explicit loops and full-shaped arrays
-with explicit zeroing. The attention and token-linear references share no
-code path with the library; the transformer block reference builds on the
-attention one and on the library's LayerNorm and GELU, which are checked
-on their own. `cut_cache` and `mhsa_backward_cut` are no oracles: they are
-the attention backward as the transformer block runs it.
+with explicit zeroing. The attention, token-linear and conv node references
+share no code path with the library; the transformer block reference builds
+on the attention one and on the library's LayerNorm and GELU, which are
+checked on their own. `cut_cache` and `mhsa_backward_cut` are no oracles:
+they are the attention backward as the transformer block runs it.
 """
 
 from __future__ import annotations
@@ -174,6 +174,32 @@ def token_linear_reference(w, b, x, upstream, drop):
     return x2.T @ du, du.sum(axis=0), (du @ w.T).reshape(x.shape)
 
 
+def conv_node_reference(w, x, upstream, drop):
+    """(dW, dX) of gelu(conv(x, w)), stride 1 and padding k // 2, over a
+    B x H x W x C grid, from a full backward whose upstream is zeroed at the
+    dropped flat output positions `drop`. The conv and its backward are
+    explicit loops; gelu'(u) = Phi(u) + u phi(u) with Phi from math.erf."""
+    k, p = w.shape[0], w.shape[0] // 2
+    u = naive_conv2d(x, w, 1, p)
+    b, ho, wo, co = u.shape
+    cdf = 0.5 * (1.0 + np.vectorize(math.erf)(u / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    du = upstream * (cdf + u * pdf)
+    for i in drop:
+        du[:, i // wo, i % wo, :] = 0.0
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    dw, dxp = np.zeros(w.shape), np.zeros(xp.shape)
+    for bi in range(b):
+        for oi in range(ho):
+            for oj in range(wo):
+                for a in range(k):
+                    for bb in range(k):
+                        dw[a, bb] += np.outer(xp[bi, oi + a, oj + bb], du[bi, oi, oj])
+                        dxp[bi, oi + a, oj + bb] += w[a, bb] @ du[bi, oi, oj]
+    h, wd = x.shape[1:3]
+    return dw, dxp[:, p:p + h, p:p + wd]
+
+
 def block_reference(block, x, dy, mask, mode, head_keep=None):
     """(grads, dX) of a transformer block on input x under `mask` and drop
     mode `mode`, by explicit zeroing: the MLP branch's upstream is zeroed at
@@ -235,6 +261,15 @@ def mhsa_backward_cut(layer, cache, upstream, sel):
         dx, grads.dx = grads.dx, np.zeros(upstream.shape)
         grads.dx[:, rows] = dx
     return grads, cut
+
+
+def zero_dropped(up, mask):
+    """A copy of a B x H x W x C upstream, zero at the mask's dropped output
+    positions: the upstream a masked conv backward runs on."""
+    b, h, w, c = up.shape
+    out = up.reshape(b, h * w, c).copy()
+    out[:, mask.drop_array(), :] = 0.0
+    return out.reshape(up.shape)
 
 
 def random_mask(rng, shape, allow_extremes=False):

@@ -26,14 +26,12 @@ from sbp.analysis import (
 )
 from sbp.cli import main as cli_main
 from sbp.data import make_blobs
-from sbp.engine import backward, finite_difference_grad, forward, grad, resolve, sgd_step
+from sbp.engine import backward, finite_difference_grad, forward, resolve, sgd_step
 from sbp.layers import (
     Conv2dLayer,
     MhsaLayer,
-    conv2d_backward_full,
-    conv2d_backward_sbp,
+    conv2d_backward,
     conv2d_forward,
-    conv2d_output_grid,
     linear_backward_kept,
     mhsa_backward,
     mhsa_forward,
@@ -42,13 +40,13 @@ from sbp.layers import (
 )
 from sbp.masks import (
     IndexMask,
-    MaskPlan,
     build_schedule,
     checkerboard_mask,
     intersect_masks,
     make_mask_plan,
 )
 from sbp.models import (
+    Conv2dNode,
     Model,
     TokenLinearNode,
     TransformerBlockNode,
@@ -60,11 +58,13 @@ from sbp.models import (
 
 from helpers import (
     block_reference,
+    conv_node_reference,
     fd_grad,
     mhsa_backward_cut,
     random_mask,
     rounds_up_to,
     token_linear_reference,
+    zero_dropped,
 )
 
 
@@ -75,10 +75,11 @@ def report(line: str):
 # ---------------------------------------------------------------------------
 # Criterion 1: SBP backward == full backward with zeroed dropped upstream,
 # elementwise within 1e-12, over 1,000 random instances, on the code that
-# trains: the token-linear node, the conv kernel its node runs, and the
-# transformer block in every drop mode. The block reference is built on the
-# library's own layer_norm_*, gelu_* and mhsa_forward, so a fault common to
-# both would not show here: LayerNorm and GELU are checked only against
+# trains: the token-linear node, the conv node, and the transformer block in
+# every drop mode. The token-linear and conv references share no code with
+# the library. The block reference is built on the library's own
+# layer_norm_*, gelu_* and mhsa_forward, so a fault common to both would not
+# show here: LayerNorm and GELU are checked only against
 # finite differences (criterion 2's tiny_vit), and the attention kernel
 # against the independent `mhsa_sbp_reference` alone in tests/test_mhsa.py.
 # ---------------------------------------------------------------------------
@@ -108,26 +109,21 @@ def _linear_error(rng):
 
 
 def _conv_error(rng):
+    """A masked Conv2dNode (kernel 1 to 3, padding k // 2, then GELU) as a
+    training step runs it: forward, restrict, backward. Returns the error
+    against `conv_node_reference` and the case's traits among "even kernel",
+    "keep none" and "keep all"."""
     k = int(rng.integers(1, 4))
-    s = int(rng.integers(1, 4))
-    p = int(rng.integers(0, k))
-    ho = int(rng.integers(1, 4))
-    wo = int(rng.integers(1, 4))
-    h = (ho - 1) * s + k - 2 * p
-    w = (wo - 1) * s + k - 2 * p
-    if h < 1 or w < 1:
-        return 0.0
-    c_in = int(rng.integers(1, 4))
-    c_out = int(rng.integers(1, 4))
-    layer = Conv2dLayer(rng.normal(size=(k, k, c_in, c_out)), stride=s, padding=p)
-    x = rng.normal(size=(2, h, w, c_in))
-    up = rng.normal(size=(2, ho, wo, c_out))
-    mask = random_mask(rng, (ho, wo), allow_extremes=True)
-    up_z = up.reshape(2, ho * wo, c_out).copy()
-    up_z[:, mask.drop_array(), :] = 0.0
-    ref = conv2d_backward_full(layer, x, up_z.reshape(2, ho, wo, c_out))
-    got = conv2d_backward_sbp(layer, x, up, mask)
-    return _worst(got, ref)
+    b = int(rng.integers(1, 4))
+    h, w, c_in, c_out = (int(v) for v in rng.integers(1, [5, 5, 4, 4]))
+    node = Conv2dNode("conv", (h, w), c_in, c_out, rng, kernel=k, sbp_enabled=True)
+    x = rng.normal(size=(b, h, w, c_in))
+    up = rng.normal(size=(b, *node.out_grid, c_out))
+    mask = random_mask(rng, node.out_grid, allow_extremes=True)
+    grads, dx = node.backward(node.restrict(node.forward(x)[1], select(mask, "qkv")), up)
+    traits = {"even kernel": k % 2 == 0, "keep none": not mask.keep, "keep all": not mask.drop}
+    ref = conv_node_reference(node.w, x, up, mask.drop)
+    return _worst((grads["w"], dx), ref), {t for t, hit in traits.items() if hit}
 
 
 def _block_error(rng, mode):
@@ -162,8 +158,12 @@ def test_criterion_1_oracle_equivalence_1000_instances():
     worst = 0.0
     for _ in range(400):
         worst = max(worst, _linear_error(rng))
+    conv_traits = set()
     for _ in range(300):
-        worst = max(worst, _conv_error(rng))
+        err, traits = _conv_error(rng)
+        worst = max(worst, err)
+        conv_traits |= traits
+    assert conv_traits == {"even kernel", "keep none", "keep all"}, conv_traits
     for mode in ("query_only", "qkv", "head"):
         for _ in range(100):
             worst = max(worst, _block_error(rng, mode))
@@ -202,7 +202,7 @@ def test_criterion_2_gradient_correctness_finite_differences():
     conv = Conv2dLayer(rng.normal(size=(3, 3, 2, 2)), stride=1, padding=1)
     xc = rng.normal(size=(2, 4, 4, 2))
     upc = rng.normal(size=(2, 4, 4, 2))
-    dwc, dxc = conv2d_backward_full(conv, xc, upc)
+    dwc, dxc = conv2d_backward(conv, xc, upc)
     loss = lambda: float((conv2d_forward(conv, xc) * upc).sum())
     worst = max(worst, _rel_err(dwc, fd_grad(loss, conv.weight, eps=1e-5)))
     worst = max(worst, _rel_err(dxc, fd_grad(loss, xc, eps=1e-5)))
@@ -230,7 +230,7 @@ def test_criterion_2_gradient_correctness_finite_differences():
     assert n_params <= 2000, f"tiny_vit has {n_params} params, budget is 2000"
     xb = rng.normal(size=(2, 4, 4, 2))
     labels = rng.integers(0, 2, size=2)
-    _, store = grad(model, xb, labels)
+    store = backward(forward(model, xb, labels))
     fd = finite_difference_grad(model, xb, labels, eps=1e-5)
     for key in store.keys():
         worst = max(worst, _rel_err(store[key], fd[key]))
@@ -292,7 +292,7 @@ def test_criterion_3_memory_contract():
     # half of what the full run caches.
     model = _linear_stack_model()
     shared_mask = checkerboard_mask(4, 4, phase=0)
-    plan = MaskPlan(tuple((f"lin{i}", shared_mask) for i in range(3)), "shared")
+    plan = {f"lin{i}": shared_mask for i in range(3)}
     xs = rng.normal(size=(3, 16, 6))
     target = rng.normal(size=(3, 16, 6))
     sels = resolve(model, plan, "qkv", 0, 0)
@@ -365,8 +365,7 @@ def test_criterion_5_chain_rule():
     # gets an exactly-zero gradient.
     model = build_model(mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=2,
                                  sbp_fraction=1.0), seed=0)
-    plan = MaskPlan((("mlp0", checkerboard_mask(4, 4, phase=0)),
-                     ("mlp1", checkerboard_mask(4, 4, phase=1))), "independent")
+    plan = {"mlp0": checkerboard_mask(4, 4, phase=0), "mlp1": checkerboard_mask(4, 4, phase=1)}
     x = rng.normal(size=(3, 4, 4, 2))
     labels = rng.integers(0, 2, size=3)
     store = backward(forward(model, x, labels, plan=resolve(model, plan, "qkv", 0, 0)))
@@ -377,12 +376,13 @@ def test_criterion_5_chain_rule():
     vanish_ok = vanish_ok and rep.vanishing
 
     # Neighbor effect: k=3 s=1 checkerboard leaves nonzero dX under dropped
-    # output positions.
+    # output positions. A masked conv backward is the conv backward on the
+    # upstream zeroed at the dropped positions.
     conv = Conv2dLayer(rng.normal(size=(3, 3, 1, 1)), stride=1, padding=1)
     xc = rng.normal(size=(1, 4, 4, 1))
     upc = rng.normal(size=(1, 4, 4, 1))
     cmask = checkerboard_mask(4, 4, phase=0)
-    _, dx = conv2d_backward_sbp(conv, xc, upc, cmask)
+    _, dx = conv2d_backward(conv, xc, zero_dropped(upc, cmask))
     neighbor_ok = bool(np.all(dx.reshape(16)[cmask.drop_array()] != 0.0))
     crep = chain_rule_report([ConvStage("c", (4, 4), kernel=3, stride=1,
                                         padding=1, mask=cmask)])
@@ -393,8 +393,8 @@ def test_criterion_5_chain_rule():
     x2 = rng.normal(size=(1, 4, 4, 2))
     up2 = rng.normal(size=(1, 2, 2, 2))
     dmask = IndexMask.from_keep((2, 2), [1, 2])
-    _, dx_full = conv2d_backward_full(conv2, x2, up2)
-    _, dx_sbp = conv2d_backward_sbp(conv2, x2, up2, dmask)
+    _, dx_full = conv2d_backward(conv2, x2, up2)
+    _, dx_sbp = conv2d_backward(conv2, x2, zero_dropped(up2, dmask))
     dichotomy_ok = True
     for oi in range(2):
         for oj in range(2):

@@ -15,7 +15,7 @@ import pytest
 
 from sbp.engine import backward, forward, resolve
 from sbp.layers import gelu_backward, gelu_forward, linear_backward_kept, select
-from sbp.masks import IndexMask, MaskPlan, sample_grid_mask, sample_random_mask
+from sbp.masks import IndexMask, sample_grid_mask, sample_random_mask
 from sbp.models import (
     MeanPoolNode,
     TokenLinearNode,
@@ -94,9 +94,8 @@ def one_row_case():
     rng = np.random.Generator(np.random.PCG64(8))
     x = rng.normal(size=(1, 8, 8, 3))
     labels = rng.integers(0, 2, size=1)
-    plan = MaskPlan(tuple((lid, IndexMask.from_keep(shape, [17 + 9 * i]))
-                          for i, (lid, shape) in enumerate(model.sbp_layers())),
-                    "independent")
+    plan = {lid: IndexMask.from_keep(shape, [17 + 9 * i])
+            for i, (lid, shape) in enumerate(model.sbp_layers())}
     return model, x, labels, resolve(model, plan, "qkv", 0, 0)
 
 

@@ -21,7 +21,7 @@ from sbp.analysis import (
     pointwise_stack_report,
     _percentile,
 )
-from sbp.engine import GradientStore, forward, grad, predict, resolve
+from sbp.engine import GradientStore, forward, predict, resolve
 from sbp.errors import ConfigurationError
 from sbp.masks import (
     IndexMask,

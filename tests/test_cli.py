@@ -474,6 +474,20 @@ class TestMemreport:
         assert "closed_form" not in payload
 
 
+@pytest.mark.parametrize("command, line, flags", [
+    ("train", "train.seed = -5", []), ("train", "data.seed = -5", []),
+    ("train", "", ["--seed", -1]), ("gradsim", "", ["--seed", -1]),
+    ("memreport", "", ["--seed", -1]), ("chaindemo", None, ["--seed", -1])])
+def test_negative_seed_exits_config(tmp_path, capsys, command, line, flags):
+    args = [command, "--out", tmp_path / "out", *flags]
+    if line is not None:
+        args += ["--config", write_config(tmp_path, BASE_CONFIG + line + "\n")]
+    assert run(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 class TestChaindemo:
     def test_reports_three_scenarios(self, tmp_path):
         out = tmp_path / "out"
@@ -529,6 +543,19 @@ class TestGendata:
         assert run(["train", "--config", cfg, "--out", tmp_path / "out"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: dataset features must be finite") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid", "abc"), ("--grid", "4x4x4"), ("--grid", "0x4"), ("--count", "0"),
+        ("--count", "-3"), ("--channels", "0"), ("--classes", "0"), ("--noise", "nan"),
+        ("--seed", "-1")])
+    def test_bad_flag_exits_config(self, tmp_path, capsys, flag, value):
+        """A flag that `read_sbpd` would reject, or that cannot build a
+        dataset at all, ends in one diagnostic line and writes no file."""
+        data_path = tmp_path / "toy.sbpd"
+        assert run(["gendata", "--out", data_path, flag, value]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not data_path.exists()
 
     def test_corrupt_dataset_exits_config(self, tmp_path):
         data_path = tmp_path / "bad.sbpd"

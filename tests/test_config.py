@@ -91,6 +91,8 @@ class TestValidate:
         "train.lr = inf",
         "data.noise = nan",
         "data.noise = -inf",
+        "train.seed = -5",
+        "data.seed = -1",
     ])
     def test_invalid_values_rejected(self, line):
         with pytest.raises(ConfigurationError):
@@ -139,3 +141,4 @@ def test_arbitrary_text_parses_or_raises_configuration_error(lines):
     assert isinstance(cfg, TrainConfig)
     assert all(math.isfinite(v) for section in vars(cfg).values()
                for v in vars(section).values() if isinstance(v, float))
+    assert cfg.train.seed >= 0 and cfg.data.seed >= 0

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sbp.engine import resolve
 from sbp.errors import ConfigurationError, DimensionError
-from sbp.layers import (
-    Conv2dLayer,
-    conv2d_backward_full,
-    conv2d_backward_sbp,
-    conv2d_forward,
-    conv2d_output_grid,
-)
+from sbp.layers import (EXACT, Conv2dLayer, conv2d_backward, conv2d_forward, conv2d_output_grid,
+                        select)
 from sbp.masks import IndexMask, checkerboard_mask, full_keep_mask
+from sbp.models import Conv2dNode, build_model, tiny_conv_spec
 
-from helpers import fd_grad, naive_conv2d, random_mask
+from helpers import conv_node_reference, fd_grad, naive_conv2d, random_mask, zero_dropped
 
 
 def make_layer(rng, k, c_in, c_out, stride=1, padding=0):
@@ -68,7 +65,7 @@ class TestBackwardFull:
         def loss():
             return float((conv2d_forward(layer, x) * up).sum())
 
-        dw, dx = conv2d_backward_full(layer, x, up)
+        dw, dx = conv2d_backward(layer, x, up)
         np.testing.assert_allclose(dw, fd_grad(loss, layer.weight), rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(dx, fd_grad(loss, x), rtol=1e-5, atol=1e-7)
 
@@ -76,27 +73,24 @@ class TestBackwardFull:
         rng = np.random.Generator(np.random.PCG64(12))
         layer = make_layer(rng, 3, 1, 1)
         with pytest.raises(DimensionError):
-            conv2d_backward_full(layer, np.zeros((1, 5, 5, 1)), np.zeros((1, 5, 5, 1)))
+            conv2d_backward(layer, np.zeros((1, 5, 5, 1)), np.zeros((1, 5, 5, 1)))
 
 
 class TestBackwardSbp:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10**6), k=st.integers(1, 3), stride=st.integers(1, 2))
-    def test_equals_zero_then_full_oracle(self, seed, k, stride):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        layer = make_layer(rng, k, 2, 2, stride, padding=k // 2)
-        rem = (4 + 2 * (k // 2) - k) % stride
-        h = w = 4 + (stride - rem) % stride
-        ho, wo = conv2d_output_grid(layer, h, w)
-        x = rng.normal(size=(2, h, w, 2))
-        up = rng.normal(size=(2, ho, wo, 2))
-        mask = random_mask(rng, (ho, wo), allow_extremes=True)
+    """The masked conv backward as the conv node runs it: the GELU gradient
+    zeroed at the dropped output positions, then `conv2d_backward`."""
 
-        up_zeroed = up.reshape(2, ho * wo, 2).copy()
-        up_zeroed[:, mask.drop_array(), :] = 0.0
-        dw_ref, dx_ref = conv2d_backward_full(layer, x, up_zeroed.reshape(2, ho, wo, 2))
-        dw, dx = conv2d_backward_sbp(layer, x, up, mask)
-        np.testing.assert_allclose(dw, dw_ref, atol=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), k=st.integers(1, 4), b=st.integers(1, 3))
+    def test_equals_zero_then_full_oracle(self, seed, k, b):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        node = Conv2dNode("conv", (3, 4), 2, 2, rng, kernel=k, sbp_enabled=True)
+        x = rng.normal(size=(b, 3, 4, 2))
+        up = rng.normal(size=(b, *node.out_grid, 2))
+        mask = random_mask(rng, node.out_grid, allow_extremes=True)
+        grads, dx = node.backward(node.restrict(node.forward(x)[1], select(mask, "qkv")), up)
+        dw_ref, dx_ref = conv_node_reference(node.w, x, up, mask.drop)
+        np.testing.assert_allclose(grads["w"], dw_ref, atol=1e-12)
         np.testing.assert_allclose(dx, dx_ref, atol=1e-12)
 
     def test_neighbor_effect_k3_s1_checkerboard(self):
@@ -107,7 +101,7 @@ class TestBackwardSbp:
         x = rng.normal(size=(1, 4, 4, 1))
         up = rng.normal(size=(1, 4, 4, 1))
         mask = checkerboard_mask(4, 4, phase=0)
-        _, dx = conv2d_backward_sbp(layer, x, up, mask)
+        _, dx = conv2d_backward(layer, x, zero_dropped(up, mask))
         dx_flat = dx.reshape(16)
         # input positions under dropped outputs still receive gradient
         assert np.all(dx_flat[mask.drop_array()] != 0.0)
@@ -120,8 +114,8 @@ class TestBackwardSbp:
         x = rng.normal(size=(1, 4, 4, 2))
         up = rng.normal(size=(1, 2, 2, 2))
         mask = IndexMask.from_keep((2, 2), [0, 3])
-        _, dx_full = conv2d_backward_full(layer, x, up)
-        _, dx = conv2d_backward_sbp(layer, x, up, mask)
+        _, dx_full = conv2d_backward(layer, x, up)
+        _, dx = conv2d_backward(layer, x, zero_dropped(up, mask))
         for oi in range(2):
             for oj in range(2):
                 block = dx[0, 2 * oi:2 * oi + 2, 2 * oj:2 * oj + 2, :]
@@ -131,19 +125,20 @@ class TestBackwardSbp:
                 else:
                     assert np.all(block == 0.0)
 
-    def test_full_keep_dispatches(self):
+    def test_full_keep_equals_exact(self):
+        """A mask that drops nothing gives the exact backward's bits."""
         rng = np.random.Generator(np.random.PCG64(15))
-        layer = make_layer(rng, 3, 1, 2, padding=1)
-        x = rng.normal(size=(1, 4, 4, 1))
-        up = rng.normal(size=(1, 4, 4, 2))
-        full = conv2d_backward_full(layer, x, up)
-        sbp = conv2d_backward_sbp(layer, x, up, full_keep_mask((4, 4)))
-        assert np.array_equal(full[0], sbp[0])
-        assert np.array_equal(full[1], sbp[1])
+        node = Conv2dNode("conv", (4, 4), 1, 2, rng, sbp_enabled=True)
+        x = rng.normal(size=(2, 4, 4, 1))
+        up = rng.normal(size=(2, 4, 4, 2))
+        rec = node.forward(x)[1]
+        exact = node.backward(node.restrict(rec, EXACT), up)
+        full = node.backward(node.restrict(rec, select(full_keep_mask((4, 4)), "qkv")), up)
+        assert np.array_equal(exact[0]["w"], full[0]["w"])
+        assert np.array_equal(exact[1], full[1])
 
     def test_mask_grid_mismatch(self):
-        rng = np.random.Generator(np.random.PCG64(16))
-        layer = make_layer(rng, 3, 1, 1, padding=1)
-        with pytest.raises(DimensionError):
-            conv2d_backward_sbp(layer, np.zeros((1, 4, 4, 1)),
-                                np.zeros((1, 4, 4, 1)), full_keep_mask((2, 2)))
+        """A plan's mask must lie on its conv's output grid; `resolve` checks."""
+        model = build_model(tiny_conv_spec(grid=(4, 4), in_channels=1, channels=2, depth=1), 0)
+        with pytest.raises(DimensionError, match="conv0"):
+            resolve(model, {"conv0": full_keep_mask((2, 2))}, "qkv", 0, 0)

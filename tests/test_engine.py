@@ -6,15 +6,14 @@ from sbp.engine import (
     backward,
     finite_difference_grad,
     forward,
-    grad,
     head_keep_for,
     predict,
     resolve,
     sgd_step,
 )
-from sbp.errors import ConfigurationError, ContractViolationError, NumericError
+from sbp.errors import ConfigurationError, ContractViolationError, DimensionError, NumericError
 from sbp.layers import select
-from sbp.masks import IndexMask, MaskPlan, build_schedule, full_keep_mask, make_mask_plan
+from sbp.masks import IndexMask, build_schedule, full_keep_mask, make_mask_plan
 from sbp.models import build_model, mlp_spec, tiny_conv_spec, tiny_vit_spec
 
 from helpers import block_reference
@@ -36,7 +35,7 @@ class TestFullBackward:
         model = build_model(spec, seed=0)
         rng = np.random.Generator(np.random.PCG64(1))
         x, labels = small_batch(rng, grid=spec.grid)
-        _, store = grad(model, x, labels)
+        store = backward(forward(model, x, labels))
         fd = finite_difference_grad(model, x, labels)
         for key in store.keys():
             np.testing.assert_allclose(store[key], fd[key], rtol=1e-4, atol=1e-6,
@@ -169,9 +168,9 @@ class TestSbpEngine:
         x = rng.normal(size=(2, 4, 4, 2))
         labels = rng.integers(0, 2, size=2)
         plan = self.plan_for(model, ratio=1.0)
-        loss_a, store_a = grad(model, x, labels, plan=plan)
-        loss_b, store_b = grad(model, x, labels, plan=None)
-        assert loss_a == loss_b
+        tape_a, tape_b = forward(model, x, labels, plan=plan), forward(model, x, labels)
+        assert tape_a.loss == tape_b.loss
+        store_a, store_b = backward(tape_a), backward(tape_b)
         for key in store_a.keys():
             assert np.array_equal(store_a[key], store_b[key]), key
 
@@ -201,8 +200,8 @@ class TestSbpEngine:
         x = rng.normal(size=(2, 4, 4, 2))
         labels = rng.integers(0, 2, size=2)
         plan = self.plan_for(model)
-        _, a = grad(model, x, labels, plan=plan)
-        _, b = grad(model, x, labels, plan=plan)
+        a = backward(forward(model, x, labels, plan=plan))
+        b = backward(forward(model, x, labels, plan=plan))
         for key in a.keys():
             assert np.array_equal(a[key], b[key])
 
@@ -258,7 +257,7 @@ def keep_one_plan(model, token=3):
     ratio also drops every head."""
     layers = model.sbp_layers()
     mask = IndexMask.from_keep(layers[0][1], [token])
-    return MaskPlan(tuple((lid, mask) for lid, _ in layers), "shared")
+    return {lid: mask for lid, _ in layers}
 
 
 class TestRestrictAtBackward:
@@ -440,7 +439,7 @@ class TestResolve:
         mask = IndexMask.from_keep(layers[0][1], [0, 5, 10])
         # Only the first SBP block gets a mask; a mask named after a node that
         # is not SBP-enabled is ignored.
-        plan = MaskPlan(((layers[0][0], mask), ("embed", full_keep_mask((16,)))), "independent")
+        plan = {layers[0][0]: mask, "embed": full_keep_mask((16,))}
         sels = resolve(model, plan, "head", 0, 0)
         for node in model.nodes:
             sel = sels[node.node_id]
@@ -449,6 +448,20 @@ class TestResolve:
             else:
                 assert sel.mask is None, node.node_id
                 assert all(getattr(sel, f) is None for f in SELECTION_FIELDS), node.node_id
+
+    @pytest.mark.parametrize("spec, node_id, grid", [
+        (mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=2), "mlp1", (16,)),
+        (mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=2), "mlp1", (2, 8)),
+        (tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=2), "conv1", (16,)),
+    ], ids=["linear-flat", "linear-2x8", "conv-flat"])
+    def test_mask_off_its_node_grid_rejected(self, spec, node_id, grid):
+        """A hand-built plan's mask must lie on its node's grid, for every
+        node kind: one of the right size on another grid is not accepted."""
+        model = build_model(spec, 0)
+        plan = {lid: full_keep_mask(shape) for lid, shape in model.sbp_layers()}
+        plan[node_id] = IndexMask.from_keep(grid, range(0, 16, 2))
+        with pytest.raises(DimensionError, match=f"node {node_id}: mask grid"):
+            resolve(model, plan, "qkv", 0, 0)
 
     @pytest.mark.parametrize("mode", ["qkv", "query_only", "head"])
     def test_full_keep_mask_keeps_everything(self, mode):

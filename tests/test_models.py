@@ -95,7 +95,7 @@ class TestBuildModel:
         model = build_model(spec, 0)
         plan = make_mask_plan(model, build_schedule("uniform", 0.75, 2), "grid",
                               "independent", 3)
-        assert [m.domain_shape for _, m in plan.per_layer] == [(5, 5), (6, 6)]
+        assert [m.domain_shape for m in plan.values()] == [(5, 5), (6, 6)]
         rng = np.random.Generator(np.random.PCG64(1))
         x, labels = rng.normal(size=(2, 4, 4, 2)), rng.integers(0, 2, size=2)
         sels = resolve(model, plan, "qkv", 2, 0)

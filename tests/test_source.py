@@ -4,7 +4,8 @@ entry points take a resolved selection map, not a drop mode, step and head
 seed. Q, K and V are built in one place: the attention cache holds X, S and
 A, and only the attention forward and backward call `mhsa_projections`.
 Every public function and class of `layers.py` has a caller in the package,
-so no kernel lives on that only the tests run.
+so no kernel lives on that only the tests run, and each operator there has
+one public backward.
 
 No linter ships with the project, so this walks the syntax trees itself. An
 import inside a function must be used in that function; a module-level one
@@ -24,7 +25,7 @@ import sbp.engine
 from sbp.analysis import (activation_memory_estimate, grad_similarity_experiment,
                           measure_step_peaks)
 from sbp.config import SBP_MODES
-from sbp.engine import backward, forward, grad
+from sbp.engine import backward, forward
 from sbp.layers import MhsaCache
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sbp"
@@ -99,7 +100,7 @@ def test_checker_sees_drop_modes():
                                       "line 3: mode"]
 
 
-@pytest.mark.parametrize("fn", [forward, backward, grad, measure_step_peaks,
+@pytest.mark.parametrize("fn", [forward, backward, measure_step_peaks,
                                 activation_memory_estimate, grad_similarity_experiment],
                          ids=lambda fn: fn.__name__)
 def test_takes_a_selection_map(fn):
@@ -162,3 +163,28 @@ def test_checker_sees_uncalled_defs():
                         "class C:\n    pass\nclass D:\n    pass\ndef _h():\n    pass\n"),
                "b.py": "from .a import C, D, g\ny: D = g()\n"}
     assert uncalled_public_defs(sources, "a.py") == ["f", "C"]
+
+
+def shared_backward_prefixes(source: str) -> dict[str, list[str]]:
+    """The operator prefixes (a name's part before `_backward`) that two or
+    more public top-level `*_backward*` functions of a module share, with
+    those functions."""
+    by_prefix = {}
+    for top in ast.parse(source).body:
+        if isinstance(top, SCOPES) and "_backward" in top.name and not top.name.startswith("_"):
+            by_prefix.setdefault(top.name.split("_backward")[0], []).append(top.name)
+    return {prefix: names for prefix, names in by_prefix.items() if len(names) > 1}
+
+
+def test_one_backward_per_operator():
+    """A masked variant of an operator's backward is the one backward run on
+    less, never a second function the oracle would check it against."""
+    assert shared_backward_prefixes((PACKAGE / "layers.py").read_text()) == {}
+
+
+def test_checker_sees_shared_backward_prefixes():
+    source = ("def conv2d_backward_full():\n    pass\ndef conv2d_backward_sbp():\n    pass\n"
+              "def gelu_backward():\n    pass\ndef _gelu_backward_fast():\n    pass\n"
+              "def linear_backward_kept():\n    pass\n")
+    assert shared_backward_prefixes(source) == {
+        "conv2d": ["conv2d_backward_full", "conv2d_backward_sbp"]}
