@@ -40,9 +40,22 @@ class Dataset:
             yield self.x[sl], self.labels[sl]
 
 
+def blob_center(k: int, h: int, w: int) -> tuple[float, float]:
+    """Class k's bump centre on an h x w grid, as (row, column)."""
+    if k < 4:
+        return h * (0.25 + 0.5 * (k % 2)), w * (0.25 + 0.5 * (k // 2))
+    angle = math.pi * (math.sqrt(5.0) - 1.0) * (k - 4)  # k - 4 golden turns
+    return h * (0.5 + 0.25 * math.cos(angle)), w * (0.5 + 0.25 * math.sin(angle))
+
+
 def make_blobs(count: int, grid=(8, 8), channels: int = 3, n_classes: int = 2,
                noise: float = 0.5, seed: int = 0) -> Dataset:
-    """Balanced classes, each a smooth spatial bump in a distinct corner plus noise."""
+    """Balanced classes, each a smooth spatial bump at its own centre plus noise.
+
+    Classes 0-3 sit at the four corner quarter points; class k >= 4 sits on
+    a circle of a quarter of the grid around its middle, at k - 4 golden
+    turns, so no two classes share a centre.
+    """
     h, w = grid
     for name, size in (("count", count), ("grid height", h), ("grid width", w),
                        ("channels", channels), ("n_classes", n_classes)):
@@ -51,8 +64,7 @@ def make_blobs(count: int, grid=(8, 8), channels: int = 3, n_classes: int = 2,
     if not math.isfinite(noise):
         raise ConfigurationError(f"dataset noise must be finite, got {noise}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    centers = [(h * (0.25 + 0.5 * (k % 2)), w * (0.25 + 0.5 * ((k // 2) % 2)))
-               for k in range(n_classes)]
+    centers = [blob_center(k, h, w) for k in range(n_classes)]
     rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     labels = np.arange(count, dtype=np.int64) % n_classes
     x = np.empty((count, h, w, channels))

@@ -16,8 +16,10 @@ input gradient to the node before it, a masked token unit's as its kept
 rows (`models.Rows`), and every node reads it with `models.rows_at`. A
 backward under a plan restricts each record of an exact tape just
 before that node's backward, so one exact tape serves the exact gradient and
-any number of masked ones. Evaluation needs no backward, so `predict` runs the
-same nodes without a tape.
+any number of masked ones. A backward may write a gradient over a record
+that no one reads afterwards; `backward` says when a record is spent.
+Evaluation needs no backward, so `predict` runs the same nodes without a
+tape.
 """
 
 from __future__ import annotations
@@ -220,6 +222,13 @@ def backward(tape: Tape, plan: Selections | None = None, want_input_grad: bool =
     has run, so its activations are freed while the rest of the backward
     runs; the tape keeps no records afterwards. Otherwise the tape is left
     as it was, ready for another backward.
+
+    A record is spent, and its node's backward may write a gradient over it,
+    when no one reads it afterwards: it is consumed, or it is the restricted
+    copy this call just made under `plan`. A masked token unit then writes
+    its input gradient over its kept rows. A full-keep record is never
+    written, since its arrays may be the input itself or the exact tape's.
+    The gradients are the same bits either way.
     """
     if plan is not None and tape.plan is not None:
         raise ConfigurationError("tape was recorded under a mask plan already; "
@@ -231,6 +240,8 @@ def backward(tape: Tape, plan: Selections | None = None, want_input_grad: bool =
         node, rec = records.pop()
         if plan is not None:
             rec = node.restrict(rec, plan[node.node_id])
+        if consume or plan is not None:
+            rec = replace(rec, spent=True)
         node_grads, dy = node.backward(rec, dy)
         for name, g in node_grads.items():
             grads[f"{node.node_id}.{name}"] = g

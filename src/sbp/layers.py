@@ -60,20 +60,23 @@ def row_gemm(x: Array, w: Array, b: Array | None = None) -> Array:
     return out.reshape(*x.shape[:-1], w.shape[1])
 
 
-def linear_backward_kept(x: Array, dy: Array, w: Array, has_bias: bool):
+def linear_backward_kept(x: Array, dy: Array, w: Array, has_bias: bool,
+                         out: Array | None = None):
     """(dW, db, dX) of y = x @ w (+ b) over whatever rows x and dy hold.
 
     Leading dims are flattened through reshaped views, so a B x N x C token
     batch costs no copy; dX has dy's leading dims. The model nodes pass their
-    kept rows. db is None without a bias.
+    kept rows. db is None without a bias. dX is written into `out` when it is
+    given, a C-contiguous array of x's shape that may be x itself: dW and db
+    are taken first, and it is the same GEMM, so the bits are the same.
     """
     c_in, c_out = w.shape
     x2 = x.reshape(-1, c_in)
     dy2 = dy.reshape(x2.shape[0], c_out)  # also when c_out is 0 (no head kept)
     dw = x2.T @ dy2
     db = dy2.sum(axis=0) if has_bias else None
-    dx = (dy2 @ w.T).reshape(*dy.shape[:-1], c_in)
-    return dw, db, dx
+    dx = np.matmul(dy2, w.T, out=None if out is None else out.reshape(-1, c_in))
+    return dw, db, dx.reshape(*dy.shape[:-1], c_in)
 
 
 # ---------------------------------------------------------------------------

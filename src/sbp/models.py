@@ -44,10 +44,13 @@ Array = np.ndarray
 @dataclass
 class NodeRecord:
     """One tape entry: the float activations a node's backward reads, by name,
-    each with the batch on axis 0, plus the selection they were cut to."""
+    each with the batch on axis 0, plus the selection they were cut to.
+    `spent` marks a record no one reads after this backward, so the backward
+    may write over it (`engine.backward` sets it and says when)."""
 
     cache: dict[str, Array]
     sel: Selection = EXACT
+    spent: bool = False
 
     @property
     def cached_elements(self) -> int:
@@ -202,7 +205,9 @@ class TokenLinearNode(Node):
     with the forward's `row_gemm`, so it gets the forward's bits. (With one
     cached row in all, B = 1 and one kept token, the last bit may differ; the
     gradient stays within the oracle, and a backward from an exact tape
-    still equals one from a masked forward.)
+    still equals one from a masked forward.) When the record is spent
+    (`engine.backward` says when), the input gradient is written over the
+    kept rows once dW has read them, so no second B x k x C array is made.
     """
 
     kind = "linear"
@@ -233,7 +238,8 @@ class TokenLinearNode(Node):
         for part in batch_chunks(x_k.shape[0]):
             dy_k[part] = gelu_backward(row_gemm(x_k[part], self.w, self.b),
                                        rows_at(dy[part], keep))
-        dw, db, dx_k = linear_backward_kept(x_k, dy_k, self.w, True)
+        spend = rec.spent and keep is not None
+        dw, db, dx_k = linear_backward_kept(x_k, dy_k, self.w, True, x_k if spend else None)
         del dy_k
         return {"w": dw, "b": db}, dx_k if keep is None else Rows(dx_k, keep, self.n_tokens)
 

@@ -6,6 +6,8 @@ share no code path with the library; the transformer block reference builds
 on the attention one and on the library's LayerNorm and GELU, which are
 checked on their own. `cut_cache` and `mhsa_backward_cut` are no oracles:
 they are the attention backward as the transformer block runs it.
+`snapshot_records` and `assert_records_unchanged` check that a backward
+left a tape's records as they were.
 """
 
 from __future__ import annotations
@@ -293,3 +295,19 @@ def rounds_up_to(value, published, decimals):
     """
     scale = 10 ** decimals
     return Fraction(math.ceil(Fraction(value) * scale), scale) == Fraction(str(published))
+
+
+def snapshot_records(tape):
+    """A copy of every array of every record on the tape, by position and name."""
+    return [{name: a.copy() for name, a in rec.cache.items()} for _, rec in tape.records]
+
+
+def assert_records_unchanged(tape, before):
+    """Every record holds the names, shapes and bytes it held at `snapshot_records`."""
+    assert len(tape.records) == len(before)
+    for (node, rec), cache in zip(tape.records, before):
+        assert rec.cache.keys() == cache.keys(), node.node_id
+        for name, a in cache.items():
+            got = rec.cache[name]
+            assert got.shape == a.shape and got.tobytes() == a.tobytes(), \
+                f"backward wrote into {node.node_id}.{name}"

@@ -1,6 +1,8 @@
 """The in-place kernels (the backwards and the LayerNorm forward) agree with
 the out-of-place formulas they replaced, and write into no cached (tape)
-array.
+array. The one write into a record, a masked token unit's input gradient
+over its kept rows, happens only when the record is spent (see
+`engine.backward`), and gives the bits of every other backward.
 
 The references below are the kernels as they were before the rewrite: every
 temporary allocated fresh, the LayerNorm forward centring its input twice,
@@ -33,9 +35,19 @@ from sbp.layers import (
     mhsa_projections,
     select,
 )
-from sbp.masks import IndexMask, sample_grid_mask
+from sbp.engine import backward, forward, resolve
+from sbp.layers import linear_backward_kept
+from sbp.masks import IndexMask, build_schedule, full_keep_mask, make_mask_plan, sample_grid_mask
+from sbp.models import (
+    Rows,
+    TokenLinearNode,
+    build_model,
+    mlp_spec,
+    tiny_conv_spec,
+    tiny_vit_spec,
+)
 
-from helpers import cut_cache, mhsa_backward_cut
+from helpers import assert_records_unchanged, cut_cache, mhsa_backward_cut, snapshot_records
 
 
 def take(t, index, axis):
@@ -276,3 +288,136 @@ def test_gelu_backward(shape):
     new = gelu_backward(u, up, cdf)
     assert same_bytes(u, u0) and same_bytes(cdf, cdf0) and same_bytes(up, up0)
     assert same_bytes(new, old_gelu_backward(u, up, cdf))
+
+
+@pytest.mark.parametrize("has_bias", [True, False])
+@pytest.mark.parametrize("shape", [(1, 1, 5, 3), (1, 4, 5, 3), (3, 4, 6, 6), (2, 7, 4, 9)])
+def test_linear_backward_kept_into_x(shape, has_bias):
+    """dX written over x (`out=x`) has the bits of the new dX, also for one
+    row in all (a matrix-vector product); without `out` x stays as it was."""
+    b, k, c_in, c_out = shape
+    rng = np.random.Generator(np.random.PCG64(6))
+    x = rng.normal(size=(b, k, c_in))
+    dy, w = rng.normal(size=(b, k, c_out)), rng.normal(size=(c_in, c_out))
+    x0 = x.copy()
+    want = linear_backward_kept(x, dy, w, has_bias)
+    assert same_bytes(x, x0) and not np.shares_memory(want[2], x)
+    got = linear_backward_kept(x, dy, w, has_bias, out=x)
+    assert np.shares_memory(got[2], x)
+    for a, b_ in zip(got, want):
+        assert a is b_ is None or same_bytes(a, b_)
+
+
+# Spent records, on three-unit token MLPs and small vit and conv models.
+SPEND_SPECS = {
+    "mlp": mlp_spec(grid=(4, 4), in_channels=2, width=6, depth=3),
+    "vit": tiny_vit_spec(grid=(4, 4), in_channels=2, embed=8, heads=2, depth=3,
+                         sbp_fraction=2 / 3),
+    "conv": tiny_conv_spec(grid=(4, 4), in_channels=2, channels=3, depth=2),
+}
+# Independent random masks under the increasing schedule (the benchmark's
+# sampling), shared grid masks, one kept token per masked node, and masks
+# that keep everything.
+MASKS = ["random", "grid", "one-token", "full-keep"]
+
+
+def spend_case(spec, masks, b):
+    """(model, x, labels, selection map) for one spec, kind of masks and batch."""
+    model = build_model(SPEND_SPECS[spec], 4)
+    layers = model.sbp_layers()
+    if masks in ("random", "grid"):
+        schedule = build_schedule("increasing" if masks == "random" else "uniform", 0.5,
+                                  len(layers))
+        sharing = "independent" if masks == "random" else "shared"
+        plan = make_mask_plan(model, schedule, masks, sharing, 11)
+    elif masks == "one-token":
+        plan = {node_id: IndexMask.from_keep(grid, [int(np.prod(grid)) // 3])
+                for node_id, grid in layers}
+    else:
+        plan = {node_id: full_keep_mask(grid) for node_id, grid in layers}
+    rng = np.random.Generator(np.random.PCG64(b))
+    x, labels = rng.normal(size=(b, 4, 4, 2)), rng.integers(0, 2, size=b)
+    return model, x, labels, resolve(model, plan, "qkv", 0, 0)
+
+
+def assert_same_gradients(got, want):
+    """Equal gradient stores and input gradients, bit for bit."""
+    (store, dx), (store_want, dx_want) = got, want
+    assert store.keys() == store_want.keys()
+    for key in store_want.keys():
+        assert same_bytes(store[key], store_want[key]), key
+    assert same_bytes(dx, dx_want)
+
+
+@pytest.mark.parametrize("b", [1, 3, 5])
+@pytest.mark.parametrize("masks", MASKS)
+def test_consumed_backward_equals_kept_tape(masks, b):
+    """A planned tape's backward that leaves it for another, then the one
+    that consumes it: the same bits, since only the second writes over it."""
+    model, x, labels, plan = spend_case("mlp", masks, b)
+    tape = forward(model, x, labels, plan=plan)
+    kept = backward(tape, want_input_grad=True)
+    consumed = backward(tape, want_input_grad=True, consume=True)
+    assert not tape.records
+    assert_same_gradients(consumed, kept)
+
+
+@pytest.mark.parametrize("b", [1, 3, 5])
+@pytest.mark.parametrize("masks", MASKS)
+def test_restricted_copy_equals_consumed_planned_tape(masks, b):
+    """The backward of an exact tape under a plan, which spends the copies
+    it restricts, equals the planned tape's, kept and then consumed; the
+    exact tape serves a second plan backward with the same bits."""
+    model, x, labels, plan = spend_case("mlp", masks, b)
+    exact = forward(model, x, labels)
+    want = backward(exact, plan, want_input_grad=True)
+    tape = forward(model, x, labels, plan=plan)
+    assert_same_gradients(backward(tape, want_input_grad=True), want)
+    assert_same_gradients(backward(tape, want_input_grad=True, consume=True), want)
+    assert_same_gradients(backward(exact, plan, want_input_grad=True), want)
+
+
+@pytest.mark.parametrize("spec, masks", [("mlp", m) for m in MASKS] + [
+    ("vit", "grid"), ("vit", "full-keep"), ("conv", "grid"), ("conv", "full-keep")])
+def test_backward_that_does_not_consume_leaves_every_record(spec, masks):
+    """Exact and planned tapes keep every record's bytes through backwards
+    without consume, with and without a plan."""
+    model, x, labels, plan = spend_case(spec, masks, 5)
+    exact, planned = forward(model, x, labels), forward(model, x, labels, plan=plan)
+    exact_before, planned_before = snapshot_records(exact), snapshot_records(planned)
+    backward(exact)
+    backward(exact, plan)
+    backward(planned)
+    assert_records_unchanged(exact, exact_before)
+    assert_records_unchanged(planned, planned_before)
+
+
+@pytest.mark.parametrize("masks", MASKS)
+def test_spent_unit_returns_its_kept_rows(masks, monkeypatch):
+    """A masked unit's input gradient is written over its record's kept rows
+    when the record is spent (consumed, or restricted in the call), and
+    never over a full-keep record's input or a record left for another
+    backward."""
+    model, x, labels, plan = spend_case("mlp", masks, 3)
+    seen = []
+    unit_backward = TokenLinearNode.backward
+
+    def spy(node, rec, dy):
+        x_k = rec.cache["x"]
+        grads, dx = unit_backward(node, rec, dy)
+        seen.append((rec.spent, dx, x_k))
+        return grads, dx
+
+    monkeypatch.setattr(TokenLinearNode, "backward", spy)
+    tape, exact = forward(model, x, labels, plan=plan), forward(model, x, labels)
+    for spent, run in [(False, lambda: backward(tape)), (True, lambda: backward(exact, plan)),
+                       (True, lambda: backward(tape, consume=True))]:
+        seen.clear()
+        run()
+        assert len(seen) == 3
+        for rec_spent, dx, x_k in seen:
+            assert rec_spent == spent
+            if masks == "full-keep":
+                assert not isinstance(dx, Rows) and not np.shares_memory(dx, x_k)
+            else:
+                assert isinstance(dx, Rows) and np.shares_memory(dx.values, x_k) == spent

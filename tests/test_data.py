@@ -6,8 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbp.data import HEADER_BYTES, Dataset, make_blobs, read_sbpd, write_sbpd
+from sbp.data import HEADER_BYTES, Dataset, blob_center, make_blobs, read_sbpd, write_sbpd
 from sbp.errors import ConfigurationError
+
+
+def corner_blobs(count, grid, channels, n_classes, noise, seed):
+    """`make_blobs` as it was when class k sat at corner (k % 2, (k // 2) % 2)."""
+    h, w = grid
+    rng = np.random.Generator(np.random.PCG64(seed))
+    centers = [(h * (0.25 + 0.5 * (k % 2)), w * (0.25 + 0.5 * ((k // 2) % 2)))
+               for k in range(n_classes)]
+    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    labels = np.arange(count, dtype=np.int64) % n_classes
+    x = np.empty((count, h, w, channels))
+    sigma2 = (0.15 * (h + w)) ** 2
+    for i in range(count):
+        cy, cx = centers[labels[i]]
+        bump = np.exp(-((rr - cy) ** 2 + (cc - cx) ** 2) / sigma2)
+        x[i] = bump[:, :, None] + noise * rng.normal(size=(h, w, channels))
+    perm = rng.permutation(count)
+    return Dataset(np.ascontiguousarray(x[perm]), labels[perm])
 
 
 class TestMakeBlobs:
@@ -30,6 +48,29 @@ class TestMakeBlobs:
         for x, label in zip(ds.x, ds.labels):
             peak = np.unravel_index(np.argmax(x[:, :, 0]), (8, 8))
             assert (peak[0] < 4) == (label % 2 == 0)
+
+    def test_every_class_has_its_own_centre(self):
+        for h, w in ((8, 8), (4, 6)):
+            centres = [blob_center(k, h, w) for k in range(16)]
+            assert len(set(centres)) == 16
+        # classes 0-3 keep the corner quarter points
+        assert [blob_center(k, 8, 8) for k in range(4)] == [(2, 2), (6, 2), (2, 6), (6, 6)]
+
+    def test_noise_free_class_means_differ(self):
+        ds = make_blobs(64, grid=(8, 8), channels=1, n_classes=16, noise=0.0, seed=0)
+        means = [ds.x[ds.labels == k].mean(axis=0) for k in range(16)]
+        for i in range(16):
+            for j in range(i):
+                assert np.abs(means[i] - means[j]).max() > 0.01, (i, j)
+
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 4])
+    def test_up_to_four_classes_unchanged(self, n_classes):
+        """Datasets of at most four classes keep their bytes: each corner
+        stays where it was."""
+        args = (24, (6, 5), 2, n_classes, 0.5, 3)
+        ds, want = make_blobs(*args), corner_blobs(*args)
+        assert ds.x.tobytes() == want.x.tobytes()
+        assert ds.labels.tobytes() == want.labels.tobytes()
 
     def test_mismatched_labels_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -171,17 +171,22 @@ def test_estimate_matches_chunked_tape(name):
     assert report.estimated_total == tape.cached_elements()
 
 
-# ROADMAP item 2's configs at r=0.5, grid masks, shared:
-# (spec, B, grid, width C, step-peak ratio bound, backward bound in B x N x C
-# arrays above the tape). Measured: vit14 0.557 and 6.1, below the 9.6 of an
-# attention backward that keeps every temporary to the end; mlp16 0.493 and
-# 1.0, where each masked unit passes its kept rows on and the planned forward
-# writes each output over its spent input.
+# ROADMAP item 2's configs and the train-mlp16-random benchmark's own at
+# r=0.5: (spec, B, grid, width C, schedule, sampler, sharing, step-peak ratio
+# bound, backward bound in B x N x C arrays above the tape). Measured: vit14
+# 0.557 and 6.1, below the 9.6 of an attention backward that keeps every
+# temporary to the end; mlp16 0.493 and 0.74, and mlp16-random 0.496 and
+# 1.10, where each masked unit passes its kept rows on and writes them over
+# its consumed record, and the planned forward writes each output over its
+# spent input.
+MLP16 = mlp_spec(grid=(16, 16), in_channels=3, width=128, depth=6)
 STEP_CASES = {
     "vit14-qkv": (tiny_vit_spec(grid=(14, 14), in_channels=3, embed=64, heads=2, depth=6,
-                                mlp_ratio=2, sbp_fraction=2 / 3), 16, (14, 14), 64, 0.57, 8.0),
-    "mlp16": (mlp_spec(grid=(16, 16), in_channels=3, width=128, depth=6), 32, (16, 16), 128,
-              0.55, 1.75),
+                                mlp_ratio=2, sbp_fraction=2 / 3), 16, (14, 14), 64,
+                  "uniform", "grid", "shared", 0.57, 8.0),
+    "mlp16": (MLP16, 32, (16, 16), 128, "uniform", "grid", "shared", 0.55, 1.0),
+    "mlp16-random": (MLP16, 32, (16, 16), 128, "increasing", "random", "independent", 0.55,
+                     1.25),
 }
 
 
@@ -191,13 +196,13 @@ def test_step_peak(name):
     B x N x C array, the planned step peaks at most `ratio` times the full
     step, and the planned backward at most `above_tape` B x N x C arrays
     above the tape it consumes."""
-    spec, b, grid, width, ratio, above_tape = STEP_CASES[name]
+    spec, b, grid, width, schedule, sampler, sharing, ratio, above_tape = STEP_CASES[name]
     model = build_model(spec, 3)
     rng = np.random.Generator(np.random.PCG64(5))
     x = rng.normal(size=(b, *grid, 3))
     labels = rng.integers(0, 2, size=b)
-    schedule = build_schedule("uniform", 0.5, len(model.sbp_layers()))
-    plan = resolve(model, make_mask_plan(model, schedule, "grid", "shared", 7), "qkv", 0, 0)
+    ratios = build_schedule(schedule, 0.5, len(model.sbp_layers()))
+    plan = resolve(model, make_mask_plan(model, ratios, sampler, sharing, 7), "qkv", 0, 0)
     full = measure_step_peaks(model, x, labels, None)
     planned = measure_step_peaks(model, x, labels, plan)
     bnc = b * grid[0] * grid[1] * width * 8
